@@ -12,7 +12,6 @@ everything else rests on).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -175,48 +174,6 @@ class GradedBasis:
     quotient_rank: int
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
     projection: IntMatrix  # quotient_rank x len(classes), applied to A-coords
-
-
-def _mod2_solve(columns, rhs):
-    """Solve sum x_j columns[j] = rhs over F2.
-
-    Returns (solution, kernel_basis) or (None, kernel_basis) when
-    inconsistent; vectors are 0/1 tuples.
-    """
-    ncols = len(columns)
-    nrows = len(rhs)
-    rows = [[columns[j][i] & 1 for j in range(ncols)] + [rhs[i] & 1] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][j]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols]:
-            return None, _mod2_kernel(ncols, pivots, rows, r)
-    x = [0] * ncols
-    for i, j in enumerate(pivots):
-        x[j] = rows[i][ncols]
-    return tuple(x), _mod2_kernel(ncols, pivots, rows, r)
-
-
-def _mod2_kernel(ncols, pivots, rows, r):
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, j in enumerate(pivots):
-            vec[j] = rows[i][f]
-        basis.append(tuple(vec))
-    return basis
 
 
 class CohomologyRing:
@@ -401,34 +358,38 @@ class CohomologyRing:
         """Mod-2 quotient coordinates of a mod-2 tuple of the given degree.
 
         components: one Mod2Polynomial per vertex. Solves against the mod-2
-        reduction of the integral basis; ambiguity (possible only when some
-        weight is imprimitive) raises.
+        reduction of the integral basis, read off its Smith form U*M*V = S
+        (U and V stay invertible mod 2): rows of U*b at odd diagonal entries
+        are solved, all other rows must be even, and the V-columns at even
+        diagonal entries span the mod-2 kernel. A kernel vector with a
+        nonzero image (possible only when some weight is imprimitive) makes
+        the answer ambiguous and raises.
         """
         monos = self._monos(degree)
         vec = []
         for p in components:
             part = p.homogeneous_component(degree)
             vec.extend(1 if m in part.terms else 0 for m in monos)
-        basis = self.gkm_basis(degree)
-        gb = self.ordinary(degree)
-        cols = [self._class_to_vec(c, degree) for c in basis]
-        if not cols:
+        proj = self.ordinary(degree).projection
+        dec, ncols = self._expressor(degree)
+        if dec is None:
             if any(vec):
                 raise NotInSubalgebra("mod-2 class outside the subalgebra in degree %d" % degree)
             return ()
-        x, kernel = _mod2_solve(cols, vec)
-        if x is None:
-            raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
-        proj = gb.projection
-        for kv in kernel:
-            if any(sum(proj.at(i, j) * kv[j] for j in range(len(kv))) % 2 for i in range(proj.rows)):
-                raise NotInSubalgebra(
-                    "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree
-                )
-        return tuple(sum(proj.at(i, j) * x[j] for j in range(len(x))) % 2 for i in range(proj.rows))
-
-    def cup(self, a: FixedPointClass, b: FixedPointClass) -> FixedPointClass:
-        return a * b
+        diag = dec.diagonal()
+        y = [0] * ncols
+        for i, c in enumerate(dec.U.apply(vec)):
+            if i < len(diag) and diag[i] % 2:
+                y[i] = c % 2
+            elif c % 2:
+                raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+        for j in range(ncols):
+            if j >= len(diag) or diag[j] % 2 == 0:
+                if any(x % 2 for x in proj.apply(dec.V.column(j))):
+                    raise NotInSubalgebra(
+                        "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree
+                    )
+        return tuple(x % 2 for x in proj.apply(dec.V.apply(y)))
 
     def cup_and_express(self, a: FixedPointClass, b: FixedPointClass) -> RingElement:
         da, db = a.degree(), b.degree()
@@ -460,16 +421,12 @@ def evaluate_class_polynomial(graph, generators, p: IntPolynomial) -> FixedPoint
     return FixedPointClass(graph, comps)
 
 
-_ring_cache = weakref.WeakKeyDictionary()
-
-
 def ring_of(graph) -> CohomologyRing:
-    """Shared per-graph ring so the function-style API reuses caches."""
-    ring = _ring_cache.get(graph)
-    if ring is None:
-        ring = CohomologyRing(graph)
-        _ring_cache[graph] = ring
-    return ring
+    """Shared per-graph ring so the function-style API reuses caches; the
+    graph holds it, so the two are collected together."""
+    if graph._ring is None:
+        graph._ring = CohomologyRing(graph)
+    return graph._ring
 
 
 def gkm_basis(graph, degree):
@@ -560,17 +517,10 @@ class GeneratorBasis:
         return IntPolynomial(len(self.names), {m: c for m, c in zip(chosen, x)})
 
     def to_poly_mod2(self, coords, degree) -> Mod2Polynomial:
-        """Mod-2 version of to_poly for Stiefel-Whitney reporting."""
-        chosen, chosen_cols, _dec = self._data(degree)
-        if not chosen:
-            if any(c % 2 for c in coords):
-                raise GeneratorsDoNotSpan("nonzero mod-2 class in degree %d with empty basis" % degree)
-            return Mod2Polynomial(len(self.names))
-        # the chosen columns are unimodular over Z, hence invertible mod 2
-        x, _kernel = _mod2_solve(chosen_cols, [c % 2 for c in coords])
-        if x is None:
-            raise GeneratorsDoNotSpan("mod-2 class not expressible in generator monomials")
-        return Mod2Polynomial(len(self.names), {m for m, c in zip(chosen, x) if c})
+        """Mod-2 version of to_poly for Stiefel-Whitney reporting: the
+        chosen columns are unimodular, so the integral solve reduces to the
+        mod-2 one."""
+        return self.to_poly(RingElement(degree, coords)).mod2()
 
     def render(self, elem: RingElement) -> str:
         return self.to_poly(elem).render(self.names)

@@ -14,6 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -22,7 +23,14 @@ from .errors import (
     UnknownExample,
     XRayError,
 )
-from .intlinalg import IntMatrix, canonical_sign, primitive_part, rank
+from .intlinalg import (
+    IntMatrix,
+    canonical_sign,
+    primitive_part,
+    rank,
+    smith_normal_form,
+    solve_with_snf,
+)
 
 GRAPH_FORMAT = "gkmg/1"
 XRAY_FORMAT = "xray/1"
@@ -121,6 +129,7 @@ class GKMGraph:
                 wv = canonical_sign(_check_weight(wv, self.torus_rank, where)) if wv is not None else wu
             out.append(GraphEdge(u, v, wu, wv))
         self.edges = tuple(out)
+        self._ring = None  # filled by cohomology.ring_of
         self._incidence = {v: [] for v in self.vertices}
         for e in self.edges:
             self._incidence[e.u].append(e)
@@ -307,9 +316,7 @@ def graph_from_xray(xray: XRay) -> GKMGraph:
     edges = []
     for u, v in xray.edges:
         disp = [b - a for a, b in zip(xray.vertices[u], xray.vertices[v])]
-        denom = 1
-        for c in disp:
-            denom = denom * c.denominator // _fraction_gcd(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in disp))
         ints = [int(c * denom) for c in disp]
         edges.append((u, v, primitive_part(ints)))
     g = GKMGraph(xray.torus_rank, sorted(xray.vertices), edges, signed=True, name=xray.name)
@@ -317,12 +324,6 @@ def graph_from_xray(xray: XRay) -> GKMGraph:
     if not report.valid:
         raise XRayError("derived graph fails GKM conditions: %s" % report)
     return g
-
-
-def _fraction_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -380,33 +381,19 @@ def _independent_base_edges(g: GKMGraph):
     return None
 
 
-def _adjugate(M: IntMatrix):
-    n = M.rows
-    if n == 1:
-        return IntMatrix.from_rows([[1]])
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [M.at(r, c) for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            row.append((-1) ** (i + j) * IntMatrix.from_rows(minor).det())
-        cof.append(row)
-    return IntMatrix.from_rows(cof).transpose()
+def _solve_psi(base_dec, target_weights):
+    """Integer unimodular psi with psi * base_i = target_i, or None.
 
-
-def _solve_psi(base_weights, target_weights):
-    """Integer unimodular psi with psi * base_i = target_i, or None."""
-    W = IntMatrix.from_columns(base_weights)
-    B = IntMatrix.from_columns(target_weights)
-    d = W.det()
-    num = B * _adjugate(W)
-    if any(x % d for x in num.entries):
-        return None
-    psi = IntMatrix(num.rows, num.cols, [x // d for x in num.entries])
+    base_dec is the Smith form of the matrix whose rows are the base
+    weights; row i of psi solves that matrix times x = (target_j[i])_j.
+    """
+    rows = []
+    for i in range(len(target_weights)):
+        x = solve_with_snf(base_dec, [t[i] for t in target_weights])
+        if x is None:
+            return None
+        rows.append(x)
+    psi = IntMatrix.from_rows(rows)
     if not psi.is_unimodular():
         return None
     return psi
@@ -478,7 +465,7 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
     if base is None:
         raise InvalidGraph("no vertex carries %d independent weights; automorphism underdetermined" % g1.torus_rank)
     v0, base_edges = base
-    base_weights = [e.weight_at(v0) for e in base_edges]
+    base_dec = smith_normal_form(IntMatrix.from_rows([e.weight_at(v0) for e in base_edges]))
     k = g1.torus_rank
     found = []
     seen = set()
@@ -490,7 +477,7 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
             else:
                 sign_choices = list(itertools.product((1, -1), repeat=k))
             for signs in sign_choices:
-                psi = _solve_psi(base_weights, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
+                psi = _solve_psi(base_dec, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
                 if psi is None:
                     continue
                 for phi in _extend_iso(g1, g2, v0, u0, psi, signed):
@@ -645,15 +632,38 @@ def _require(d, key, context):
     return d[key]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_torus_rank(d, context):
+    k = _require(d, "torus_rank", context)
+    if not _is_int(k) or k < 1:
+        raise SchemaError("torus_rank must be a positive integer, got %r" % (k,))
+    return k
+
+
+def _require_name(value, what):
+    if not isinstance(value, str):
+        raise SchemaError("%s must be a string, got %r" % (what, value))
+    return value
+
+
 def graph_from_json(data) -> GKMGraph:
     if not isinstance(data, dict):
         raise SchemaError("graph document must be a JSON object")
     fmt = _require(data, "format", "graph document")
     if fmt != GRAPH_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, GRAPH_FORMAT))
-    k = _require(data, "torus_rank", "graph document")
+    k = _require_torus_rank(data, "graph document")
     signed = _require(data, "signed", "graph document")
+    if not isinstance(signed, bool):
+        raise SchemaError("signed must be true or false, got %r" % (signed,))
     vertices = _require(data, "vertices", "graph document")
+    if not isinstance(vertices, list):
+        raise SchemaError("vertices must be a list of names")
+    for v in vertices:
+        _require_name(v, "vertex name")
     raw_edges = _require(data, "edges", "graph document")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list")
@@ -661,10 +671,12 @@ def graph_from_json(data) -> GKMGraph:
     for idx, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError("edge #%d must be an object" % idx)
-        u = _require(e, "from", "edge #%d" % idx)
-        v = _require(e, "to", "edge #%d" % idx)
+        u = _require_name(_require(e, "from", "edge #%d" % idx), "edge #%d from" % idx)
+        v = _require_name(_require(e, "to", "edge #%d" % idx), "edge #%d to" % idx)
         w = _require(e, "weight_at_from", "edge %s-%s" % (u, v))
-        entries.append((str(u), str(v), tuple(w)))
+        if not (isinstance(w, list) and all(_is_int(x) for x in w)):
+            raise SchemaError("weight_at_from on edge %s-%s must be a list of integers, got %r" % (u, v, w))
+        entries.append((u, v, tuple(w)))
     # the same geometric edge may appear once per orientation; fold the
     # second occurrence into weight_at_v so sign inconsistencies surface in
     # validate() rather than duplicating the edge
@@ -689,24 +701,32 @@ def xray_from_json(data) -> XRay:
     fmt = _require(data, "format", "x-ray document")
     if fmt != XRAY_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, XRAY_FORMAT))
-    k = _require(data, "torus_rank", "x-ray document")
+    k = _require_torus_rank(data, "x-ray document")
     raw_vertices = _require(data, "vertices", "x-ray document")
+    if not isinstance(raw_vertices, dict):
+        raise SchemaError("x-ray vertices must be an object of coordinate lists")
     raw_edges = _require(data, "edges", "x-ray document")
+    if not isinstance(raw_edges, list):
+        raise SchemaError("x-ray edges must be a list")
 
     def coord(c, vertex):
-        if isinstance(c, int):
+        if _is_int(c):
             return Fraction(c)
-        if isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c):
+        if isinstance(c, list) and len(c) == 2 and all(_is_int(x) for x in c):
             if c[1] == 0:
                 raise SchemaError("zero denominator at vertex %s" % vertex)
             return Fraction(c[0], c[1])
         raise SchemaError("coordinate %r at vertex %s must be an int or [num, den]" % (c, vertex))
 
-    vertices = {v: [coord(c, v) for c in cs] for v, cs in raw_vertices.items()}
+    vertices = {}
+    for v, cs in raw_vertices.items():
+        if not isinstance(cs, list):
+            raise SchemaError("coordinates of vertex %s must be a list" % v)
+        vertices[v] = [coord(c, v) for c in cs]
     edges = []
     for idx, e in enumerate(raw_edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise SchemaError("x-ray edge #%d must be a [from, to] pair" % idx)
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+            raise SchemaError("x-ray edge #%d must be a [from, to] pair of names" % idx)
         edges.append((e[0], e[1]))
     return XRay(k, vertices, edges, name=data.get("name"))
 

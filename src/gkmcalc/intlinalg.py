@@ -4,12 +4,20 @@ saturated kernels, integer linear solves, and primitive vectors.
 All arithmetic is on arbitrary-precision Python ints; intermediate entries
 in a Smith reduction can grow far beyond the input size, so fixed-width
 types are never used.
+
+The Smith normal form U*A*V = S is the one elimination engine: the rank is
+the number of nonzero diagonal entries, a unimodular inverse is V*U,
+integer solves and kernels come from solve_with_snf and the V-columns, and
+since U and V stay invertible mod 2, mod-2 solves read off the same
+transforms. Only det keeps its own (Bareiss) elimination: it is the
+per-candidate test of the brute-force equivalence search, called far too
+often to afford a Smith reduction with transforms each time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatch, ZeroVector
@@ -79,11 +87,12 @@ class IntMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.at(t, j) for t in range(self.cols)))
+        cols = [other.column(j) for j in range(other.cols)]
+        out = [
+            sum(map(operator.mul, self.row(i), col))
+            for i in range(self.rows)
+            for col in cols
+        ]
         return IntMatrix(self.rows, other.cols, out)
 
     def apply(self, vec):
@@ -91,10 +100,7 @@ class IntMatrix:
         vec = list(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length %d != %d" % (len(vec), self.cols))
-        return tuple(
-            sum(self.at(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
 
     def __eq__(self, other):
         return (
@@ -139,30 +145,16 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self):
-        """Exact inverse of a matrix with determinant +-1."""
-        n = self.rows
+        """Exact inverse of a matrix with determinant +-1: the Smith form
+        U*A*V is then the identity, so A^-1 = V*U."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a nonsquare matrix")
-        aug = [
-            [Fraction(self.at(i, j)) for j in range(n)]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for t in range(n):
-            piv = next((i for i in range(t, n) if aug[i][t] != 0), None)
-            if piv is None:
-                raise DimensionMismatch("matrix is singular")
-            aug[t], aug[piv] = aug[piv], aug[t]
-            inv = 1 / aug[t][t]
-            aug[t] = [x * inv for x in aug[t]]
-            for i in range(n):
-                if i != t and aug[i][t] != 0:
-                    f = aug[i][t]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[t])]
-        out = [r[n:] for r in aug]
-        if any(x.denominator != 1 for r in out for x in r):
+        if self.rows == 0:
+            return self
+        dec = smith_normal_form(self)
+        if any(d != 1 for d in dec.diagonal()):
             raise DimensionMismatch("matrix is not unimodular")
-        return IntMatrix.from_rows([[int(x) for x in r] for r in out])
+        return dec.V * dec.U
 
 
 @dataclass(frozen=True)
@@ -309,23 +301,9 @@ def solve_integer(A: IntMatrix, b):
 
 def rank(A: IntMatrix):
     """Rank over the rationals."""
-    m = [[Fraction(x) for x in A.row(i)] for i in range(A.rows)]
-    r = 0
-    for j in range(A.cols):
-        piv = next((i for i in range(r, A.rows) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][j]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(A.rows):
-            if i != r and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == A.rows:
-            break
-    return r
+    if A.rows == 0 or A.cols == 0:
+        return 0
+    return smith_normal_form(A).rank()
 
 
 def primitive_part(v):

@@ -250,3 +250,25 @@ def test_every_verb_on_every_valid_builtin(capsys):
     code, _, _ = run(capsys, "validate", "--example", "cp1xcp2")
     assert code == 1  # invalid by design
     assert time.monotonic() - start < 60.0
+
+
+def test_malformed_weight_is_an_error_not_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    doc = builtin("eschenburg").to_json()
+    doc["edges"][0]["weight_at_from"] = None
+    path = tmp_path / "null_weight.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "weight_at_from" in proc.stderr

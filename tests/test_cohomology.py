@@ -212,3 +212,25 @@ def test_snf_of_generator_matrix_unimodular(ring, gens, phi):
             cols.append(ring.evaluate_ring_map([phi["X1"], phi["X2"]], p).coords)
         dec = smith_normal_form(IntMatrix.from_columns(cols))
         assert all(x == 1 for x in dec.diagonal())
+
+
+def test_ring_of_does_not_keep_the_graph_alive():
+    import gc
+    import weakref
+
+    from gkmcalc.cohomology import ring_of
+
+    g = builtin("eschenburg")
+    assert ring_of(g).betti(2) == 2
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_express_mod2_is_reduction_of_express(ring):
+    # every A_d basis class: the mod-2 solve agrees with the integral one
+    for d in range(0, ring.dim + 1, 2):
+        for c in ring.gkm_basis(d):
+            coords = ring.express_mod2([p.mod2() for p in c.components], d)
+            assert coords == tuple(x % 2 for x in ring.express(c, d).coords)

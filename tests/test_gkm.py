@@ -437,3 +437,49 @@ def test_load_input_dispatch(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_input(str(bad))
     assert "line" in str(err.value)
+
+
+# -- strict loading -----------------------------------------------------------
+
+
+def _edited_graph_doc(edit):
+    doc = builtin("eschenburg").to_json()
+    edit(doc)
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["edges"][0].update(weight_at_from=None),
+        lambda d: d["edges"][0].update(weight_at_from=True),
+        lambda d: d["edges"][0].update(weight_at_from=5),
+        lambda d: d["edges"][0].update(weight_at_from=[1.7, -1.2]),
+        lambda d: d.update(torus_rank="2"),
+        lambda d: d.update(torus_rank=2.0),
+        lambda d: d.update(signed="no"),
+        lambda d: d.update(vertices="abc", edges=[{"from": "a", "to": "b", "weight_at_from": [1, 0]}]),
+    ],
+    ids=["weight-null", "weight-true", "weight-int", "weight-floats", "rank-string",
+         "rank-float", "signed-string", "vertices-string"],
+)
+def test_graph_from_json_rejects_malformed(edit):
+    with pytest.raises(SchemaError):
+        graph_from_json(_edited_graph_doc(edit))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(torus_rank="2"),
+        lambda d: d.update(torus_rank=2.0),
+        lambda d: d.update(vertices="abc"),
+        lambda d: d["vertices"].update(p1=[True, 1]),
+    ],
+    ids=["rank-string", "rank-float", "vertices-string", "coordinate-bool"],
+)
+def test_xray_from_json_rejects_malformed(edit):
+    doc = builtin("eschenburg", kind="xray").to_json()
+    edit(doc)
+    with pytest.raises(SchemaError):
+        xray_from_json(json.loads(json.dumps(doc)))

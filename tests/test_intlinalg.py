@@ -207,3 +207,23 @@ def test_inverse_unimodular():
         assert M.is_unimodular()
         inv = M.inverse_unimodular()
         assert M * inv == IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 1], [0, 1]],  # determinant 2
+        [[1, 2], [2, 4]],  # singular
+        [[1, 0, 0], [0, 1, 0]],  # nonsquare
+    ],
+)
+def test_inverse_unimodular_rejects(rows):
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows(rows).inverse_unimodular()
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank(IntMatrix(0, 0, [])) == 0
+    assert rank(IntMatrix(0, 3, [])) == 0
+    assert rank(IntMatrix(3, 0, [])) == 0
+    assert rank(IntMatrix(2, 3, [0] * 6)) == 0

@@ -1,7 +1,8 @@
 import pytest
 
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
-from gkmcalc.errors import Not6Dimensional
+from gkmcalc.charclasses import equivariant_char_class, stiefel_whitney_coords
+from gkmcalc.errors import Not6Dimensional, NotInSubalgebra
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.wjz import (
@@ -185,6 +186,27 @@ def test_primitivity_warning():
     assert s.rank == 3
     assert s.warnings
     assert "not primitive" in s.warnings[0]
+
+
+def test_imprimitive_mod2_descent_is_ambiguous():
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    ring = CohomologyRing(g)
+    sw = equivariant_char_class(g, "stiefel_whitney")
+    chern = equivariant_char_class(g, "chern")
+    for d in (2, 4, 6):
+        with pytest.raises(NotInSubalgebra, match="ambiguous"):
+            ring.express_mod2(sw.mod2_component(d), d)
+        # so the Stiefel-Whitney class falls back to Chern mod 2
+        elem = ring.express(chern.homogeneous_component(d), d)
+        assert stiefel_whitney_coords(g, ring, d) == tuple(c % 2 for c in elem.coords)
+
+
+def test_imprimitive_automorphisms_verify():
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    for signed in (True, False):
+        isos = find_isomorphisms(g, g, signed)
+        assert isos
+        assert all(iso.verify(g, g, signed) for iso in isos)
 
 
 def test_no_warning_for_primitive_weights():
