@@ -45,7 +45,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_integer,
 )
-from .polyring import IntPolynomial, Mod2Polynomial, divide_by_linear, mod2_reduce
+from .polyring import IntPolynomial, Mod2Polynomial, divide_by_linear
 from .wjz import (
     Equivalence,
     InvariantSystem,
@@ -90,7 +90,6 @@ __all__ = [
     "kernel_saturated",
     "load_input",
     "localize_integral",
-    "mod2_reduce",
     "ordinary_basis",
     "primitive_part",
     "smith_normal_form",

@@ -19,9 +19,9 @@ from .errors import (
     NonIntegralLocalizationSum,
     NotInSubalgebra,
 )
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
 from .gkm import GKMGraph
-from .polyring import IntPolynomial, Mod2Polynomial, mod2_reduce
+from .polyring import IntPolynomial
 
 KINDS = ("chern", "pontrjagin", "stiefel_whitney")
 
@@ -40,7 +40,7 @@ class EquivariantTotalClass:
     def mod2_component(self, degree):
         if self.kind == "stiefel_whitney":
             return [p.homogeneous_component(degree) for p in self.components]
-        return [mod2_reduce(p.homogeneous_component(degree)) for p in self.components]
+        return [p.homogeneous_component(degree).mod2() for p in self.components]
 
 
 def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
@@ -113,7 +113,7 @@ def descend(
 ) -> CharClassReport:
     """Ordinary characteristic classes: the image of each homogeneous part
     in (A/mA), optionally rewritten in the user generators."""
-    ring = ring or CohomologyRing(graph)
+    ring = ring or ring_of(graph)
     entries = []
     for d in range(2, ring.dim + 1, 2):
         if total.kind == "stiefel_whitney":
@@ -127,21 +127,16 @@ def descend(
     return CharClassReport(total.kind, entries, gens.names if gens else [])
 
 
-def _product(polys, k):
-    out = IntPolynomial.constant(k, 1)
-    for p in polys:
-        out = out * p
-    return out
-
-
 def localize_integral(graph: GKMGraph, c: FixedPointClass):
-    """Exact evaluation of the localization sum sum_p c_p / prod_j a_pj.
+    """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
+    is the product of the weights at p.
 
     For a homogeneous class of degree 2n this is the pairing with the
     fundamental class in the orientation the signed labels induce; below
-    the top degree the sum cancels to zero. Denominators are cleared
-    symbolically, so a sum that fails to be an integer (or to cancel)
-    is detected exactly and flags invalid input data.
+    the top degree the sum cancels to zero. The terms are added into one
+    running fraction num/den with den the product of all e_p, so a sum that
+    fails to be an integer (or to cancel) is detected exactly and flags
+    invalid input data.
     """
     if not graph.signed:
         raise LocalizationRequiresSignedGraph(
@@ -156,40 +151,23 @@ def localize_integral(graph: GKMGraph, c: FixedPointClass):
     if d > n2:
         raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
     k = graph.torus_rank
-    denoms = [
-        _product([IntPolynomial.linear_form(w) for w in graph.weights_at(v)], k)
-        for v in graph.vertices
-    ]
-    nv = len(denoms)
-    prefix = [IntPolynomial.constant(k, 1)]
-    for p in denoms:
-        prefix.append(prefix[-1] * p)
-    suffix = [IntPolynomial.constant(k, 1)]
-    for p in reversed(denoms):
-        suffix.append(suffix[-1] * p)
-    suffix.reverse()
-    numerator = IntPolynomial.zero(k)
-    for i in range(nv):
-        others = prefix[i] * suffix[i + 1]
-        numerator = numerator + c.components[i] * others
-    total_denom = prefix[nv]
+    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    for v, cp in zip(graph.vertices, c.components):
+        e = IntPolynomial.constant(k, 1)
+        for w in graph.weights_at(v):
+            e = e * IntPolynomial.linear_form(w)
+        num, den = num * e + cp * den, den * e
     if d < n2:
-        if not numerator.is_zero():
+        if not num.is_zero():
             raise NonIntegralLocalizationSum(
                 "localization sum of a degree-%d class does not cancel; "
                 "the labels are inconsistent" % d
             )
         return 0
-    # degree 2n: the sum is a constant, so numerator = r * denominator
-    exps, dc = next(iter(total_denom.terms.items()))
-    r = Fraction(numerator.coefficient(exps), dc)
-    scaled = IntPolynomial(
-        k, {e: r.numerator * cc for e, cc in total_denom.terms.items()}
-    )
-    check = IntPolynomial(
-        k, {e: r.denominator * cc for e, cc in numerator.terms.items()}
-    )
-    if scaled != check:
+    # degree 2n: the sum is a constant, so num = r * den
+    exps, dc = next(iter(den.terms.items()))
+    r = Fraction(num.coefficient(exps), dc)
+    if num * r.denominator != den * r.numerator:
         raise NonIntegralLocalizationSum(
             "localization sum is not constant; the labels are inconsistent"
         )

@@ -18,10 +18,10 @@ from .charclasses import (
     localize_integral,
 )
 from .cohomology import (
-    CohomologyRing,
     FixedPointClass,
     GeneratorBasis,
     evaluate_class_polynomial,
+    ring_of,
 )
 from .errors import GkmError, SchemaError
 from .gkm import GKMGraph, XRay, builtin, find_isomorphisms, graph_from_xray, load_input
@@ -200,8 +200,10 @@ def _write_svg(xray: XRay, path):
 
 def _cmd_cohomology(args):
     [g] = _resolve_inputs(args, 1)
-    ring = CohomologyRing(g)
+    ring = ring_of(g)
     top = args.max_degree if args.max_degree is not None else ring.dim
+    if not 0 <= top <= ring.dim:
+        raise UsageError("--max-degree must lie in 0..%d, got %d" % (ring.dim, top))
     degrees = list(range(0, top + 1, 2))
     rows = []
     for d in degrees:
@@ -228,7 +230,7 @@ _CLASS_LABELS = {"chern": "c", "pontrjagin": "p", "stiefel_whitney": "w"}
 
 def _cmd_classes(args):
     [g] = _resolve_inputs(args, 1)
-    ring = CohomologyRing(g)
+    ring = ring_of(g)
     gens = _generator_basis(args, g, ring)
     kinds = list(KINDS)
     notices = []
@@ -242,7 +244,7 @@ def _cmd_classes(args):
         payload["generators"] = gens.names
     for kind in kinds:
         total = equivariant_char_class(g, kind)
-        report = descend(g, total, gens, ring)
+        report = descend(g, total, gens)
         label = _CLASS_LABELS[kind]
         entry = {}
         for e in report.degrees:
@@ -268,7 +270,7 @@ def _cmd_classes(args):
 
 def _cmd_integrate(args):
     [g] = _resolve_inputs(args, 1)
-    ring = CohomologyRing(g)
+    ring = ring_of(g)
     gens = _generator_basis(args, g, ring)
     # addressable symbols: Chern parts c1..cn (signed graphs), Pontrjagin
     # parts p1.., and the named generators when provided
@@ -284,7 +286,8 @@ def _cmd_integrate(args):
         for name, cls in zip(gens.names, gens.classes):
             symbols[name] = cls
     names = sorted(symbols)
-    poly = parse_polynomial(args.cls, names)
+    # every symbol has degree >= 2, so the parser's degree is a lower bound
+    poly = parse_polynomial(args.cls, names, max_degree=ring.dim)
     value_cls = evaluate_class_polynomial(g, [symbols[n] for n in names], poly)
     if not value_cls.is_homogeneous():
         raise SchemaError("integrand is not homogeneous (degrees %s)" % value_cls.degrees())
@@ -307,9 +310,9 @@ def _cmd_integrate(args):
 
 def _cmd_invariants(args):
     [g] = _resolve_inputs(args, 1)
-    ring = CohomologyRing(g)
+    ring = ring_of(g)
     gens = _generator_basis(args, g, ring)
-    system = invariant_system(g, gens=gens, ring=ring)
+    system = invariant_system(g, gens=gens)
     payload = {"command": "invariants", "graph": g.name, "system": system.to_json()}
     lines = [_graph_header(g), "basis: %s" % system.basis_label, "rank H^2 = %d" % system.rank]
     for a in range(system.rank):
@@ -349,6 +352,8 @@ def _cmd_iso(args):
 
 
 def _cmd_diffeo(args):
+    if args.bound < 0:
+        raise UsageError("--bound must be nonnegative, got %d" % args.bound)
     g1, g2 = _resolve_inputs(args, 2)
     verdict = diffeo_verdict(
         g1,

@@ -81,8 +81,20 @@ class ValidityReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_torus_rank(k):
+    if not _is_int(k) or k < 1:
+        raise SchemaError("torus_rank must be a positive integer, got %r" % (k,))
+    return k
+
+
 def _check_weight(w, k, where):
-    w = tuple(int(x) for x in w)
+    if not isinstance(w, (list, tuple)) or not all(_is_int(x) for x in w):
+        raise SchemaError("weight %r on %s must be a sequence of integers" % (w, where))
+    w = tuple(w)
     if len(w) != k:
         raise SchemaError("weight %r on %s has length %d, expected %d" % (w, where, len(w), k))
     if all(x == 0 for x in w):
@@ -99,7 +111,7 @@ class GKMGraph:
     """
 
     def __init__(self, torus_rank, vertices, edges, signed, name=None):
-        self.torus_rank = int(torus_rank)
+        self.torus_rank = _check_torus_rank(torus_rank)
         self.signed = bool(signed)
         self.name = name
         self.vertices = tuple(str(v) for v in vertices)
@@ -632,21 +644,19 @@ def _require(d, key, context):
     return d[key]
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _require_torus_rank(d, context):
-    k = _require(d, "torus_rank", context)
-    if not _is_int(k) or k < 1:
-        raise SchemaError("torus_rank must be a positive integer, got %r" % (k,))
-    return k
+    return _check_torus_rank(_require(d, "torus_rank", context))
 
 
 def _require_name(value, what):
     if not isinstance(value, str):
         raise SchemaError("%s must be a string, got %r" % (what, value))
     return value
+
+
+def _optional_name(data, what):
+    name = data.get("name")
+    return name if name is None else _require_name(name, what)
 
 
 def graph_from_json(data) -> GKMGraph:
@@ -692,7 +702,7 @@ def graph_from_json(data) -> GKMGraph:
             continue
         open_by_pair.setdefault((u, v), []).append(len(merged))
         merged.append((u, v, w))
-    return GKMGraph(k, vertices, merged, signed, name=data.get("name"))
+    return GKMGraph(k, vertices, merged, signed, name=_optional_name(data, "graph name"))
 
 
 def xray_from_json(data) -> XRay:
@@ -728,7 +738,7 @@ def xray_from_json(data) -> XRay:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
             raise SchemaError("x-ray edge #%d must be a [from, to] pair of names" % idx)
         edges.append((e[0], e[1]))
-    return XRay(k, vertices, edges, name=data.get("name"))
+    return XRay(k, vertices, edges, name=_optional_name(data, "x-ray name"))
 
 
 def load_input(path):

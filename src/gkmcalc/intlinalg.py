@@ -60,9 +60,6 @@ class IntMatrix:
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
-    def __getitem__(self, ij):
-        return self.at(*ij)
-
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -71,13 +68,6 @@ class IntMatrix:
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):

@@ -211,6 +211,7 @@ class IntPolynomial:
         return out
 
     def mod2(self):
+        """Coefficientwise reduction Z -> Z/2 (a ring homomorphism)."""
         return Mod2Polynomial(
             self.k, {e for e, c in self.terms.items() if c % 2}
         )
@@ -277,11 +278,6 @@ class Mod2Polynomial:
 
     def __repr__(self):
         return "Mod2Polynomial(%r)" % self.render()
-
-
-def mod2_reduce(p: IntPolynomial) -> Mod2Polynomial:
-    """Coefficientwise reduction Z -> Z/2 (a ring homomorphism)."""
-    return p.mod2()
 
 
 def divide_by_linear(p, ell):
@@ -368,10 +364,12 @@ class PolynomialSyntaxError(GkmError, ValueError):
     pass
 
 
-def parse_polynomial(text, names):
+def parse_polynomial(text, names, max_degree=None):
     """Parse the canonical rendering syntax back into an IntPolynomial.
 
-    Supports integers, named variables, +, -, *, ^ and parentheses.
+    Supports integers, named variables, +, -, *, ^ and parentheses. With
+    `max_degree`, a product or power whose top degree would pass it is
+    rejected before it is expanded.
     """
     names = list(names)
     k = len(names)
@@ -413,11 +411,22 @@ def parse_polynomial(text, names):
             out = out + (-t if op == "-" else t)
         return out
 
+    def bounded(degree):
+        if max_degree is not None and degree > max_degree:
+            raise PolynomialSyntaxError(
+                "degree %d exceeds the maximum degree %d" % (degree, max_degree)
+            )
+
+    def top(p):
+        return max(p.degrees(), default=0)
+
     def parse_term():
         out = parse_factor()
         while peek() == "*":
             take()
-            out = out * parse_factor()
+            factor = parse_factor()
+            bounded(top(out) + top(factor))
+            out = out * factor
         return out
 
     def parse_factor():
@@ -427,6 +436,7 @@ def parse_polynomial(text, names):
             e = take()
             if e is None or not e.isdigit():
                 raise PolynomialSyntaxError("exponent must be a nonnegative integer")
+            bounded(top(base) * int(e))
             return base ** int(e)
         return base
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from .cohomology import CohomologyRing, GeneratorBasis
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
 from .errors import GeneratorsDoNotSpan, Not6Dimensional, LocalizationRequiresSignedGraph
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part
@@ -38,9 +38,6 @@ class InvariantSystem:
         return InvariantSystem(
             self.rank, neg, self.w, tuple(-x for x in self.p), self.basis_label, self.warnings
         )
-
-    def mu_at(self, a, b, c):
-        return self.mu[a][b][c]
 
     def to_json(self):
         return {
@@ -93,7 +90,7 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
         raise Not6Dimensional("valence %d graph; the classification applies to valence 3" % graph.valence)
     if not graph.signed:
         raise LocalizationRequiresSignedGraph("invariants need a signed graph")
-    ring = ring or CohomologyRing(graph)
+    ring = ring or ring_of(graph)
     warnings = []
     for e in graph.edges:
         if primitive_part(e.weight_at_u) != e.weight_at_u:
@@ -114,16 +111,13 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     else:
         basis_classes = ring.ordinary(2).quotient_reps
         label = "internal"
-    mu = tuple(
-        tuple(
-            tuple(
-                localize_integral(graph, basis_classes[a] * basis_classes[b] * basis_classes[c])
-                for c in range(r)
-            )
-            for b in range(r)
-        )
-        for a in range(r)
-    )
+    # mu is symmetric: localize each unordered triple once
+    mu = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a, b, c in itertools.combinations_with_replacement(range(r), 3):
+        value = localize_integral(graph, basis_classes[a] * basis_classes[b] * basis_classes[c])
+        for i, j, l in itertools.permutations((a, b, c)):
+            mu[i][j][l] = value
+    mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
     w_coords = stiefel_whitney_coords(graph, ring, 2)
     if gens is not None:
         wpoly = gens.to_poly_mod2(w_coords, 2)
@@ -198,8 +192,6 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     r = s1.rank
     for entries in itertools.product(range(-bound, bound + 1), repeat=r * r):
         phi = IntMatrix(r, r, entries)
-        if not phi.is_unimodular():
-            continue
         if _is_equivalence(phi, s1, s2):
             return Found(Equivalence(phi))
     return NotFoundWithinBound(bound)
@@ -216,14 +208,11 @@ class DiffeoVerdict:
     systems: tuple = field(default=())
 
 
-def phi_from_graph_iso(g1, g2, iso, ring1=None, ring2=None):
+def phi_from_graph_iso(g1, g2, iso):
     """The equivalence of invariant systems a signed graph isomorphism
     induces: transport the degree-2 basis of g2 back through (phi, psi),
     express it in g1's basis, and invert."""
-    from .cohomology import FixedPointClass
-
-    ring1 = ring1 or CohomologyRing(g1)
-    ring2 = ring2 or CohomologyRing(g2)
+    ring1, ring2 = ring_of(g1), ring_of(g2)
     mapping = iso.mapping()
     psi_inv = iso.psi.inverse_unimodular()
     basis2 = ring2.ordinary(2).quotient_reps
@@ -272,9 +261,8 @@ def diffeo_verdict(
             ),
         )
     assumptions = ("simply-connected", "h-odd-zero")
-    ring1, ring2 = CohomologyRing(g1), CohomologyRing(g2)
-    s1 = invariant_system(g1, ring=ring1)
-    s2 = invariant_system(g2, ring=ring2)
+    s1 = invariant_system(g1)
+    s2 = invariant_system(g2)
     note = ""
     s2r = s2.reversed_orientation()
     if s2r != s2:
@@ -287,7 +275,7 @@ def diffeo_verdict(
             note = "orientation-reversed comparison inconclusive within bound %d" % bound
     isos = find_isomorphisms(g1, g2, signed=True)
     if isos:
-        eq = phi_from_graph_iso(g1, g2, isos[0], ring1, ring2)
+        eq = phi_from_graph_iso(g1, g2, isos[0])
         if not eq.verify(s1, s2):
             raise AssertionError("transported basis failed to verify the equivalence equations")
         return DiffeoVerdict(

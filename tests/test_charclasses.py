@@ -14,7 +14,7 @@ from gkmcalc.errors import (
     NonIntegralLocalizationSum,
 )
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
-from gkmcalc.polyring import IntPolynomial, mod2_reduce, parse_polynomial
+from gkmcalc.polyring import IntPolynomial, parse_polynomial
 
 SIGNED_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
 XX = ["X1", "X2"]
@@ -63,7 +63,7 @@ def test_equivariant_pontrjagin_at_p3():
 def test_equivariant_sw_at_p6():
     g = builtin("eschenburg")
     total = equivariant_char_class(g, "stiefel_whitney")
-    expected = mod2_reduce(parse_polynomial("(1 + Y2)*(1 + Y1)*(1 + Y1 + Y2)", YY))
+    expected = parse_polynomial("(1 + Y2)*(1 + Y1)*(1 + Y1 + Y2)", YY).mod2()
     assert total.components[g.vertices.index("p6")] == expected
 
 
@@ -122,7 +122,7 @@ def test_mod2_chern_is_stiefel_whitney():
         g = builtin(name)
         chern = equivariant_char_class(g, "chern")
         sw = equivariant_char_class(g, "stiefel_whitney")
-        assert tuple(mod2_reduce(p) for p in chern.components) == sw.components, name
+        assert tuple(p.mod2() for p in chern.components) == sw.components, name
 
 
 def test_localize_constant_and_low_degree_vanish():
@@ -180,6 +180,13 @@ def test_localize_flags_inconsistent_class():
         g, {"p1": "Y1", "p2": "0", "p3": "0", "p4": "0", "p5": "0", "p6": "0"}
     )
     with pytest.raises(NonIntegralLocalizationSum):
+        localize_integral(g, c)
+
+
+def test_localize_flags_nonconstant_top_degree_sum():
+    g = builtin("eschenburg")
+    c = FixedPointClass.from_strings(g, {v: "Y1^3" if v == "p1" else "0" for v in g.vertices})
+    with pytest.raises(NonIntegralLocalizationSum, match="not constant"):
         localize_integral(g, c)
 
 

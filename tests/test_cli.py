@@ -252,23 +252,65 @@ def test_every_verb_on_every_valid_builtin(capsys):
     assert time.monotonic() - start < 60.0
 
 
-def test_malformed_weight_is_an_error_not_a_traceback(tmp_path):
+def gkm_process(*argv, timeout=10):
+    """Run `gkm` as its own process, so a traceback or a hang shows."""
     import os
     import subprocess
     import sys
 
     import gkmcalc
 
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_malformed_weight_is_an_error_not_a_traceback(tmp_path):
     doc = builtin("eschenburg").to_json()
     doc["edges"][0]["weight_at_from"] = None
     path = tmp_path / "null_weight.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gkmcalc.cli", "validate", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = gkm_process("validate", str(path), timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "weight_at_from" in proc.stderr
+
+
+def test_non_string_name_is_an_error_not_a_traceback(tmp_path):
+    doc = builtin("eschenburg").to_json()
+    doc["name"] = [1, 2]
+    path = tmp_path / "list_name.json"
+    path.write_text(json.dumps(doc))
+    proc = gkm_process("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "name" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "cls",
+    ["c1^3000", "(c1+c2+c3+p1)^60", "*".join(["(c1+c2+c3+p1)^2"] * 15)],
+    ids=["power", "power-of-sum", "product-of-powers"],
+)
+def test_integrate_rejects_high_powers_before_expanding(cls):
+    proc = gkm_process("integrate", "--example", "eschenburg", "--class", cls)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "degree" in proc.stderr and "exceeds" in proc.stderr
+
+
+@pytest.mark.parametrize("degree", ["60", "8", "-2"])
+def test_max_degree_outside_dimension_is_usage_error(degree):
+    proc = gkm_process("cohomology", "--example", "eschenburg", "--max-degree", degree)
+    assert proc.returncode == 2
+    assert "--max-degree" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_negative_bound_is_usage_error():
+    proc = gkm_process("diffeo", "--example", "tolman", "--example", "eschenburg",
+                       "--assume-simply-connected", "--assume-h-odd-zero", "--bound", "-1")
+    assert proc.returncode == 2
+    assert "--bound" in proc.stderr and "Traceback" not in proc.stderr

@@ -459,9 +459,11 @@ def _edited_graph_doc(edit):
         lambda d: d.update(torus_rank=2.0),
         lambda d: d.update(signed="no"),
         lambda d: d.update(vertices="abc", edges=[{"from": "a", "to": "b", "weight_at_from": [1, 0]}]),
+        lambda d: d.update(name=[1, 2]),
+        lambda d: d.update(name=7),
     ],
     ids=["weight-null", "weight-true", "weight-int", "weight-floats", "rank-string",
-         "rank-float", "signed-string", "vertices-string"],
+         "rank-float", "signed-string", "vertices-string", "name-list", "name-int"],
 )
 def test_graph_from_json_rejects_malformed(edit):
     with pytest.raises(SchemaError):
@@ -475,11 +477,40 @@ def test_graph_from_json_rejects_malformed(edit):
         lambda d: d.update(torus_rank=2.0),
         lambda d: d.update(vertices="abc"),
         lambda d: d["vertices"].update(p1=[True, 1]),
+        lambda d: d.update(name=[1, 2]),
     ],
-    ids=["rank-string", "rank-float", "vertices-string", "coordinate-bool"],
+    ids=["rank-string", "rank-float", "vertices-string", "coordinate-bool", "name-list"],
 )
 def test_xray_from_json_rejects_malformed(edit):
     doc = builtin("eschenburg", kind="xray").to_json()
     edit(doc)
     with pytest.raises(SchemaError):
         xray_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("name", ["esc", None, "absent"])
+def test_loaders_accept_string_null_or_absent_name(name):
+    for doc, load in ((builtin("eschenburg").to_json(), graph_from_json),
+                      (builtin("eschenburg", kind="xray").to_json(), xray_from_json)):
+        doc.pop("name", None)
+        if name != "absent":
+            doc["name"] = name
+        assert load(doc).name == (None if name == "absent" else name)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [(1.7, -0.2), (True, "3"), (1, "3"), (2.0, 1.0), None],
+    ids=["floats", "bool-and-string", "string", "integral-floats", "null"],
+)
+def test_constructor_rejects_non_integer_weights(weight):
+    with pytest.raises(SchemaError):
+        GKMGraph(2, ["a", "b"], [("a", "b", weight)], signed=True)
+
+
+@pytest.mark.parametrize(
+    "rank", ["2", 2.0, True, 0, -1, None], ids=["string", "float", "bool", "zero", "negative", "null"]
+)
+def test_constructor_rejects_bad_torus_rank(rank):
+    with pytest.raises(SchemaError, match="torus_rank"):
+        GKMGraph(rank, ["a", "b"], [("a", "b", (1, 0))], signed=True)

@@ -7,7 +7,6 @@ from gkmcalc.polyring import (
     IntPolynomial,
     Mod2Polynomial,
     divide_by_linear,
-    mod2_reduce,
     monomials,
     parse_polynomial,
 )
@@ -135,10 +134,10 @@ def test_divide_roundtrip_1000():
 
 
 def test_mod2_examples():
-    assert mod2_reduce(P("2*Y1")).is_zero()
-    assert mod2_reduce(P("1 + Y1 - Y2")) == mod2_reduce(P("1 + Y1 + Y2"))
+    assert P("2*Y1").mod2().is_zero()
+    assert P("1 + Y1 - Y2").mod2() == P("1 + Y1 + Y2").mod2()
     # Prop 5: c1 = 4*X1 + 2*X2 has trivial mod-2 reduction
-    assert mod2_reduce(parse_polynomial("4*X1 + 2*X2", ["X1", "X2"])).is_zero()
+    assert parse_polynomial("4*X1 + 2*X2", ["X1", "X2"]).mod2().is_zero()
 
 
 def test_mod2_is_ring_hom():
@@ -146,8 +145,8 @@ def test_mod2_is_ring_hom():
     for _ in range(80):
         p = random_poly(rng, 2)
         q = random_poly(rng, 2)
-        assert mod2_reduce(p * q) == mod2_reduce(p) * mod2_reduce(q)
-        assert mod2_reduce(p + q) == mod2_reduce(p) + mod2_reduce(q)
+        assert (p * q).mod2() == p.mod2() * q.mod2()
+        assert (p + q).mod2() == p.mod2() + q.mod2()
 
 
 def test_mod2_polynomial_basics():

@@ -1,8 +1,8 @@
 import pytest
 
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
-from gkmcalc.charclasses import equivariant_char_class, stiefel_whitney_coords
-from gkmcalc.errors import Not6Dimensional, NotInSubalgebra
+from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
+from gkmcalc.errors import NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.wjz import (
@@ -199,6 +199,46 @@ def test_imprimitive_mod2_descent_is_ambiguous():
         # so the Stiefel-Whitney class falls back to Chern mod 2
         elem = ring.express(chern.homogeneous_component(d), d)
         assert stiefel_whitney_coords(g, ring, d) == tuple(c % 2 for c in elem.coords)
+
+
+def test_localize_flags_fractional_top_degree_sum():
+    # half the Euler class at one vertex integrates to 1/2
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    c = FixedPointClass.from_strings(g, {v: "-Y1^2*Y2 - Y1*Y2^2" if v == "ppp" else "0" for v in g.vertices})
+    with pytest.raises(NonIntegralLocalizationSum, match="localization sum 1/2 is not an integer"):
+        localize_integral(g, c)
+
+
+def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
+    import gkmcalc.wjz as wjz
+
+    calls = []
+
+    def counting(graph, c):
+        calls.append(c)
+        return localize_integral(graph, c)
+
+    monkeypatch.setattr(wjz, "localize_integral", counting)
+    s = invariant_system(product_of_spheres([(2, 0), (0, 1), (1, 1)]))
+    assert s.rank == 3
+    assert len(calls) == 10 + 3  # C(5, 3) entries of mu, then p
+
+
+def test_repeated_verdict_builds_no_ring(monkeypatch):
+    g1, g2 = builtin("tolman"), builtin("eschenburg")
+    first = diffeo_verdict(g1, g2, True, True, bound=1)
+    built = []
+    init = CohomologyRing.__init__
+
+    def counting(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(CohomologyRing, "__init__", counting)
+    second = diffeo_verdict(g1, g2, True, True, bound=1)
+    assert built == []
+    assert second.status == first.status == "diffeomorphic"
+    assert second.phi.to_rows() == first.phi.to_rows()
 
 
 def test_imprimitive_automorphisms_verify():
