@@ -91,6 +91,30 @@ def _check_torus_rank(k):
     return k
 
 
+def _check_name(value, what):
+    if not isinstance(value, str):
+        raise SchemaError("%s must be a string, got %r" % (what, value))
+    return value
+
+
+def _check_signed(signed):
+    if not isinstance(signed, bool):
+        raise SchemaError("signed must be true or false, got %r" % (signed,))
+    return signed
+
+
+def _check_coordinates(coords, k, vertex):
+    if not isinstance(coords, (list, tuple)) or not all(
+        _is_int(c) or isinstance(c, Fraction) for c in coords
+    ):
+        raise SchemaError(
+            "coordinates %r of vertex %s must be a sequence of integers or Fractions" % (coords, vertex)
+        )
+    if len(coords) != k:
+        raise SchemaError("vertex %s has %d coordinates, expected %d" % (vertex, len(coords), k))
+    return tuple(Fraction(c) for c in coords)
+
+
 def _check_weight(w, k, where):
     if not isinstance(w, (list, tuple)) or not all(_is_int(x) for x in w):
         raise SchemaError("weight %r on %s must be a sequence of integers" % (w, where))
@@ -112,9 +136,9 @@ class GKMGraph:
 
     def __init__(self, torus_rank, vertices, edges, signed, name=None):
         self.torus_rank = _check_torus_rank(torus_rank)
-        self.signed = bool(signed)
+        self.signed = _check_signed(signed)
         self.name = name
-        self.vertices = tuple(str(v) for v in vertices)
+        self.vertices = tuple(_check_name(v, "vertex name") for v in vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertex names")
         vset = set(self.vertices)
@@ -127,7 +151,8 @@ class GKMGraph:
                 u, v, wu, wv = entry
             else:
                 raise SchemaError("edge entry %r must have 3 or 4 fields" % (entry,))
-            u, v = str(u), str(v)
+            _check_name(u, "edge endpoint")
+            _check_name(v, "edge endpoint")
             if u not in vset or v not in vset:
                 raise SchemaError("edge %s-%s references an unknown vertex" % (u, v))
             if u == v:
@@ -276,17 +301,16 @@ class XRay:
     rational points and the segments connecting them."""
 
     def __init__(self, torus_rank, vertices, edges, name=None):
-        self.torus_rank = int(torus_rank)
+        self.torus_rank = _check_torus_rank(torus_rank)
         self.name = name
-        self.vertices = {}
-        for v, coords in vertices.items():
-            coords = tuple(Fraction(c) for c in coords)
-            if len(coords) != self.torus_rank:
-                raise SchemaError("vertex %s has %d coordinates, expected %d" % (v, len(coords), self.torus_rank))
-            self.vertices[str(v)] = coords
+        self.vertices = {
+            _check_name(v, "x-ray vertex name"): _check_coordinates(coords, self.torus_rank, v)
+            for v, coords in vertices.items()
+        }
         self.edges = []
         for u, v in edges:
-            u, v = str(u), str(v)
+            _check_name(u, "x-ray edge endpoint")
+            _check_name(v, "x-ray edge endpoint")
             if u not in self.vertices or v not in self.vertices:
                 raise SchemaError("x-ray edge %s-%s references an unknown vertex" % (u, v))
             self.edges.append((u, v))
@@ -648,15 +672,9 @@ def _require_torus_rank(d, context):
     return _check_torus_rank(_require(d, "torus_rank", context))
 
 
-def _require_name(value, what):
-    if not isinstance(value, str):
-        raise SchemaError("%s must be a string, got %r" % (what, value))
-    return value
-
-
 def _optional_name(data, what):
     name = data.get("name")
-    return name if name is None else _require_name(name, what)
+    return name if name is None else _check_name(name, what)
 
 
 def graph_from_json(data) -> GKMGraph:
@@ -667,13 +685,9 @@ def graph_from_json(data) -> GKMGraph:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, GRAPH_FORMAT))
     k = _require_torus_rank(data, "graph document")
     signed = _require(data, "signed", "graph document")
-    if not isinstance(signed, bool):
-        raise SchemaError("signed must be true or false, got %r" % (signed,))
     vertices = _require(data, "vertices", "graph document")
     if not isinstance(vertices, list):
         raise SchemaError("vertices must be a list of names")
-    for v in vertices:
-        _require_name(v, "vertex name")
     raw_edges = _require(data, "edges", "graph document")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list")
@@ -681,8 +695,8 @@ def graph_from_json(data) -> GKMGraph:
     for idx, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError("edge #%d must be an object" % idx)
-        u = _require_name(_require(e, "from", "edge #%d" % idx), "edge #%d from" % idx)
-        v = _require_name(_require(e, "to", "edge #%d" % idx), "edge #%d to" % idx)
+        u = _check_name(_require(e, "from", "edge #%d" % idx), "edge #%d from" % idx)
+        v = _check_name(_require(e, "to", "edge #%d" % idx), "edge #%d to" % idx)
         w = _require(e, "weight_at_from", "edge %s-%s" % (u, v))
         if not (isinstance(w, list) and all(_is_int(x) for x in w)):
             raise SchemaError("weight_at_from on edge %s-%s must be a list of integers, got %r" % (u, v, w))

@@ -9,9 +9,8 @@ The Smith normal form U*A*V = S is the one elimination engine: the rank is
 the number of nonzero diagonal entries, a unimodular inverse is V*U,
 integer solves and kernels come from solve_with_snf and the V-columns, and
 since U and V stay invertible mod 2, mod-2 solves read off the same
-transforms. Only det keeps its own (Bareiss) elimination: it is the
-per-candidate test of the brute-force equivalence search, called far too
-often to afford a Smith reduction with transforms each time.
+transforms. Only det keeps its own (Bareiss) elimination, because the CLI
+prints det psi of each isomorphism and a determinant needs no transforms.
 """
 
 from __future__ import annotations

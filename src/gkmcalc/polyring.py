@@ -8,7 +8,9 @@ coefficients; the zero polynomial has no terms.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 
 from .errors import DimensionMismatch, GkmError
 from .intlinalg import IntMatrix
@@ -436,8 +438,18 @@ def parse_polynomial(text, names, max_degree=None):
             e = take()
             if e is None or not e.isdigit():
                 raise PolynomialSyntaxError("exponent must be a nonnegative integer")
-            bounded(top(base) * int(e))
-            return base ** int(e)
+            e = int(e)
+            bounded(top(base) * e)
+            # a constant power is checked before it is computed: its value
+            # must still print within the int-to-str digit limit (missing
+            # before Python 3.10.7, off when 0; 4300 is its default)
+            c = abs(base.coefficient((0,) * k)) if top(base) == 0 else 0
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            if c > 1 and e * math.log10(c) >= limit:
+                raise PolynomialSyntaxError(
+                    "constant power with exponent %d has more than %d digits" % (e, limit)
+                )
+            return base ** e
         return base
 
     def parse_atom():

@@ -13,13 +13,14 @@ graph can certify, so the oracle demands explicit assumption flags.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
 from .errors import GeneratorsDoNotSpan, Not6Dimensional, LocalizationRequiresSignedGraph
 from .gkm import GKMGraph, find_isomorphisms
-from .intlinalg import IntMatrix, gcd_of, primitive_part
+from .intlinalg import IntMatrix, gcd_of, primitive_part, smith_normal_form
 
 
 @dataclass
@@ -170,12 +171,84 @@ def _flatten_mu(s):
     return [x for plane in s.mu for row in plane for x in row]
 
 
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
+def _covector(mu, x, y):
+    """mu(x, y, .) as a vector."""
+    r = len(x)
+    return tuple(
+        sum(mu[i][j][l] * x[i] * y[j] for i in range(r) if x[i] for j in range(r) if y[j])
+        for l in range(r)
+    )
+
+
+def _candidate_columns(s1, s2, bound):
+    """For each a, the vectors v in [-bound, bound]^rank that can be column
+    a of Phi, i.e. p2.v = p1[a] and mu2(v,v,v) = mu1[a][a][a], each paired
+    with mu2(v,v,.). They come in increasing max-norm, then 1-norm, so that
+    small witnesses such as +-I come first."""
+    wanted = {}
+    for a in range(s1.rank):
+        wanted.setdefault((s1.p[a], s1.mu[a][a][a]), []).append(a)
+    p_values = {p for p, _ in wanted}
+    out = [[] for _ in range(s1.rank)]
+    for v in itertools.product(range(-bound, bound + 1), repeat=s1.rank):
+        p = _dot(s2.p, v)
+        if p in p_values:
+            q = _covector(s2.mu, v, v)
+            for a in wanted.get((p, _dot(q, v)), ()):
+                out[a].append((v, q))
+    for column in out:
+        column.sort(key=lambda vq: (max(map(abs, vq[0])), sum(map(abs, vq[0]))))
+    return out
+
+
+def _saturated(cols):
+    """Whether the columns span a saturated sublattice, as the leading
+    columns of a unimodular matrix must."""
+    return all(d == 1 for d in smith_normal_form(IntMatrix.from_columns(cols)).diagonal())
+
+
+def _extend(s1, s2, candidates, order, placed):
+    """Depth-first search for Phi extending `placed`, a list of (a, column
+    a) pairs, with the columns in `order`.
+
+    Column k is kept only if mu2(col_a, col_b, col_k) = mu1[a][b][k] for
+    all a, b among the placed columns and k, and the columns stay
+    saturated; every complete Phi is tested with _is_equivalence. Returns
+    Phi or None.
+    """
+    if len(placed) == s1.rank:
+        phi = IntMatrix.from_columns(v for _, v in sorted(placed))
+        return phi if _is_equivalence(phi, s1, s2) else None
+    k = order[len(placed)]
+    linear = [
+        (_covector(s2.mu, x, y), s1.mu[a][b][k])
+        for i, (b, y) in enumerate(placed)
+        for a, x in placed[: i + 1]
+    ]
+    quadratic = [(x, s1.mu[k][k][a]) for a, x in placed]
+    for v, q in candidates[k]:
+        if (
+            all(_dot(u, v) == t for u, t in linear)
+            and all(_dot(q, x) == t for x, t in quadratic)
+            and _saturated([x for _, x in placed] + [v])
+        ):
+            phi = _extend(s1, s2, candidates, order, placed + [(k, v)])
+            if phi is not None:
+                return phi
+    return None
+
+
 def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     """Decide equivalence of two systems of invariants.
 
     GL(r,Z)-invariants that differ prove the systems distinct; otherwise
-    an exhaustive search over unimodular matrices with entries bounded by
-    `bound` either finds a witness or reports an honest inconclusive.
+    a search over all matrices with entries bounded by `bound`, built one
+    column at a time and pruned by conditions every equivalence meets,
+    either finds a witness or reports an honest inconclusive.
     """
     if s1.rank != s2.rank:
         return ProvablyDistinct("rank (%d vs %d)" % (s1.rank, s2.rank))
@@ -189,12 +262,11 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
         return ProvablyDistinct("vanishing of w2")
     if _cubic_values_mod2(s1) != _cubic_values_mod2(s2):
         return ProvablyDistinct("mod-2 value multiset of the cubic form")
-    r = s1.rank
-    for entries in itertools.product(range(-bound, bound + 1), repeat=r * r):
-        phi = IntMatrix(r, r, entries)
-        if _is_equivalence(phi, s1, s2):
-            return Found(Equivalence(phi))
-    return NotFoundWithinBound(bound)
+    candidates = _candidate_columns(s1, s2, bound)
+    # placing the columns with the fewest candidates first keeps the tree narrow
+    order = sorted(range(s1.rank), key=lambda a: len(candidates[a]))
+    phi = _extend(s1, s2, candidates, order, [])
+    return NotFoundWithinBound(bound) if phi is None else Found(Equivalence(phi))
 
 
 @dataclass

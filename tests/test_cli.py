@@ -314,3 +314,12 @@ def test_negative_bound_is_usage_error():
                        "--assume-simply-connected", "--assume-h-odd-zero", "--bound", "-1")
     assert proc.returncode == 2
     assert "--bound" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cls", ["2^9999999*c1^3", "(1+1)^99999999", "(10^2000)^3*c1^3"],
+                         ids=["power", "power-of-sum", "power-of-power"])
+def test_integrate_rejects_huge_constant_powers_before_computing(cls):
+    proc = gkm_process("integrate", "--example", "eschenburg", "--class", cls)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "constant power" in proc.stderr and "digits" in proc.stderr

@@ -514,3 +514,44 @@ def test_constructor_rejects_non_integer_weights(weight):
 def test_constructor_rejects_bad_torus_rank(rank):
     with pytest.raises(SchemaError, match="torus_rank"):
         GKMGraph(rank, ["a", "b"], [("a", "b", (1, 0))], signed=True)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(1.7, 0), ("1/2", 0), (True, 0), (2.0, 1.0), 5],
+    ids=["float", "string", "bool", "integral-floats", "non-sequence"],
+)
+def test_xray_constructor_rejects_non_rational_coordinates(coords):
+    with pytest.raises(SchemaError):
+        XRay(2, {"a": coords, "b": [0, 0]}, [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "rank", ["2", 2.0, True, 0, None], ids=["string", "float", "bool", "zero", "null"]
+)
+def test_xray_constructor_rejects_bad_torus_rank(rank):
+    with pytest.raises(SchemaError, match="torus_rank"):
+        XRay(rank, {"a": [1, 2], "b": [0, 0]}, [("a", "b")])
+
+
+def test_xray_constructor_keeps_ints_and_fractions():
+    from fractions import Fraction
+
+    x = XRay(2, {"a": [Fraction(1, 2), 3], "b": (0, 0)}, [("a", "b")])
+    assert x.vertices["a"] == (Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize("signed", ["no", 1, None], ids=["string", "int", "null"])
+def test_constructor_rejects_non_bool_signed(signed):
+    with pytest.raises(SchemaError, match="signed"):
+        GKMGraph(1, ["a", "b"], [("a", "b", (1,))], signed=signed)
+
+
+@pytest.mark.parametrize(
+    "vertices, edge",
+    [([1, 2], (1, 2, (1,))), (["1", "2"], (1, "2", (1,))), (["1", "2"], ("1", 2, (1,)))],
+    ids=["vertex-names", "edge-from", "edge-to"],
+)
+def test_constructor_rejects_non_string_names(vertices, edge):
+    with pytest.raises(SchemaError, match="must be a string"):
+        GKMGraph(1, vertices, [edge], signed=True)

@@ -1,3 +1,8 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
@@ -273,3 +278,90 @@ def test_json_shape():
     assert doc["p"] == [8, -8]
     assert doc["basis"] == "X1,X2"
     assert doc["mu"][0][0][0] == 2
+
+
+# -- the equivalence search against the brute force it replaced --------------
+
+
+def brute_force_outcome(s1, s2, bound):
+    """Reference outcome class: the GL(r,Z)-invariant checks, then every
+    rank x rank matrix with entries in [-bound, bound] tested with
+    Equivalence.verify."""
+    if isinstance(are_equivalent(s1, s2, 0), ProvablyDistinct):
+        return ProvablyDistinct
+    r = s1.rank
+    for entries in itertools.product(range(-bound, bound + 1), repeat=r * r):
+        if Equivalence(IntMatrix(r, r, entries)).verify(s1, s2):
+            return Found
+    return NotFoundWithinBound
+
+
+def relabelled(g):
+    """The same signed graph with renamed vertices, its edge list reversed
+    and every edge stored from its other end."""
+    name = {v: "v%d" % i for i, v in enumerate(reversed(g.vertices))}
+    edges = [(name[e.v], name[e.u], e.weight_at_v) for e in reversed(g.edges)]
+    return GKMGraph(g.torus_rank, [name[v] for v in g.vertices], edges, signed=True)
+
+
+def assert_matches_brute_force(s1, s2, bound):
+    out = are_equivalent(s1, s2, bound)
+    assert type(out) is brute_force_outcome(s1, s2, bound)
+    if isinstance(out, Found):
+        assert out.equivalence.verify(s1, s2)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_search_matches_brute_force_on_builtins(bound):
+    names = ("tolman", "woodward", "eschenburg", "eschenburg-swapped")
+    systems = {n: invariant_system(builtin(n)) for n in names}
+    for a in names:
+        for b in names:
+            assert_matches_brute_force(systems[a], systems[b], bound)
+            assert_matches_brute_force(systems[a], systems[b].reversed_orientation(), bound)
+
+
+def test_search_matches_brute_force_on_rank_3():
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    s1, s2 = invariant_system(g), invariant_system(relabelled(g))
+    assert s1.rank == 3
+    assert_matches_brute_force(s1, s2, 1)
+    assert_matches_brute_force(s1, s2.reversed_orientation(), 1)
+
+
+def test_search_matches_brute_force_on_rank_0():
+    s = InvariantSystem(0, (), (), ())
+    assert_matches_brute_force(s, s, 0)
+    assert are_equivalent(s, s, 0).equivalence.phi == IntMatrix(0, 0, [])
+
+
+# Before the column-by-column search this verdict enumerated 21^9 matrices
+# for the orientation-reversed comparison and never finished.
+FORMER_WALL = """
+from test_wjz import product_of_spheres, relabelled
+from gkmcalc.wjz import Found, are_equivalent, diffeo_verdict, invariant_system
+
+g = product_of_spheres([(1, 0), (0, 1), (1, 1)])
+h = relabelled(g)
+for a, b in ((g, h), (h, g)):
+    v = diffeo_verdict(a, b, True, True)
+    assert v.status == "diffeomorphic", v.status
+    assert v.reversed_orientation_note.startswith("systems also equivalent"), v.reversed_orientation_note
+    s1, s2 = invariant_system(a), invariant_system(b)
+    for target in (s2, s2.reversed_orientation()):
+        out = are_equivalent(s1, target, 10)
+        assert isinstance(out, Found) and out.equivalence.verify(s1, target)
+print("ok")
+"""
+
+
+def test_former_wall_finishes_at_default_bound():
+    import gkmcalc
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-c", FORMER_WALL], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
