@@ -21,11 +21,7 @@ from .cohomology import (
     GeneratorBasis,
     GradedBasis,
     RingElement,
-    cup_and_express,
-    evaluate_ring_map,
-    gkm_basis,
     is_gkm_class,
-    ordinary_basis,
 )
 from .errors import GkmError
 from .gkm import (
@@ -76,21 +72,17 @@ __all__ = [
     "XRay",
     "are_equivalent",
     "builtin",
-    "cup_and_express",
     "descend",
     "diffeo_verdict",
     "divide_by_linear",
     "equivariant_char_class",
-    "evaluate_ring_map",
     "find_isomorphisms",
-    "gkm_basis",
     "graph_from_xray",
     "invariant_system",
     "is_gkm_class",
     "kernel_saturated",
     "load_input",
     "localize_integral",
-    "ordinary_basis",
     "primitive_part",
     "smith_normal_form",
     "solve_integer",

@@ -1,5 +1,11 @@
 """Command-line frontend.
 
+Each verb computes its result once, as one JSON-ready payload, and returns
+it with the text lines rendered from that payload's values (plus, for verbs
+on one graph, a header line of graph metadata) and its exit code. `main` is
+the only place that prints: the payload with `--format json`, the lines
+otherwise.
+
 Exit codes: 0 success, 1 computation or validation error, 2 usage error,
 3 inconclusive diffeomorphism verdict.
 """
@@ -8,24 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import gkm
-from .charclasses import (
-    KINDS,
-    descend,
-    equivariant_char_class,
-    localize_integral,
-)
-from .cohomology import (
-    FixedPointClass,
-    GeneratorBasis,
-    evaluate_class_polynomial,
-    ring_of,
-)
+from .charclasses import KINDS, descend, equivariant_char_class, localize_integral
+from .cohomology import FixedPointClass, GeneratorBasis, evaluate_class_polynomial, ring_of
 from .errors import GkmError, SchemaError
 from .gkm import GKMGraph, XRay, builtin, find_isomorphisms, graph_from_xray, load_input
-from .polyring import parse_polynomial
+from .polyring import int_digit_limit, parse_polynomial
 from .wjz import diffeo_verdict, invariant_system
 
 
@@ -35,37 +32,20 @@ class UsageError(GkmError):
 
 def _resolve_inputs(args, count, validate=True):
     """Positional paths and --example names, in order, as graphs."""
-    items = []
-    for path in args.inputs:
-        items.append(("path", path))
-    for name in args.example or []:
-        items.append(("example", name))
-    if len(items) != count:
+    refs = [(load_input, path) for path in args.inputs] + [(builtin, name) for name in args.example or []]
+    if len(refs) != count:
         raise UsageError(
-            "expected %d input(s) (paths or --example), got %d" % (count, len(items))
+            "expected %d input(s) (paths or --example), got %d" % (count, len(refs))
         )
     out = []
-    for kind, ref in items:
-        if kind == "example":
-            g = builtin(ref)
-        else:
-            obj = load_input(ref)
-            if isinstance(obj, XRay):
-                obj = graph_from_xray(obj)
-            g = obj
+    for load, ref in refs:
+        g = load(ref)
+        if isinstance(g, XRay):
+            g = graph_from_xray(g)
         if validate and not args.no_validate:
             g.require_valid()
         out.append(g)
     return out
-
-
-def _emit(args, text_lines, payload):
-    """Text or JSON output with identical numeric content."""
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _graph_header(g: GKMGraph):
@@ -78,45 +58,50 @@ def _graph_header(g: GKMGraph):
     )
 
 
+def _write_or_dump(doc, path):
+    """Write `doc` to `path` and say so; with no path, the JSON text itself."""
+    if not path:
+        return [json.dumps(doc, indent=2)]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return ["wrote %s" % path]
+
+
 def _generator_basis(args, graph, ring):
     """GeneratorBasis from --gens / --gens-file, or None."""
-    names = None
-    classes = None
-    if getattr(args, "gens_file", None):
+    if args.gens_file:
         with open(args.gens_file) as fh:
             data = json.load(fh)
         names = data.get("names")
         if not names:
             raise SchemaError("generator file needs a 'names' list")
-        classes = []
-        for n in names:
-            if n not in data.get("classes", {}):
-                raise SchemaError("generator file missing class for %r" % n)
-            classes.append(FixedPointClass.from_strings(graph, data["classes"][n]))
-    elif getattr(args, "gens", None):
+        bindings = data.get("classes", {})
+        missing = "generator file missing class for %r"
+    elif args.gens:
         names = [n.strip() for n in args.gens.split(",") if n.strip()]
         bindings = gkm.builtin_generators(graph)
         if bindings is None:
             raise SchemaError(
                 "no built-in generator bindings for this graph; use --gens-file"
             )
-        classes = []
-        for n in names:
-            if n not in bindings:
-                raise SchemaError("unknown built-in generator %r (have: %s)" % (n, ", ".join(sorted(bindings))))
-            classes.append(FixedPointClass.from_strings(graph, bindings[n]))
-    if names is None:
+        missing = "unknown built-in generator %%r (have: %s)" % ", ".join(sorted(bindings))
+    else:
         return None
+    classes = []
+    for n in names:
+        if n not in bindings:
+            raise SchemaError(missing % n)
+        classes.append(FixedPointClass.from_strings(graph, bindings[n]))
     return GeneratorBasis(ring, names, classes)
 
 
-# -- verbs -------------------------------------------------------------------
+# -- verbs: each returns (payload, text lines, exit code) ---------------------
 
 
 def _cmd_validate(args):
     [g] = _resolve_inputs(args, 1, validate=False)
     report = g.validate()
-    primitive = gkm.all_labels_primitive(g)
     payload = {
         "command": "validate",
         "graph": g.name,
@@ -127,20 +112,19 @@ def _cmd_validate(args):
         "valence": g.valence,
         "torus_rank": g.torus_rank,
         "signed": g.signed,
-        "all_labels_primitive": primitive,
+        "all_labels_primitive": gkm.all_labels_primitive(g),
     }
     lines = [_graph_header(g)]
-    if report.valid:
+    if payload["valid"]:
         lines.append("valid: satisfies the GKM conditions")
     else:
         lines.append("INVALID:")
-        lines.extend("  %s" % v for v in report.violations)
+        lines.extend("  %(code)s: %(message)s" % v for v in payload["violations"])
     lines.append(
         "all edge labels primitive: %s (supporting evidence for connected "
-        "isotropy, not a proof)" % ("yes" if primitive else "no")
+        "isotropy, not a proof)" % ("yes" if payload["all_labels_primitive"] else "no")
     )
-    _emit(args, lines, payload)
-    return 0 if report.valid else 1
+    return payload, lines, 0 if payload["valid"] else 1
 
 
 def _cmd_xray(args):
@@ -154,19 +138,14 @@ def _cmd_xray(args):
     else:
         raise SchemaError("xray needs an input file or --example")
     g = graph_from_xray(xray)
-    doc = g.to_json()
+    payload = {"command": "xray", "graph": g.to_json()}
+    lines = _write_or_dump(payload["graph"], args.output)
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        lines = ["wrote %s" % args.output, _graph_header(g)]
-    else:
-        lines = [json.dumps(doc, indent=2)]
+        lines.append(_graph_header(g))
     if args.svg:
         _write_svg(xray, args.svg)
         lines.append("wrote %s" % args.svg)
-    _emit(args, lines, {"command": "xray", "graph": doc})
-    return 0
+    return payload, lines, 0
 
 
 def _write_svg(xray: XRay, path):
@@ -204,28 +183,33 @@ def _cmd_cohomology(args):
     top = args.max_degree if args.max_degree is not None else ring.dim
     if not 0 <= top <= ring.dim:
         raise UsageError("--max-degree must lie in 0..%d, got %d" % (ring.dim, top))
-    degrees = list(range(0, top + 1, 2))
     rows = []
-    for d in degrees:
+    for d in range(0, top + 1, 2):
         gb = ring.ordinary(d)
         rows.append({"degree": d, "rank_equivariant": len(gb.classes), "rank_ordinary": gb.quotient_rank})
-    total = sum(r["rank_ordinary"] for r in rows)
-    lines = [_graph_header(g), "degree  rank H^d_T-part  rank H^d"]
-    for r in rows:
-        lines.append("%6d  %15d  %8d" % (r["degree"], r["rank_equivariant"], r["rank_ordinary"]))
-    lines.append("total ordinary rank: %d (fixed points: %d)" % (total, len(g.vertices)))
     payload = {
         "command": "cohomology",
         "graph": g.name,
         "degrees": rows,
-        "total_ordinary_rank": total,
+        "total_ordinary_rank": sum(r["rank_ordinary"] for r in rows),
         "fixed_points": len(g.vertices),
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [_graph_header(g), "degree  rank H^d_T-part  rank H^d"]
+    for r in rows:
+        lines.append("%(degree)6d  %(rank_equivariant)15d  %(rank_ordinary)8d" % r)
+    lines.append("total ordinary rank: %(total_ordinary_rank)d (fixed points: %(fixed_points)d)" % payload)
+    return payload, lines, 0
 
 
-_CLASS_LABELS = {"chern": "c", "pontrjagin": "p", "stiefel_whitney": "w"}
+# c_j sits in degree 2j, p_j in degree 4j, w_j in degree j
+_CLASS_KEYS = {"chern": ("c", 2), "pontrjagin": ("p", 4), "stiefel_whitney": ("w", 1)}
+
+
+def _class_key(kind, degree):
+    """The name (c1, p1, w2, ...) of the part of a class in `degree`, or
+    None when the class has no part there."""
+    label, step = _CLASS_KEYS[kind]
+    return None if degree % step else "%s%d" % (label, degree // step)
 
 
 def _cmd_classes(args):
@@ -237,35 +221,23 @@ def _cmd_classes(args):
     if not g.signed:
         kinds.remove("chern")
         notices.append("unsigned graph: Chern classes skipped (Pontrjagin and Stiefel-Whitney are sign-independent)")
-    lines = [_graph_header(g)]
-    lines.extend("note: %s" % n for n in notices)
     payload = {"command": "classes", "graph": g.name, "notices": notices, "classes": {}}
     if gens:
         payload["generators"] = gens.names
     for kind in kinds:
-        total = equivariant_char_class(g, kind)
-        report = descend(g, total, gens)
-        label = _CLASS_LABELS[kind]
-        entry = {}
-        for e in report.degrees:
-            d = e["degree"]
-            # c_j sits in degree 2j, p_j in degree 4j, w_j in degree j
-            if kind == "chern":
-                key = "c%d" % (d // 2)
-            elif kind == "pontrjagin":
-                if d % 4:
-                    continue
-                key = "p%d" % (d // 4)
-            else:
-                key = "w%d" % d
-            entry[key] = {"degree": d, "coords": list(e["coords"])}
-            if e["poly"] is not None:
-                entry[key]["poly"] = e["poly"]
-            shown = e["poly"] if e["poly"] is not None else "coords %s" % (list(e["coords"]),)
-            lines.append("%s = %s" % (key, shown))
-        payload["classes"][kind] = entry
-    _emit(args, lines, payload)
-    return 0
+        entry = payload["classes"][kind] = {}
+        for e in descend(g, equivariant_char_class(g, kind), gens).degrees:
+            key = _class_key(kind, e["degree"])
+            if key is not None:
+                entry[key] = {"degree": e["degree"], "coords": list(e["coords"])}
+                if e["poly"] is not None:
+                    entry[key]["poly"] = e["poly"]
+    lines = [_graph_header(g)]
+    lines.extend("note: %s" % n for n in notices)
+    for entry in payload["classes"].values():
+        for key, part in entry.items():
+            lines.append("%s = %s" % (key, part.get("poly", "coords %s" % (part["coords"],))))
+    return payload, lines, 0
 
 
 def _cmd_integrate(args):
@@ -292,39 +264,36 @@ def _cmd_integrate(args):
     if not value_cls.is_homogeneous():
         raise SchemaError("integrand is not homogeneous (degrees %s)" % value_cls.degrees())
     value = localize_integral(g, value_cls)
-    deg = value_cls.degree() or 0
-    lines = [
-        _graph_header(g),
-        "integral of %s (degree %d) = %d" % (args.cls, deg, value),
-    ]
+    # the value must print: past the int-to-str digit limit, neither the
+    # text nor the JSON rendering can write it
+    limit = int_digit_limit()
+    if value.bit_length() > limit * math.log2(10) and abs(value) >= 10 ** limit:
+        raise GkmError("the integral has more than %d digits, the integer printing limit" % limit)
     payload = {
         "command": "integrate",
         "graph": g.name,
         "class": args.cls,
-        "degree": deg,
+        "degree": value_cls.degree() or 0,
         "value": value,
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [_graph_header(g), "integral of %(class)s (degree %(degree)d) = %(value)d" % payload]
+    return payload, lines, 0
 
 
 def _cmd_invariants(args):
     [g] = _resolve_inputs(args, 1)
-    ring = ring_of(g)
-    gens = _generator_basis(args, g, ring)
-    system = invariant_system(g, gens=gens)
-    payload = {"command": "invariants", "graph": g.name, "system": system.to_json()}
-    lines = [_graph_header(g), "basis: %s" % system.basis_label, "rank H^2 = %d" % system.rank]
-    for a in range(system.rank):
-        for b in range(a, system.rank):
-            for c in range(b, system.rank):
-                lines.append("mu(%d,%d,%d) = %d" % (a + 1, b + 1, c + 1, system.mu[a][b][c]))
-    lines.append("w2 = (%s)" % ", ".join(str(x) for x in system.w))
-    lines.append("p1 pairing = (%s)" % ", ".join(str(x) for x in system.p))
-    for msg in system.warnings:
-        lines.append("warning: %s" % msg)
-    _emit(args, lines, payload)
-    return 0
+    gens = _generator_basis(args, g, ring_of(g))
+    payload = {"command": "invariants", "graph": g.name, "system": invariant_system(g, gens=gens).to_json()}
+    s = payload["system"]
+    lines = [_graph_header(g), "basis: %s" % s["basis"], "rank H^2 = %d" % s["rank"]]
+    for a in range(s["rank"]):
+        for b in range(a, s["rank"]):
+            for c in range(b, s["rank"]):
+                lines.append("mu(%d,%d,%d) = %d" % (a + 1, b + 1, c + 1, s["mu"][a][b][c]))
+    lines.append("w2 = (%s)" % ", ".join(str(x) for x in s["w"]))
+    lines.append("p1 pairing = (%s)" % ", ".join(str(x) for x in s["p"]))
+    lines.extend("warning: %s" % msg for msg in s.get("warnings", ()))
+    return payload, lines, 0
 
 
 def _cmd_iso(args):
@@ -344,72 +313,58 @@ def _cmd_iso(args):
         "%s -> %s (%s labels): %d isomorphism(s)"
         % (g1.name or "A", g2.name or "B", "signed" if args.signed else "unsigned", len(isos))
     ]
-    for i in isos:
-        lines.append("  map %s" % (dict(i.vertex_map),))
-        lines.append("  psi %s (det %d)" % (i.psi.to_rows(), i.psi.det()))
-    _emit(args, lines, payload)
-    return 0
+    for i in payload["isomorphisms"]:
+        lines.append("  map %s" % (i["vertex_map"],))
+        lines.append("  psi %(psi)s (det %(det)d)" % i)
+    return payload, lines, 0
 
 
 def _cmd_diffeo(args):
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative, got %d" % args.bound)
     g1, g2 = _resolve_inputs(args, 2)
-    verdict = diffeo_verdict(
-        g1,
-        g2,
-        assume_simply_connected=args.assume_simply_connected,
-        assume_h_odd_zero=args.assume_h_odd_zero,
-        bound=args.bound,
-    )
-    primitive = gkm.all_labels_primitive(g1) and gkm.all_labels_primitive(g2)
+    verdict = diffeo_verdict(g1, g2, assume_simply_connected=args.assume_simply_connected,
+                             assume_h_odd_zero=args.assume_h_odd_zero, bound=args.bound)
     payload = {
         "command": "diffeo",
         "graphs": [g1.name, g2.name],
         "status": verdict.status,
         "assumptions": list(verdict.assumptions),
         "reason": verdict.reason,
-        "all_labels_primitive": primitive,
+        "all_labels_primitive": gkm.all_labels_primitive(g1) and gkm.all_labels_primitive(g2),
     }
-    lines = ["%s vs %s: %s" % (g1.name or "A", g2.name or "B", verdict.status)]
-    lines.append("reason: %s" % verdict.reason)
-    if verdict.assumptions:
-        lines.append("assumed: %s" % ", ".join(verdict.assumptions))
-    lines.append(
-        "all edge labels primitive: %s (evidence toward the isotropy "
-        "hypothesis, not a proof)" % ("yes" if primitive else "no")
-    )
     if verdict.graph_iso is not None:
         payload["graph_iso"] = {
             "vertex_map": dict(verdict.graph_iso.vertex_map),
             "psi": verdict.graph_iso.psi.to_rows(),
         }
-        lines.append("graph isomorphism witness: %s, psi %s" % (dict(verdict.graph_iso.vertex_map), verdict.graph_iso.psi.to_rows()))
     if verdict.phi is not None:
         payload["phi"] = verdict.phi.to_rows()
-        lines.append("equivalence Phi: %s" % (verdict.phi.to_rows(),))
     if verdict.systems:
         payload["systems"] = [s.to_json() for s in verdict.systems]
     if verdict.reversed_orientation_note:
         payload["orientation_note"] = verdict.reversed_orientation_note
-        lines.append("note: %s" % verdict.reversed_orientation_note)
-    _emit(args, lines, payload)
-    return 0 if verdict.status != "inconclusive" else 3
+    lines = ["%s vs %s: %s" % (g1.name or "A", g2.name or "B", payload["status"])]
+    lines.append("reason: %s" % payload["reason"])
+    if payload["assumptions"]:
+        lines.append("assumed: %s" % ", ".join(payload["assumptions"]))
+    lines.append(
+        "all edge labels primitive: %s (evidence toward the isotropy "
+        "hypothesis, not a proof)" % ("yes" if payload["all_labels_primitive"] else "no")
+    )
+    if "graph_iso" in payload:
+        lines.append("graph isomorphism witness: %(vertex_map)s, psi %(psi)s" % payload["graph_iso"])
+    if "phi" in payload:
+        lines.append("equivalence Phi: %s" % (payload["phi"],))
+    if "orientation_note" in payload:
+        lines.append("note: %s" % payload["orientation_note"])
+    return payload, lines, 3 if payload["status"] == "inconclusive" else 0
 
 
 def _cmd_example(args):
-    kind = "xray" if args.xray else "graph"
-    obj = builtin(args.name, kind=kind)
-    doc = obj.to_json()
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        lines = ["wrote %s" % args.output]
-    else:
-        lines = [json.dumps(doc, indent=2)]
-    _emit(args, lines, {"command": "example", "name": args.name, "document": doc})
-    return 0
+    obj = builtin(args.name, kind="xray" if args.xray else "graph")
+    payload = {"command": "example", "name": args.name, "document": obj.to_json()}
+    return payload, _write_or_dump(payload["document"], args.output), 0
 
 
 def build_parser():
@@ -423,51 +378,48 @@ def build_parser():
     parser.add_argument("--no-validate", action="store_true", help="skip GKM validation of parsed inputs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_inputs(p, n):
+    def add_inputs(p, gens=False):
         p.add_argument("inputs", nargs="*", metavar="FILE", help="gkmg or xray JSON file")
         p.add_argument("--example", action="append", metavar="NAME", help="built-in example (%s)" % ", ".join(gkm.BUILTIN_NAMES))
+        if gens:
+            p.add_argument("--gens", metavar="NAMES", help="comma-separated built-in generator names (e.g. X1,X2)")
+            p.add_argument("--gens-file", metavar="FILE", help="JSON file with user degree-2 generator classes")
 
     p = sub.add_parser("validate", help="check the GKM conditions")
-    add_inputs(p, 1)
+    add_inputs(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("xray", help="derive the signed GKM graph of an x-ray")
-    add_inputs(p, 1)
+    add_inputs(p)
     p.add_argument("-o", "--output", metavar="OUT.gkmg")
     p.add_argument("--svg", metavar="OUT.svg", help="also draw the x-ray")
     p.set_defaults(func=_cmd_xray)
 
     p = sub.add_parser("cohomology", help="equivariant and ordinary ranks per degree")
-    add_inputs(p, 1)
+    add_inputs(p)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("classes", help="Chern, Pontrjagin and Stiefel-Whitney classes")
-    add_inputs(p, 1)
-    p.add_argument("--gens", metavar="NAMES", help="comma-separated built-in generator names (e.g. X1,X2)")
-    p.add_argument("--gens-file", metavar="FILE", help="JSON file with user degree-2 generator classes")
+    add_inputs(p, gens=True)
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("integrate", help="exact localization integral of a class expression")
-    add_inputs(p, 1)
+    add_inputs(p, gens=True)
     p.add_argument("--class", dest="cls", required=True, metavar="EXPR", help="e.g. 'c1^3' or '(4*X1 + 2*X2)^3' with --gens")
-    p.add_argument("--gens", metavar="NAMES")
-    p.add_argument("--gens-file", metavar="FILE")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("invariants", help="Wall-Jupp-Zubr system of invariants")
-    add_inputs(p, 1)
-    p.add_argument("--gens", metavar="NAMES")
-    p.add_argument("--gens-file", metavar="FILE")
+    add_inputs(p, gens=True)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("iso", help="all labeled isomorphisms between two graphs")
-    add_inputs(p, 2)
+    add_inputs(p)
     p.add_argument("--signed", action="store_true", help="match signed labels exactly")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("diffeo", help="diffeomorphism oracle for two signed valence-3 graphs")
-    add_inputs(p, 2)
+    add_inputs(p)
     p.add_argument("--assume-simply-connected", action="store_true")
     p.add_argument("--assume-h-odd-zero", action="store_true")
     p.add_argument("--bound", type=int, default=10, help="entry bound for the equivalence search")
@@ -483,10 +435,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else "\n".join(lines))
+        return code
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -422,30 +422,11 @@ def evaluate_class_polynomial(graph, generators, p: IntPolynomial) -> FixedPoint
 
 
 def ring_of(graph) -> CohomologyRing:
-    """Shared per-graph ring so the function-style API reuses caches; the
+    """Shared per-graph ring so every entry point reuses its caches; the
     graph holds it, so the two are collected together."""
     if graph._ring is None:
         graph._ring = CohomologyRing(graph)
     return graph._ring
-
-
-def gkm_basis(graph, degree):
-    return ring_of(graph).gkm_basis(degree)
-
-
-def ordinary_basis(graph, degree) -> GradedBasis:
-    return ring_of(graph).ordinary(degree)
-
-
-def cup_and_express(a: FixedPointClass, b: FixedPointClass) -> RingElement:
-    return ring_of(a.graph).cup_and_express(a, b)
-
-
-def evaluate_ring_map(generators, p: IntPolynomial) -> RingElement:
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator class")
-    return ring_of(generators[0].graph).evaluate_ring_map(generators, p)
 
 
 class GeneratorBasis:

@@ -97,6 +97,10 @@ def _check_name(value, what):
     return value
 
 
+def _optional_name(name, what):
+    return name if name is None else _check_name(name, what)
+
+
 def _check_signed(signed):
     if not isinstance(signed, bool):
         raise SchemaError("signed must be true or false, got %r" % (signed,))
@@ -137,7 +141,7 @@ class GKMGraph:
     def __init__(self, torus_rank, vertices, edges, signed, name=None):
         self.torus_rank = _check_torus_rank(torus_rank)
         self.signed = _check_signed(signed)
-        self.name = name
+        self.name = _optional_name(name, "graph name")
         self.vertices = tuple(_check_name(v, "vertex name") for v in vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertex names")
@@ -302,7 +306,7 @@ class XRay:
 
     def __init__(self, torus_rank, vertices, edges, name=None):
         self.torus_rank = _check_torus_rank(torus_rank)
-        self.name = name
+        self.name = _optional_name(name, "x-ray name")
         self.vertices = {
             _check_name(v, "x-ray vertex name"): _check_coordinates(coords, self.torus_rank, v)
             for v, coords in vertices.items()
@@ -672,11 +676,6 @@ def _require_torus_rank(d, context):
     return _check_torus_rank(_require(d, "torus_rank", context))
 
 
-def _optional_name(data, what):
-    name = data.get("name")
-    return name if name is None else _check_name(name, what)
-
-
 def graph_from_json(data) -> GKMGraph:
     if not isinstance(data, dict):
         raise SchemaError("graph document must be a JSON object")
@@ -716,7 +715,7 @@ def graph_from_json(data) -> GKMGraph:
             continue
         open_by_pair.setdefault((u, v), []).append(len(merged))
         merged.append((u, v, w))
-    return GKMGraph(k, vertices, merged, signed, name=_optional_name(data, "graph name"))
+    return GKMGraph(k, vertices, merged, signed, name=data.get("name"))
 
 
 def xray_from_json(data) -> XRay:
@@ -752,7 +751,7 @@ def xray_from_json(data) -> XRay:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
             raise SchemaError("x-ray edge #%d must be a [from, to] pair of names" % idx)
         edges.append((e[0], e[1]))
-    return XRay(k, vertices, edges, name=_optional_name(data, "x-ray name"))
+    return XRay(k, vertices, edges, name=data.get("name"))
 
 
 def load_input(path):

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, SchemaError, ZeroVector
 
 
 class IntMatrix:
@@ -28,7 +28,10 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(entries)
+        for e in entries:
+            if type(e) is not int:
+                raise SchemaError("matrix entry %r must be an integer" % (e,))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
                 "%dx%d matrix needs %d entries, got %d"

@@ -366,6 +366,13 @@ class PolynomialSyntaxError(GkmError, ValueError):
     pass
 
 
+def int_digit_limit():
+    """The most decimal digits an int may have and still be converted to a
+    string: Python's int-to-str limit (missing before Python 3.10.7, off
+    when 0; 4300 is its default)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def parse_polynomial(text, names, max_degree=None):
     """Parse the canonical rendering syntax back into an IntPolynomial.
 
@@ -441,10 +448,9 @@ def parse_polynomial(text, names, max_degree=None):
             e = int(e)
             bounded(top(base) * e)
             # a constant power is checked before it is computed: its value
-            # must still print within the int-to-str digit limit (missing
-            # before Python 3.10.7, off when 0; 4300 is its default)
+            # must still print within the int-to-str digit limit
             c = abs(base.coefficient((0,) * k)) if top(base) == 0 else 0
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            limit = int_digit_limit()
             if c > 1 and e * math.log10(c) >= limit:
                 raise PolynomialSyntaxError(
                     "constant power with exponent %d has more than %d digits" % (e, limit)

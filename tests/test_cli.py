@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -323,3 +324,60 @@ def test_integrate_rejects_huge_constant_powers_before_computing(cls):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "constant power" in proc.stderr and "digits" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cls", ["(-10)^4299*c1^3", "10^3000*10^3000*c1^3"],
+                         ids=["power-times-class", "product-of-powers"])
+def test_integral_past_the_digit_limit_is_an_error(cls, fmt):
+    proc = gkm_process("--format", fmt, "integrate", "--example", "eschenburg", "--class", cls)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "set_int_max_str_digits" not in proc.stderr
+    assert "digits" in proc.stderr and proc.stdout == ""
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+_PAIR = ["--example", "tolman", "--example", "eschenburg"]
+_ASSUME = ["--assume-simply-connected", "--assume-h-odd-zero"]
+_GOLDEN_CASES = [
+    ["validate", "--example", "eschenburg"],
+    ["xray", "--example", "eschenburg"],
+    ["cohomology", "--example", "eschenburg"],
+    ["classes", "--example", "eschenburg", "--gens", "X1,X2"],
+    ["integrate", "--example", "eschenburg", "--class", "c1^3"],
+    ["invariants", "--example", "eschenburg", "--gens", "X1,X2"],
+    ["example", "eschenburg"],
+    ["iso", "--signed", *_PAIR],
+    ["diffeo", *_PAIR, *_ASSUME],
+    ["diffeo", *_PAIR],  # inconclusive, exit 3
+    ["validate", "--example", "cp1xcp2"],  # invalid, exit 1
+]
+
+
+def golden_argvs():
+    return [["--format", fmt, *case] for case in _GOLDEN_CASES for fmt in ("text", "json")]
+
+
+def test_output_matches_golden(capsys):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert [r["argv"] for r in golden] == golden_argvs()
+    for record in golden:
+        code, out, _ = run(capsys, *record["argv"])
+        assert (code, out) == (record["exit_code"], record["stdout"]), record["argv"]
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: PYTHONPATH=src python tests/test_cli.py
+    import contextlib
+    import io
+
+    records = []
+    for argv in golden_argvs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        records.append({"argv": argv, "exit_code": code, "stdout": buf.getvalue()})
+    with open(GOLDEN, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")

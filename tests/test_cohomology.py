@@ -185,21 +185,12 @@ def test_caching_is_stable(ring):
     assert a is b
 
 
-def test_function_style_api_shares_cache(esc, phi):
-    from gkmcalc.cohomology import (
-        cup_and_express,
-        evaluate_ring_map,
-        gkm_basis,
-        ordinary_basis,
-        ring_of,
-    )
+def test_ring_of_is_shared_per_graph(esc):
+    from gkmcalc.cohomology import ring_of
 
-    assert len(gkm_basis(esc, 4)) == 9
-    assert ordinary_basis(esc, 2).quotient_rank == 2
-    assert cup_and_express(phi["X1"], phi["X2"]).degree == 4
-    p = parse_polynomial("X1^2*X2", XX)
-    assert evaluate_ring_map([phi["X1"], phi["X2"]], p).coords in ((1,), (-1,))
     assert ring_of(esc) is ring_of(esc)
+    assert len(ring_of(esc).gkm_basis(4)) == 9
+    assert ring_of(esc).ordinary(2).quotient_rank == 2
 
 
 def test_snf_of_generator_matrix_unimodular(ring, gens, phi):

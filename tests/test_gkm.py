@@ -548,10 +548,18 @@ def test_constructor_rejects_non_bool_signed(signed):
 
 
 @pytest.mark.parametrize(
-    "vertices, edge",
-    [([1, 2], (1, 2, (1,))), (["1", "2"], (1, "2", (1,))), (["1", "2"], ("1", 2, (1,)))],
-    ids=["vertex-names", "edge-from", "edge-to"],
+    "vertices, edge, name",
+    [([1, 2], (1, 2, (1,)), None), (["1", "2"], (1, "2", (1,)), None),
+     (["1", "2"], ("1", 2, (1,)), None), (["1", "2"], ("1", "2", (1,)), [1, 2]),
+     (["1", "2"], ("1", "2", (1,)), 7)],
+    ids=["vertex-names", "edge-from", "edge-to", "graph-name-list", "graph-name-int"],
 )
-def test_constructor_rejects_non_string_names(vertices, edge):
+def test_constructor_rejects_non_string_names(vertices, edge, name):
     with pytest.raises(SchemaError, match="must be a string"):
-        GKMGraph(1, vertices, [edge], signed=True)
+        GKMGraph(1, vertices, [edge], signed=True, name=name)
+
+
+@pytest.mark.parametrize("name", [[1, 2], 7], ids=["list", "int"])
+def test_xray_constructor_rejects_non_string_name(name):
+    with pytest.raises(SchemaError, match="x-ray name must be a string"):
+        XRay(2, {"a": [1, 2], "b": [0, 0]}, [("a", "b")], name=name)

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from gkmcalc.errors import DimensionMismatch, ZeroVector
+from gkmcalc.errors import DimensionMismatch, SchemaError, ZeroVector
 from gkmcalc.intlinalg import (
     IntMatrix,
     canonical_sign,
@@ -13,6 +13,12 @@ from gkmcalc.intlinalg import (
     smith_normal_form,
     solve_integer,
 )
+
+
+@pytest.mark.parametrize("entry", [1.7, "3", True, None], ids=["float", "string", "bool", "null"])
+def test_intmatrix_rejects_non_int_entries(entry):
+    with pytest.raises(SchemaError, match="must be an integer"):
+        IntMatrix(1, 2, [1, entry])
 
 
 def check_snf(A):
