@@ -8,82 +8,29 @@ invariants with a diffeomorphism oracle and a complete labeled-graph
 isomorphism search.
 """
 
-from .charclasses import (
-    CharClassReport,
-    EquivariantTotalClass,
-    descend,
-    equivariant_char_class,
-    localize_integral,
-)
-from .cohomology import (
-    CohomologyRing,
-    FixedPointClass,
-    GeneratorBasis,
-    GradedBasis,
-    RingElement,
-    is_gkm_class,
-)
+from .charclasses import descend, equivariant_char_class, localize_integral
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
 from .errors import GkmError
-from .gkm import (
-    GKMGraph,
-    GraphIso,
-    XRay,
-    builtin,
-    find_isomorphisms,
-    graph_from_xray,
-    load_input,
-)
-from .intlinalg import (
-    IntMatrix,
-    SNFDecomposition,
-    kernel_saturated,
-    primitive_part,
-    smith_normal_form,
-    solve_integer,
-)
-from .polyring import IntPolynomial, Mod2Polynomial, divide_by_linear
-from .wjz import (
-    Equivalence,
-    InvariantSystem,
-    are_equivalent,
-    diffeo_verdict,
-    invariant_system,
-)
+from .gkm import GKMGraph, builtin, find_isomorphisms
+from .wjz import diffeo_verdict, invariant_system, phi_from_graph_iso
 
 __version__ = "0.1.0"
 
+# exactly the names README's Library section imports; everything else is
+# imported from its submodule
 __all__ = [
-    "CharClassReport",
     "CohomologyRing",
-    "Equivalence",
-    "EquivariantTotalClass",
     "FixedPointClass",
     "GKMGraph",
     "GeneratorBasis",
     "GkmError",
-    "GradedBasis",
-    "GraphIso",
-    "IntMatrix",
-    "IntPolynomial",
-    "InvariantSystem",
-    "Mod2Polynomial",
-    "RingElement",
-    "SNFDecomposition",
-    "XRay",
-    "are_equivalent",
     "builtin",
     "descend",
     "diffeo_verdict",
-    "divide_by_linear",
     "equivariant_char_class",
     "find_isomorphisms",
-    "graph_from_xray",
     "invariant_system",
-    "is_gkm_class",
-    "kernel_saturated",
-    "load_input",
     "localize_integral",
-    "primitive_part",
-    "smith_normal_form",
-    "solve_integer",
+    "phi_from_graph_iso",
+    "ring_of",
 ]

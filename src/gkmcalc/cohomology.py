@@ -8,6 +8,9 @@ extracted as a saturated kernel. The ordinary cohomology is the quotient
 A/mA by the ideal generated by the polynomial variables, with torsion in
 the quotient treated as a hard error (it violates the freeness hypothesis
 everything else rests on).
+
+CohomologyRing keeps one record per degree, built in one step: the basis
+of A_d, the Smith form of its basis matrix and the quotient (A/mA)_d.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
 from .gkm import GKMGraph
 from .intlinalg import (
     IntMatrix,
+    SNFDecomposition,
     kernel_saturated,
     smith_normal_form,
     solve_with_snf,
@@ -33,7 +37,6 @@ from .polyring import (
     divide_by_linear,
     monomials,
     parse_polynomial,
-    render_terms,
 )
 
 
@@ -160,24 +163,24 @@ class RingElement:
     degree: int
     coords: tuple
 
-    def __post_init__(self):
-        self.coords = tuple(int(c) for c in self.coords)
-
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
 
 @dataclass
 class GradedBasis:
+    """Everything the ring knows about one even degree d."""
+
     degree: int
     classes: list  # Z-basis of A_degree
+    snf: SNFDecomposition  # Smith form of the A_degree basis matrix; None when A_degree = 0
     quotient_rank: int
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
     projection: IntMatrix  # quotient_rank x len(classes), applied to A-coords
 
 
 class CohomologyRing:
-    """Cached per-degree computations for one valid GKM graph."""
+    """One cached GradedBasis per degree for one valid GKM graph."""
 
     def __init__(self, graph: GKMGraph):
         graph.require_valid()
@@ -185,16 +188,11 @@ class CohomologyRing:
         self.k = graph.torus_rank
         self.dim = 2 * graph.valence
         self._gkm = {}
-        self._graded = {}
-        self._expressors = {}
 
     # -- raw monomial coordinates ------------------------------------------
 
-    def _monos(self, d):
-        return monomials(self.k, d)
-
     def _class_to_vec(self, c: FixedPointClass, d):
-        monos = self._monos(d)
+        monos = monomials(self.k, d)
         vec = []
         for p in c.components:
             part = p.homogeneous_component(d)
@@ -202,7 +200,7 @@ class CohomologyRing:
         return vec
 
     def _vec_to_class(self, vec, d):
-        monos = self._monos(d)
+        monos = monomials(self.k, d)
         m = len(monos)
         comps = []
         for i in range(len(self.graph.vertices)):
@@ -210,21 +208,27 @@ class CohomologyRing:
             comps.append(IntPolynomial(self.k, terms))
         return FixedPointClass(self.graph, comps)
 
-    # -- the subalgebra ----------------------------------------------------
+    # -- one record per degree -------------------------------------------------
 
     def gkm_basis(self, d):
         """Z-basis of A_d, the degree-d tuples satisfying all edge
         congruences."""
+        return self.ordinary(d).classes
+
+    def ordinary(self, d) -> GradedBasis:
+        """The degree-d record: A_d, the Smith form of its basis matrix and
+        (A/mA)_d. Building it builds every lower degree, and raises
+        TorsionInQuotient if the quotient there has torsion."""
         if d % 2 or d < 0:
             raise ValueError("cohomological degrees are even and nonnegative")
         if d not in self._gkm:
-            self._gkm[d] = self._compute_gkm_basis(d)
+            self._gkm[d] = self._compute(d)
         return self._gkm[d]
 
-    def _compute_gkm_basis(self, d):
+    def _compute(self, d):
         g = self.graph
-        monos = self._monos(d)
-        qmonos = self._monos(d - 2)
+        monos = monomials(self.k, d)
+        qmonos = monomials(self.k, d - 2)
         nm, nq = len(monos), len(qmonos)
         nv, ne = len(g.vertices), len(g.edges)
         vidx = {v: i for i, v in enumerate(g.vertices)}
@@ -249,64 +253,33 @@ class CohomologyRing:
                     block[row][nv * nm + ei * nq + qj] -= coeff
             rows.extend(block)
         if not rows:
-            return [FixedPointClass.constant(g, 1)] if d == 0 else []
-        kernel = kernel_saturated(IntMatrix.from_rows(rows))
-        basis = []
-        for vec in kernel:
-            f_part = vec[: nv * nm]
-            if any(f_part):
-                basis.append(self._vec_to_class(f_part, d))
-        # the f-projection is injective (alpha * q = 0 forces q = 0), so
-        # this is a basis of A_d
-        return basis
-
-    def _expressor(self, d):
-        """Cached SNF of the A_d basis matrix, for repeated solves."""
-        if d not in self._expressors:
-            basis = self.gkm_basis(d)
-            cols = [self._class_to_vec(c, d) for c in basis]
-            if cols:
-                mat = IntMatrix.from_columns(cols)
-                self._expressors[d] = (smith_normal_form(mat), len(cols))
-            else:
-                self._expressors[d] = (None, 0)
-        return self._expressors[d]
-
-    def coords_in_A(self, c: FixedPointClass, d):
-        """Coordinates of a degree-d class in the A_d basis; None if the
-        class is not in the subalgebra lattice."""
-        dec, ncols = self._expressor(d)
-        vec = self._class_to_vec(c, d)
-        if dec is None:
-            return () if not any(vec) else None
-        return solve_with_snf(dec, vec)
-
-    # -- the quotient A/mA ---------------------------------------------------
-
-    def ordinary(self, d) -> GradedBasis:
-        if d not in self._graded:
-            self._graded[d] = self._compute_ordinary(d)
-        return self._graded[d]
-
-    def _compute_ordinary(self, d):
-        basis = self.gkm_basis(d)
+            basis = [FixedPointClass.constant(g, 1)] if d == 0 else []
+        else:
+            basis = []
+            for vec in kernel_saturated(IntMatrix.from_rows(rows)):
+                f_part = vec[: nv * nm]
+                if any(f_part):
+                    basis.append(self._vec_to_class(f_part, d))
+            # the f-projection is injective (alpha * q = 0 forces q = 0), so
+            # this is a basis of A_d
         r = len(basis)
         if r == 0:
-            return GradedBasis(d, [], 0, [], IntMatrix(0, 0, []))
+            return GradedBasis(d, [], None, 0, [], IntMatrix(0, 0, []))
+        snf = smith_normal_form(IntMatrix.from_columns(self._class_to_vec(c, d) for c in basis))
         mgens = []
         if d >= 2:
             for b in self.gkm_basis(d - 2):
                 for i in range(self.k):
                     y = IntPolynomial.variable(self.k, i)
-                    mgens.append(FixedPointClass(self.graph, [y * p for p in b.components]))
+                    mgens.append(FixedPointClass(g, [y * p for p in b.components]))
         cols = []
         for gen in mgens:
-            x = self.coords_in_A(gen, d)
+            x = solve_with_snf(snf, self._class_to_vec(gen, d))
             if x is None:
                 raise NotInSubalgebra("ideal generator not in the subalgebra lattice (internal error)")
             cols.append(x)
         if not cols:
-            return GradedBasis(d, basis, r, list(basis), IntMatrix.identity(r))
+            return GradedBasis(d, basis, snf, r, list(basis), IntMatrix.identity(r))
         q = IntMatrix.from_columns(cols)
         dec = smith_normal_form(q)
         rho = dec.rank()
@@ -328,14 +301,20 @@ class CohomologyRing:
                 if coeff:
                     term = cls * coeff
                     rep = term if rep is None else rep + term
-            reps.append(rep if rep is not None else FixedPointClass.constant(self.graph, 0))
-        return GradedBasis(d, basis, r - rho, reps, projection)
+            reps.append(rep if rep is not None else FixedPointClass.constant(g, 0))
+        return GradedBasis(d, basis, snf, r - rho, reps, projection)
+
+    def coords_in_A(self, c: FixedPointClass, d):
+        """Coordinates of a degree-d class in the A_d basis; None if the
+        class is not in the subalgebra lattice."""
+        snf = self.ordinary(d).snf
+        vec = self._class_to_vec(c, d)
+        if snf is None:
+            return () if not any(vec) else None
+        return solve_with_snf(snf, vec)
 
     def betti(self, d):
         return self.ordinary(d).quotient_rank
-
-    def total_ordinary_rank(self):
-        return sum(self.betti(d) for d in range(0, self.dim + 1, 2))
 
     # -- expressing classes ---------------------------------------------------
 
@@ -365,13 +344,13 @@ class CohomologyRing:
         nonzero image (possible only when some weight is imprimitive) makes
         the answer ambiguous and raises.
         """
-        monos = self._monos(degree)
+        monos = monomials(self.k, degree)
         vec = []
         for p in components:
             part = p.homogeneous_component(degree)
             vec.extend(1 if m in part.terms else 0 for m in monos)
-        proj = self.ordinary(degree).projection
-        dec, ncols = self._expressor(degree)
+        gb = self.ordinary(degree)
+        dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
         if dec is None:
             if any(vec):
                 raise NotInSubalgebra("mod-2 class outside the subalgebra in degree %d" % degree)
@@ -390,26 +369,6 @@ class CohomologyRing:
                         "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree
                     )
         return tuple(x % 2 for x in proj.apply(dec.V.apply(y)))
-
-    def cup_and_express(self, a: FixedPointClass, b: FixedPointClass) -> RingElement:
-        da, db = a.degree(), b.degree()
-        if da is None or db is None:
-            raise ValueError("cup factors must be homogeneous")
-        return self.express(a * b, da + db)
-
-    def evaluate_ring_map(self, generators, p: IntPolynomial) -> RingElement:
-        """Substitute degree-2 generator classes into a homogeneous
-        polynomial and express the result in the ordinary basis."""
-        generators = list(generators)
-        if p.k != len(generators):
-            raise DimensionMismatch("polynomial has %d variables, %d generators given" % (p.k, len(generators)))
-        if not p.is_homogeneous():
-            raise ValueError("polynomial must be homogeneous in the generators")
-        d = p.degree()
-        if d is None:
-            return RingElement(0, self.ordinary(0).projection.apply([0] * len(self.gkm_basis(0))))
-        value = evaluate_class_polynomial(self.graph, generators, p)
-        return self.express(value, d)
 
 
 def evaluate_class_polynomial(graph, generators, p: IntPolynomial) -> FixedPointClass:
@@ -448,15 +407,12 @@ class GeneratorBasis:
                 raise GeneratorsDoNotSpan("generator %s violates the edge congruences" % name)
         self._cache = {}
 
-    def monomials(self, d):
-        return monomials(len(self.names), d)
-
     def _data(self, d):
         """(chosen basis monomials, their coordinate columns, SNF of the
         basis matrix) in degree d."""
         if d in self._cache:
             return self._cache[d]
-        monos = self.monomials(d)
+        monos = monomials(len(self.names), d)
         cols = []
         for m in monos:
             p = IntPolynomial(len(self.names), {m: 1})

@@ -283,14 +283,6 @@ def solve_with_snf(dec: SNFDecomposition, b):
     return dec.V.apply(y)
 
 
-def solve_integer(A: IntMatrix, b):
-    """Some integer solution of A*x = b, or None if none exists over Z."""
-    b = list(b)
-    if len(b) != A.rows:
-        raise DimensionMismatch("rhs length %d != %d rows" % (len(b), A.rows))
-    return solve_with_snf(smith_normal_form(A), b)
-
-
 def rank(A: IntMatrix):
     """Rank over the rationals."""
     if A.rows == 0 or A.cols == 0:

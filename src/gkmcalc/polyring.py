@@ -360,6 +360,9 @@ def render_terms(k, terms, names=None):
 
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|\-|\(|\))")
+# Nesting bound for parentheses and unary minus: a level takes the parser at
+# most four stack frames, so this stays far below Python's recursion limit.
+MAX_NESTING = 100
 
 
 class PolynomialSyntaxError(GkmError, ValueError):
@@ -378,11 +381,14 @@ def parse_polynomial(text, names, max_degree=None):
 
     Supports integers, named variables, +, -, *, ^ and parentheses. With
     `max_degree`, a product or power whose top degree would pass it is
-    rejected before it is expanded.
+    rejected before it is expanded. Integer literals longer than the
+    int-to-str digit limit, and parentheses or unary minus signs nested
+    deeper than MAX_NESTING, are rejected too.
     """
     names = list(names)
     k = len(names)
     index = {n: i for i, n in enumerate(names)}
+    limit = int_digit_limit()
     tokens = []
     pos = 0
     while pos < len(text):
@@ -393,10 +399,14 @@ def parse_polynomial(text, names, max_degree=None):
                     "unexpected character %r at position %d" % (text[pos], pos)
                 )
             break
+        if len(m.group(1)) > limit and m.group(1).isdigit():
+            raise PolynomialSyntaxError(
+                "integer literal at position %d has more than %d digits" % (m.start(1), limit)
+            )
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)  # sentinel
-    state = {"i": 0}
+    state = {"i": 0, "depth": 0}
 
     def peek():
         return tokens[state["i"]]
@@ -450,7 +460,6 @@ def parse_polynomial(text, names, max_degree=None):
             # a constant power is checked before it is computed: its value
             # must still print within the int-to-str digit limit
             c = abs(base.coefficient((0,) * k)) if top(base) == 0 else 0
-            limit = int_digit_limit()
             if c > 1 and e * math.log10(c) >= limit:
                 raise PolynomialSyntaxError(
                     "constant power with exponent %d has more than %d digits" % (e, limit)
@@ -459,6 +468,9 @@ def parse_polynomial(text, names, max_degree=None):
         return base
 
     def parse_atom():
+        if state["depth"] > MAX_NESTING:
+            raise PolynomialSyntaxError("expression nested deeper than %d levels" % MAX_NESTING)
+        state["depth"] += 1
         t = take()
         if t is None:
             raise PolynomialSyntaxError("unexpected end of expression")
@@ -466,14 +478,16 @@ def parse_polynomial(text, names, max_degree=None):
             out = parse_expr()
             if take() != ")":
                 raise PolynomialSyntaxError("missing closing parenthesis")
-            return out
-        if t == "-":
-            return -parse_atom()
-        if t.isdigit():
-            return IntPolynomial.constant(k, int(t))
-        if t in index:
-            return IntPolynomial.variable(k, index[t])
-        raise PolynomialSyntaxError("unknown symbol %r" % t)
+        elif t == "-":
+            out = -parse_atom()
+        elif t.isdigit():
+            out = IntPolynomial.constant(k, int(t))
+        elif t in index:
+            out = IntPolynomial.variable(k, index[t])
+        else:
+            raise PolynomialSyntaxError("unknown symbol %r" % t)
+        state["depth"] -= 1
+        return out
 
     out = parse_expr()
     if peek() is not None:

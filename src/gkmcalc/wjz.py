@@ -135,36 +135,26 @@ def _is_equivalence(phi: IntMatrix, s1: InvariantSystem, s2: InvariantSystem) ->
     if s2.rank != r or phi.rows != r or phi.cols != r or not phi.is_unimodular():
         return False
     for i in range(r):
-        if sum(phi.at(i, a) * s1.w[a] for a in range(r)) % 2 != s2.w[i] % 2:
+        if _dot(phi.row(i), s1.w) % 2 != s2.w[i] % 2:
             return False
+    cols = [phi.column(a) for a in range(r)]
     for a in range(r):
-        if sum(s2.p[i] * phi.at(i, a) for i in range(r)) != s1.p[a]:
+        if _dot(s2.p, cols[a]) != s1.p[a]:
             return False
     for a in range(r):
         for b in range(r):
-            for c in range(r):
-                val = 0
-                for i in range(r):
-                    for j in range(r):
-                        for l in range(r):
-                            val += s2.mu[i][j][l] * phi.at(i, a) * phi.at(j, b) * phi.at(l, c)
-                if val != s1.mu[a][b][c]:
-                    return False
+            q = _covector(s2.mu, cols[a], cols[b])
+            if any(_dot(q, cols[c]) != s1.mu[a][b][c] for c in range(r)):
+                return False
     return True
 
 
 def _cubic_values_mod2(s: InvariantSystem):
     """Multiset of mu(x,x,x) mod 2 over x in (Z/2)^rank, a GL(r,Z)
     invariant."""
-    out = []
-    for x in itertools.product((0, 1), repeat=s.rank):
-        val = 0
-        for a in range(s.rank):
-            for b in range(s.rank):
-                for c in range(s.rank):
-                    val += s.mu[a][b][c] * x[a] * x[b] * x[c]
-        out.append(val % 2)
-    return tuple(sorted(out))
+    return tuple(sorted(
+        _dot(_covector(s.mu, x, x), x) % 2 for x in itertools.product((0, 1), repeat=s.rank)
+    ))
 
 
 def _flatten_mu(s):

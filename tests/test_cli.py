@@ -336,6 +336,17 @@ def test_integral_past_the_digit_limit_is_an_error(cls, fmt):
     assert "digits" in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("cls", ["1" * 5000 + "*c1^3", "(" * 300 + "c1" + ")" * 300 + "^3",
+                                 "c1^2*" + "-" * 3000 + "c1"],
+                         ids=["long-literal", "deep-parentheses", "deep-minus"])
+def test_oversized_or_deep_class_is_a_syntax_error(cls):
+    # `--class=` keeps argparse from taking a leading "-" for an option
+    proc = gkm_process("integrate", "--example", "eschenburg", "--class=" + cls)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "set_int_max_str_digits" not in proc.stderr
+    assert "RecursionError" not in proc.stderr and proc.stdout == ""
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 _PAIR = ["--example", "tolman", "--example", "eschenburg"]
 _ASSUME = ["--assume-simply-connected", "--assume-h-odd-zero"]

@@ -4,6 +4,7 @@ from gkmcalc.cohomology import (
     CohomologyRing,
     FixedPointClass,
     GeneratorBasis,
+    evaluate_class_polynomial,
     is_gkm_class,
 )
 from gkmcalc.errors import GeneratorsDoNotSpan, InvalidGraph, NotInSubalgebra
@@ -36,6 +37,10 @@ def phi(esc):
 @pytest.fixture(scope="module")
 def gens(ring, phi):
     return GeneratorBasis(ring, XX, [phi["X1"], phi["X2"]])
+
+
+def evaluate(ring, generators, p):
+    return ring.express(evaluate_class_polynomial(ring.graph, generators, p), p.degree())
 
 
 def test_generator_tuples_are_gkm_classes(phi):
@@ -81,7 +86,8 @@ def test_basis_elements_pass_is_gkm_class():
 def test_total_rank_is_fixed_point_count():
     for name in VALID_BUILTINS:
         g = builtin(name)
-        assert CohomologyRing(g).total_ordinary_rank() == len(g.vertices)
+        ring = CohomologyRing(g)
+        assert sum(ring.betti(d) for d in range(0, ring.dim + 1, 2)) == len(g.vertices)
 
 
 def test_quotient_reps_project_to_unit_vectors(ring):
@@ -100,14 +106,14 @@ def test_invalid_graph_rejected():
 def test_cup_with_one_is_identity(ring, phi):
     one = FixedPointClass.constant(ring.graph, 1)
     for g in phi.values():
-        assert ring.cup_and_express(g, one).coords == ring.express(g, 2).coords
+        assert ring.express(g * one).coords == ring.express(g, 2).coords
 
 
 def test_relations_die_in_quotient(ring, phi):
     x1, x2 = phi["X1"], phi["X2"]
-    r1 = ring.cup_and_express(x1, x1).coords
-    r1b = ring.cup_and_express(x1, x2).coords
-    r1c = ring.cup_and_express(x2, x2).coords
+    r1 = ring.express(x1 * x1).coords
+    r1b = ring.express(x1 * x2).coords
+    r1c = ring.express(x2 * x2).coords
     combo = tuple(a + 3 * b + c for a, b, c in zip(r1, r1b, r1c))
     assert combo == (0, 0)
     deg6 = ring.express(x1 * x1 * x2 + x1 * x2 * x2, 6)
@@ -116,7 +122,7 @@ def test_relations_die_in_quotient(ring, phi):
 
 def test_evaluate_ring_map_generators(ring, phi):
     p = parse_polynomial("X1", XX)
-    got = ring.evaluate_ring_map([phi["X1"], phi["X2"]], p)
+    got = evaluate(ring, [phi["X1"], phi["X2"]], p)
     assert got.coords == ring.express(phi["X1"], 2).coords
 
 
@@ -124,13 +130,13 @@ def test_evaluate_ring_map_relations(ring, phi):
     gens = [phi["X1"], phi["X2"]]
     r1 = parse_polynomial("-X1^2 - 3*X1*X2 - X2^2", XX)
     r2 = parse_polynomial("-X1^2*X2 - X1*X2^2", XX)
-    assert ring.evaluate_ring_map(gens, r1).coords == (0, 0)
-    assert ring.evaluate_ring_map(gens, r2).coords == (0,)
+    assert evaluate(ring, gens, r1).coords == (0, 0)
+    assert evaluate(ring, gens, r2).coords == (0,)
 
 
 def test_top_monomial_generates(ring, phi):
     p = parse_polynomial("X1^2*X2", XX)
-    got = ring.evaluate_ring_map([phi["X1"], phi["X2"]], p)
+    got = evaluate(ring, [phi["X1"], phi["X2"]], p)
     assert got.coords in ((1,), (-1,))
 
 
@@ -162,7 +168,7 @@ def test_express_rejects_non_member(ring, esc):
 def test_generator_basis_roundtrip(ring, gens, phi):
     elem = ring.express(phi["X1"] * phi["X1"], 4)
     poly = gens.to_poly(elem)
-    back = ring.evaluate_ring_map([phi["X1"], phi["X2"]], poly)
+    back = evaluate(ring, [phi["X1"], phi["X2"]], poly)
     assert back.coords == elem.coords
 
 
@@ -200,7 +206,7 @@ def test_snf_of_generator_matrix_unimodular(ring, gens, phi):
         cols = []
         for m in monos:
             p = IntPolynomial(2, {m: 1})
-            cols.append(ring.evaluate_ring_map([phi["X1"], phi["X2"]], p).coords)
+            cols.append(evaluate(ring, [phi["X1"], phi["X2"]], p).coords)
         dec = smith_normal_form(IntMatrix.from_columns(cols))
         assert all(x == 1 for x in dec.diagonal())
 

@@ -4,9 +4,12 @@ import pytest
 
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.polyring import (
+    MAX_NESTING,
     IntPolynomial,
     Mod2Polynomial,
+    PolynomialSyntaxError,
     divide_by_linear,
+    int_digit_limit,
     monomials,
     parse_polynomial,
 )
@@ -176,6 +179,17 @@ def test_parse_render_roundtrip():
     for _ in range(200):
         p = random_poly(rng, 2)
         assert parse_polynomial(p.render(), YY) == p
+
+
+def test_parse_bounds_literals_and_nesting():
+    limit = int_digit_limit()
+    assert parse_polynomial("1" * limit, YY) == IntPolynomial.constant(2, int("1" * limit))
+    assert parse_polynomial("(" * MAX_NESTING + "Y1" + ")" * MAX_NESTING, YY) == parse_polynomial("Y1", YY)
+    assert parse_polynomial("Y1*" + "-" * MAX_NESTING + "Y1", YY) == parse_polynomial("Y1^2", YY)
+    for text in ("1" * (limit + 1), "(" * (MAX_NESTING + 1) + "Y1" + ")" * (MAX_NESTING + 1),
+                 "Y1*" + "-" * (MAX_NESTING + 1) + "Y1"):
+        with pytest.raises(PolynomialSyntaxError):
+            parse_polynomial(text, YY)
 
 
 def test_parse_errors():
