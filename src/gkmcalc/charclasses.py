@@ -4,8 +4,8 @@ ordinary cohomology, and exact fixed-point localization integration.
 At a fixed point with isotropy weights a_1..a_n the total equivariant
 Chern class restricts to prod (1 + a_j) (signed graphs only), the
 Pontrjagin class to prod (1 + a_j^2) and the Stiefel-Whitney class to the
-mod-2 reduction of prod (1 + a_j); the latter two are independent of the
-sign choices.
+mod-2 reduction of prod (1 + a_j), carried as its integer lift with
+coefficients 0 and 1; the latter two are independent of the sign choices.
 """
 
 from __future__ import annotations
@@ -30,17 +30,10 @@ KINDS = ("chern", "pontrjagin", "stiefel_whitney")
 class EquivariantTotalClass:
     kind: str
     graph: GKMGraph
-    components: tuple  # IntPolynomial per vertex; Mod2Polynomial for stiefel_whitney
+    components: tuple  # IntPolynomial per vertex; 0/1 lifts for stiefel_whitney
 
     def homogeneous_component(self, degree) -> FixedPointClass:
-        if self.kind == "stiefel_whitney":
-            raise ValueError("stiefel_whitney parts are mod-2; use mod2_component")
         return FixedPointClass(self.graph, [p.homogeneous_component(degree) for p in self.components])
-
-    def mod2_component(self, degree):
-        if self.kind == "stiefel_whitney":
-            return [p.homogeneous_component(degree) for p in self.components]
-        return [p.homogeneous_component(degree).mod2() for p in self.components]
 
 
 def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
@@ -86,21 +79,21 @@ class CharClassReport:
         return self.entry(degree)["coords"]
 
 
-def stiefel_whitney_coords(graph: GKMGraph, ring: CohomologyRing, degree: int):
-    """Mod-2 quotient coordinates of the degree-d Stiefel-Whitney class.
+def stiefel_whitney_coords(ring: CohomologyRing, sw: EquivariantTotalClass, degree: int):
+    """Mod-2 quotient coordinates of the degree-d part of `sw`, the total
+    Stiefel-Whitney class from `equivariant_char_class`.
 
     The direct mod-2 solve is sign-independent but can be ambiguous when a
     weight is imprimitive; in that case (signed graphs only) the class is
     recovered as the reduction of the integral Chern coordinates, to which
     it is equal whenever both are defined.
     """
-    sw = equivariant_char_class(graph, "stiefel_whitney")
     try:
-        return ring.express_mod2(sw.mod2_component(degree), degree)
+        return ring.express_mod2(sw.homogeneous_component(degree).components, degree)
     except NotInSubalgebra:
-        if not graph.signed:
+        if not ring.graph.signed:
             raise
-        chern = equivariant_char_class(graph, "chern")
+        chern = equivariant_char_class(ring.graph, "chern")
         elem = ring.express(chern.homogeneous_component(degree), degree)
         return tuple(c % 2 for c in elem.coords)
 
@@ -117,7 +110,7 @@ def descend(
     entries = []
     for d in range(2, ring.dim + 1, 2):
         if total.kind == "stiefel_whitney":
-            coords = stiefel_whitney_coords(graph, ring, d)
+            coords = stiefel_whitney_coords(ring, total, d)
             poly = gens.to_poly_mod2(coords, d).render(gens.names) if gens else None
         else:
             elem = ring.express(total.homogeneous_component(d), d)

@@ -71,12 +71,17 @@ def _write_or_dump(doc, path):
 def _generator_basis(args, graph, ring):
     """GeneratorBasis from --gens / --gens-file, or None."""
     if args.gens_file:
-        with open(args.gens_file) as fh:
-            data = json.load(fh)
+        data = gkm.read_json(args.gens_file)
+        if not isinstance(data, dict):
+            raise SchemaError("generator file must be a JSON object")
         names = data.get("names")
-        if not names:
-            raise SchemaError("generator file needs a 'names' list")
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise SchemaError("generator file needs 'names', a non-empty list of strings")
         bindings = data.get("classes", {})
+        if not (isinstance(bindings, dict) and all(
+            isinstance(c, dict) and all(isinstance(p, str) for p in c.values()) for c in bindings.values()
+        )):
+            raise SchemaError("generator file 'classes' must map each name to an object of polynomial strings")
         missing = "generator file missing class for %r"
     elif args.gens:
         names = [n.strip() for n in args.gens.split(",") if n.strip()]
@@ -92,7 +97,7 @@ def _generator_basis(args, graph, ring):
     for n in names:
         if n not in bindings:
             raise SchemaError(missing % n)
-        classes.append(FixedPointClass.from_strings(graph, bindings[n]))
+        classes.append(FixedPointClass.from_strings(graph, bindings[n], max_degree=2))
     return GeneratorBasis(ring, names, classes)
 
 

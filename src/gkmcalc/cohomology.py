@@ -33,7 +33,7 @@ from .intlinalg import (
 )
 from .polyring import (
     IntPolynomial,
-    Mod2Polynomial,
+    default_names,
     divide_by_linear,
     monomials,
     parse_polynomial,
@@ -63,14 +63,15 @@ class FixedPointClass:
         return cls(graph, [IntPolynomial.constant(graph.torus_rank, c)] * len(graph.vertices))
 
     @classmethod
-    def from_strings(cls, graph, by_vertex, names=None):
-        if names is None:
-            names = ["Y%d" % (i + 1) for i in range(graph.torus_rank)]
+    def from_strings(cls, graph, by_vertex, max_degree=None):
+        """One polynomial string in Y1..Yk per vertex; `max_degree` is
+        passed on to parse_polynomial."""
+        names = default_names(graph.torus_rank)
         comps = []
         for v in graph.vertices:
             if v not in by_vertex:
                 raise DimensionMismatch("missing component for vertex %s" % v)
-            comps.append(parse_polynomial(by_vertex[v], names))
+            comps.append(parse_polynomial(by_vertex[v], names, max_degree))
         return cls(graph, comps)
 
     def component(self, vertex):
@@ -336,19 +337,16 @@ class CohomologyRing:
     def express_mod2(self, components, degree):
         """Mod-2 quotient coordinates of a mod-2 tuple of the given degree.
 
-        components: one Mod2Polynomial per vertex. Solves against the mod-2
-        reduction of the integral basis, read off its Smith form U*M*V = S
-        (U and V stay invertible mod 2): rows of U*b at odd diagonal entries
-        are solved, all other rows must be even, and the V-columns at even
-        diagonal entries span the mod-2 kernel. A kernel vector with a
-        nonzero image (possible only when some weight is imprimitive) makes
-        the answer ambiguous and raises.
+        components: one IntPolynomial per vertex, any integer lift of the
+        mod-2 tuple; only its degree-d part, reduced mod 2, is read. Solves
+        against the mod-2 reduction of the integral basis, read off its
+        Smith form U*M*V = S (U and V stay invertible mod 2): rows of U*b at
+        odd diagonal entries are solved, all other rows must be even, and
+        the V-columns at even diagonal entries span the mod-2 kernel. A
+        kernel vector with a nonzero image (possible only when some weight
+        is imprimitive) makes the answer ambiguous and raises.
         """
-        monos = monomials(self.k, degree)
-        vec = []
-        for p in components:
-            part = p.homogeneous_component(degree)
-            vec.extend(1 if m in part.terms else 0 for m in monos)
+        vec = [x % 2 for x in self._class_to_vec(FixedPointClass(self.graph, components), degree)]
         gb = self.ordinary(degree)
         dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
         if dec is None:
@@ -453,10 +451,10 @@ class GeneratorBasis:
             raise GeneratorsDoNotSpan("class not an integer combination of generator monomials")
         return IntPolynomial(len(self.names), {m: c for m, c in zip(chosen, x)})
 
-    def to_poly_mod2(self, coords, degree) -> Mod2Polynomial:
-        """Mod-2 version of to_poly for Stiefel-Whitney reporting: the
-        chosen columns are unimodular, so the integral solve reduces to the
-        mod-2 one."""
+    def to_poly_mod2(self, coords, degree) -> IntPolynomial:
+        """Mod-2 version of to_poly for Stiefel-Whitney reporting, as the
+        0/1 integer lift: the chosen columns are unimodular, so the integral
+        solve reduces to the mod-2 one."""
         return self.to_poly(RingElement(degree, coords)).mod2()
 
     def render(self, elem: RingElement) -> str:

@@ -142,6 +142,8 @@ class GKMGraph:
         self.torus_rank = _check_torus_rank(torus_rank)
         self.signed = _check_signed(signed)
         self.name = _optional_name(name, "graph name")
+        if not isinstance(vertices, (list, tuple)):
+            raise SchemaError("vertices must be a list or tuple, got %r" % (vertices,))
         self.vertices = tuple(_check_name(v, "vertex name") for v in vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertex names")
@@ -199,18 +201,6 @@ class GKMGraph:
         report = self.validate()
         if not report.valid:
             raise InvalidGraph("graph fails GKM conditions (%s)" % report, report)
-
-    def relabel_weights(self, flips):
-        """New signed graph with the listed edge indices' weights negated
-        at both ends (still a consistent signed graph)."""
-        flips = set(flips)
-        edges = []
-        for i, e in enumerate(self.edges):
-            if i in flips:
-                edges.append((e.u, e.v, tuple(-x for x in e.weight_at_u), tuple(-x for x in e.weight_at_v)))
-            else:
-                edges.append((e.u, e.v, e.weight_at_u, e.weight_at_v))
-        return GKMGraph(self.torus_rank, self.vertices, edges, self.signed, self.name)
 
     def unsigned(self):
         edges = [(e.u, e.v, e.weight_at_u) for e in self.edges]
@@ -754,13 +744,22 @@ def xray_from_json(data) -> XRay:
     return XRay(k, vertices, edges, name=data.get("name"))
 
 
-def load_input(path):
-    """Parse a gkmg or xray JSON file, dispatching on its format field."""
+def read_json(path):
+    """The JSON document in the file at `path`; malformed JSON, or arrays
+    and objects nested past the interpreter's recursion limit, are a
+    SchemaError."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("%s: malformed JSON at line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
+        except RecursionError:
+            raise SchemaError("%s: JSON nested too deeply" % path)
+
+
+def load_input(path):
+    """Parse a gkmg or xray JSON file, dispatching on its format field."""
+    data = read_json(path)
     if not isinstance(data, dict) or "format" not in data:
         raise SchemaError("%s: missing format field" % path)
     fmt = data["format"]

@@ -1,9 +1,11 @@
-"""Graded multivariate polynomial arithmetic over Z and Z/2.
+"""Graded multivariate polynomial arithmetic over Z.
 
 Each variable carries cohomological degree 2, so a monomial with exponent
 sum e sits in degree 2e; every degree argument in the public interface is a
 cohomological (even) degree. Terms map exponent tuples to nonzero
-coefficients; the zero polynomial has no terms.
+coefficients; the zero polynomial has no terms. A mod-2 value, such as a
+Stiefel-Whitney class, is carried as its integer lift with coefficients 0
+and 1 (`IntPolynomial.mod2`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import re
 import sys
 
-from .errors import DimensionMismatch, GkmError
+from .errors import DimensionMismatch, GkmError, SchemaError
 from .intlinalg import IntMatrix
 
 
@@ -50,10 +52,10 @@ class IntPolynomial:
         self.k = k
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != k or any(e < 0 for e in exps):
-                raise ValueError("bad exponent tuple %r for %d variables" % (exps, k))
-            c = int(c)
+            if type(c) is not int:
+                raise SchemaError("coefficient %r must be an integer" % (c,))
+            if type(exps) is not tuple or len(exps) != k or not all(type(e) is int and e >= 0 for e in exps):
+                raise SchemaError("bad exponent tuple %r for %d variables" % (exps, k))
             if c:
                 clean[exps] = c
         self.terms = clean
@@ -213,73 +215,15 @@ class IntPolynomial:
         return out
 
     def mod2(self):
-        """Coefficientwise reduction Z -> Z/2 (a ring homomorphism)."""
-        return Mod2Polynomial(
-            self.k, {e for e, c in self.terms.items() if c % 2}
-        )
+        """Coefficientwise reduction Z -> Z/2, as the integer lift with
+        coefficients 0 and 1 (a ring homomorphism after reducing again)."""
+        return IntPolynomial(self.k, {e: c % 2 for e, c in self.terms.items()})
 
     def render(self, names=None):
         return render_terms(self.k, self.terms, names)
 
     def __repr__(self):
         return "IntPolynomial(%r)" % self.render()
-
-
-class Mod2Polynomial:
-    """Polynomial with Z/2 coefficients; terms is the set of monomials
-    with coefficient 1."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k, terms=None):
-        self.k = k
-        self.terms = frozenset(tuple(e) for e in (terms or ()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mod2Polynomial)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.terms))
-
-    def __add__(self, other):
-        if self.k != other.k:
-            raise DimensionMismatch("mod-2 polynomials in different variables")
-        return Mod2Polynomial(self.k, self.terms ^ other.terms)
-
-    def __mul__(self, other):
-        if self.k != other.k:
-            raise DimensionMismatch("mod-2 polynomials in different variables")
-        out = set()
-        for e1 in self.terms:
-            for e2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if e in out:
-                    out.remove(e)
-                else:
-                    out.add(e)
-        return Mod2Polynomial(self.k, out)
-
-    def homogeneous_component(self, degree):
-        if degree % 2:
-            return Mod2Polynomial(self.k)
-        s = degree // 2
-        return Mod2Polynomial(self.k, {e for e in self.terms if sum(e) == s})
-
-    def degrees(self):
-        return sorted({2 * sum(e) for e in self.terms})
-
-    def render(self, names=None):
-        return render_terms(self.k, {e: 1 for e in self.terms}, names)
-
-    def __repr__(self):
-        return "Mod2Polynomial(%r)" % self.render()
 
 
 def divide_by_linear(p, ell):

@@ -119,10 +119,10 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
         for i, j, l in itertools.permutations((a, b, c)):
             mu[i][j][l] = value
     mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
-    w_coords = stiefel_whitney_coords(graph, ring, 2)
+    w_coords = stiefel_whitney_coords(ring, equivariant_char_class(graph, "stiefel_whitney"), 2)
     if gens is not None:
         wpoly = gens.to_poly_mod2(w_coords, 2)
-        w = tuple(1 if m in wpoly.terms else 0 for m in gens.basis_monomials(2))
+        w = tuple(wpoly.coefficient(m) for m in gens.basis_monomials(2))
     else:
         w = tuple(w_coords)
     pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)

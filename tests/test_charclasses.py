@@ -13,7 +13,7 @@ from gkmcalc.errors import (
     LocalizationRequiresSignedGraph,
     NonIntegralLocalizationSum,
 )
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
 from gkmcalc.polyring import IntPolynomial, parse_polynomial
 
 SIGNED_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -92,6 +92,23 @@ def test_descend_eschenburg_golden_values():
     assert pont.poly(2) == "0" and pont.poly(6) == "0"
     sw = descend(g, equivariant_char_class(g, "stiefel_whitney"), gens, ring)
     assert sw.poly(2) == "0" and sw.poly(4) == "0" and sw.poly(6) == "0"
+
+
+def test_descend_uses_the_class_it_is_given(monkeypatch):
+    from gkmcalc import charclasses
+
+    g, ring, _gens = eschenburg_setup()
+    sw = equivariant_char_class(g, "stiefel_whitney")
+    calls = []
+
+    def counting(graph, kind):
+        calls.append(kind)
+        return equivariant_char_class(graph, kind)
+
+    monkeypatch.setattr(charclasses, "equivariant_char_class", counting)
+    report = descend(g, sw, ring=ring)
+    assert calls == []
+    assert [e["coords"] for e in report.degrees] == [(0, 0), (0, 0), (0,)]
 
 
 def test_descend_fiber_swapped_values():
@@ -190,6 +207,17 @@ def test_localize_flags_nonconstant_top_degree_sum():
         localize_integral(g, c)
 
 
+def flip_weights(g, flips):
+    """The signed graph with the listed edge indices' weights negated at
+    both ends (still a consistent signed graph)."""
+    edges = [
+        (e.u, e.v, tuple(-x for x in e.weight_at_u), tuple(-x for x in e.weight_at_v))
+        if i in flips else (e.u, e.v, e.weight_at_u, e.weight_at_v)
+        for i, e in enumerate(g.edges)
+    ]
+    return GKMGraph(g.torus_rank, g.vertices, edges, g.signed, g.name)
+
+
 def test_pontrjagin_and_sw_sign_independent():
     rng = random.Random(2718)
     base = builtin("eschenburg")
@@ -200,7 +228,7 @@ def test_pontrjagin_and_sw_sign_independent():
     sw_ref = descend(base, equivariant_char_class(base, "stiefel_whitney"), base_gens, base_ring)
     for _ in range(4):
         flips = [i for i in range(9) if rng.random() < 0.5]
-        g = base.relabel_weights(flips)
+        g = flip_weights(base, flips)
         assert g.validate().valid
         # the equivariant level is literally unchanged
         assert (

@@ -347,6 +347,41 @@ def test_oversized_or_deep_class_is_a_syntax_error(cls):
     assert "RecursionError" not in proc.stderr and proc.stdout == ""
 
 
+def _gens_doc(names, component):
+    return json.dumps({"names": names, "classes": {"X1": {v: component for v in builtin("eschenburg").vertices}}})
+
+
+_DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[1, 2]", "must be a JSON object"),
+        ('{"names": ["X1"], "classes": {"X1": {"p1": 5}}}', "polynomial strings"),
+        (_gens_doc("X1", "Y1"), "non-empty list of strings"),
+        (_gens_doc(["X1"], "(Y1+Y2)^100000"), "exceeds the maximum degree 2"),
+        (_DEEP_JSON, "nested too deeply"),
+    ],
+    ids=["list", "integer-component", "string-names", "high-power-component", "deep-nesting"],
+)
+def test_malformed_gens_file_is_an_error_not_a_traceback(tmp_path, doc, message):
+    path = tmp_path / "gens.json"
+    path.write_text(doc)
+    proc = gkm_process("classes", "--example", "eschenburg", "--gens-file", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert message in proc.stderr
+
+
+def test_deeply_nested_graph_file_is_an_error_not_a_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    proc = gkm_process("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "nested too deeply" in proc.stderr
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 _PAIR = ["--example", "tolman", "--example", "eschenburg"]
 _ASSUME = ["--assume-simply-connected", "--assume-h-odd-zero"]

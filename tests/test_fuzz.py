@@ -1,0 +1,63 @@
+"""Property tests on outside input: the generator-file loader and the
+polynomial parser return a result or raise a package error, never another
+exception. Derandomized, so every run tries the same examples."""
+
+import json
+from argparse import Namespace
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gkmcalc.cli import _generator_basis
+from gkmcalc.cohomology import GeneratorBasis, ring_of
+from gkmcalc.errors import GkmError
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
+
+GRAPH = builtin("eschenburg")
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+gen_names = st.sampled_from(["X1", "X2", "X3"])
+components = st.sampled_from(["Y1", "-Y2", "Y1 + Y2", "0", "2*Y1", "Y1^2", "(Y1", "Z1"]) | json_values
+classes = (
+    st.sampled_from(list(ESCHENBURG_GENERATORS.values()))
+    | st.fixed_dictionaries({v: components for v in GRAPH.vertices})
+    | st.dictionaries(st.sampled_from(GRAPH.vertices), components, max_size=3)
+    | json_values
+)
+gens_docs = st.fixed_dictionaries({
+    "names": st.lists(gen_names, min_size=1, max_size=3) | json_values,
+    "classes": st.dictionaries(gen_names, classes, max_size=3) | json_values,
+})
+
+
+@FUZZ
+@given(doc=json_values | gens_docs)
+def test_generator_file_yields_a_basis_or_a_package_error(tmp_path, doc):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(doc))
+    try:
+        gens = _generator_basis(Namespace(gens_file=str(path), gens=None), GRAPH, ring_of(GRAPH))
+    except GkmError:
+        return
+    assert isinstance(gens, GeneratorBasis)
+
+
+tokens = st.sampled_from(["Y1", "Y2", "Z", "0", "1", "7", "99", "+", "-", "*", "^", "(", ")", " "])
+
+
+@FUZZ
+@given(text=st.lists(tokens, max_size=24).map("".join) | st.text(max_size=16))
+def test_parse_yields_a_bounded_polynomial_or_a_syntax_error(text):
+    try:
+        p = parse_polynomial(text, ["Y1", "Y2"], max_degree=6)
+    except PolynomialSyntaxError:
+        return
+    assert isinstance(p, IntPolynomial)
+    assert max(p.degrees(), default=0) <= 6

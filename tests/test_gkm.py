@@ -508,6 +508,12 @@ def test_constructor_rejects_non_integer_weights(weight):
         GKMGraph(2, ["a", "b"], [("a", "b", weight)], signed=True)
 
 
+@pytest.mark.parametrize("vertices", ["ab", {"a", "b"}, {"a": 0, "b": 1}], ids=["string", "set", "dict"])
+def test_constructor_rejects_non_sequence_vertices(vertices):
+    with pytest.raises(SchemaError, match="vertices must be a list or tuple"):
+        GKMGraph(1, vertices, [("a", "b", (1,))], signed=True)
+
+
 @pytest.mark.parametrize(
     "rank", ["2", 2.0, True, 0, -1, None], ids=["string", "float", "bool", "zero", "negative", "null"]
 )

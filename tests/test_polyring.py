@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from gkmcalc.errors import SchemaError
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.polyring import (
     MAX_NESTING,
     IntPolynomial,
-    Mod2Polynomial,
     PolynomialSyntaxError,
     divide_by_linear,
     int_digit_limit,
@@ -136,6 +136,18 @@ def test_divide_roundtrip_1000():
         done += 1
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [{(1, 0): 2.7}, {(1, 0): 2.0}, {(1, 0): True}, {(1, 0): "3"},
+     {(0.9, 1.2): 3}, {(True, 0): 1}, {"10": 1}, {(1, -1): 1}, {(1, 0, 0): 1}],
+    ids=["float-coefficient", "integral-float-coefficient", "bool-coefficient", "string-coefficient",
+         "float-exponents", "bool-exponent", "string-exponents", "negative-exponent", "wrong-length"],
+)
+def test_constructor_rejects_non_integer_terms(terms):
+    with pytest.raises(SchemaError):
+        IntPolynomial(2, terms)
+
+
 def test_mod2_examples():
     assert P("2*Y1").mod2().is_zero()
     assert P("1 + Y1 - Y2").mod2() == P("1 + Y1 + Y2").mod2()
@@ -148,15 +160,15 @@ def test_mod2_is_ring_hom():
     for _ in range(80):
         p = random_poly(rng, 2)
         q = random_poly(rng, 2)
-        assert (p * q).mod2() == p.mod2() * q.mod2()
-        assert (p + q).mod2() == p.mod2() + q.mod2()
+        assert (p * q).mod2() == (p.mod2() * q.mod2()).mod2()
+        assert (p + q).mod2() == (p.mod2() + q.mod2()).mod2()
 
 
 def test_mod2_polynomial_basics():
-    a = Mod2Polynomial(2, {(1, 0), (0, 1)})
-    assert (a + a).is_zero()
-    sq = a * a
-    assert sq == Mod2Polynomial(2, {(2, 0), (0, 2)})  # Frobenius: cross term cancels
+    a = P("Y1 + Y2").mod2()
+    assert (a + a).mod2().is_zero()
+    sq = (a * a).mod2()
+    assert sq == P("Y1^2 + Y2^2")  # Frobenius: cross term cancels
 
 
 def test_monomials_order():

@@ -200,10 +200,10 @@ def test_imprimitive_mod2_descent_is_ambiguous():
     chern = equivariant_char_class(g, "chern")
     for d in (2, 4, 6):
         with pytest.raises(NotInSubalgebra, match="ambiguous"):
-            ring.express_mod2(sw.mod2_component(d), d)
+            ring.express_mod2(sw.homogeneous_component(d).components, d)
         # so the Stiefel-Whitney class falls back to Chern mod 2
         elem = ring.express(chern.homogeneous_component(d), d)
-        assert stiefel_whitney_coords(g, ring, d) == tuple(c % 2 for c in elem.coords)
+        assert stiefel_whitney_coords(ring, sw, d) == tuple(c % 2 for c in elem.coords)
 
 
 def test_localize_flags_fractional_top_degree_sum():
