@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import re
 import sys
 
 from . import gkm
@@ -22,7 +22,7 @@ from .charclasses import KINDS, descend, equivariant_char_class, localize_integr
 from .cohomology import FixedPointClass, GeneratorBasis, evaluate_class_polynomial, ring_of
 from .errors import GkmError, SchemaError
 from .gkm import GKMGraph, XRay, builtin, find_isomorphisms, graph_from_xray, load_input
-from .polyring import int_digit_limit, parse_polynomial
+from .polyring import exceeds_digit_limit, int_digit_limit, parse_polynomial
 from .wjz import diffeo_verdict, invariant_system
 
 
@@ -30,8 +30,9 @@ class UsageError(GkmError):
     pass
 
 
-def _resolve_inputs(args, count, validate=True):
-    """Positional paths and --example names, in order, as graphs."""
+def _resolve_inputs(args, count):
+    """Positional paths and --example names, in order, as graphs. The
+    library checks the GKM conditions where a computation needs them."""
     refs = [(load_input, path) for path in args.inputs] + [(builtin, name) for name in args.example or []]
     if len(refs) != count:
         raise UsageError(
@@ -42,8 +43,6 @@ def _resolve_inputs(args, count, validate=True):
         g = load(ref)
         if isinstance(g, XRay):
             g = graph_from_xray(g)
-        if validate and not args.no_validate:
-            g.require_valid()
         out.append(g)
     return out
 
@@ -82,6 +81,9 @@ def _generator_basis(args, graph, ring):
             isinstance(c, dict) and all(isinstance(p, str) for p in c.values()) for c in bindings.values()
         )):
             raise SchemaError("generator file 'classes' must map each name to an object of polynomial strings")
+        for n in names:
+            if re.fullmatch(r"[cpw][0-9]+", n):
+                raise SchemaError("generator name %r is reserved for a characteristic class" % n)
         missing = "generator file missing class for %r"
     elif args.gens:
         names = [n.strip() for n in args.gens.split(",") if n.strip()]
@@ -105,7 +107,7 @@ def _generator_basis(args, graph, ring):
 
 
 def _cmd_validate(args):
-    [g] = _resolve_inputs(args, 1, validate=False)
+    [g] = _resolve_inputs(args, 1)
     report = g.validate()
     payload = {
         "command": "validate",
@@ -271,9 +273,8 @@ def _cmd_integrate(args):
     value = localize_integral(g, value_cls)
     # the value must print: past the int-to-str digit limit, neither the
     # text nor the JSON rendering can write it
-    limit = int_digit_limit()
-    if value.bit_length() > limit * math.log2(10) and abs(value) >= 10 ** limit:
-        raise GkmError("the integral has more than %d digits, the integer printing limit" % limit)
+    if exceeds_digit_limit(value):
+        raise GkmError("the integral has more than %d digits, the integer printing limit" % int_digit_limit())
     payload = {
         "command": "integrate",
         "graph": g.name,
@@ -380,7 +381,6 @@ def build_parser():
         "Wall-Jupp-Zubr diffeomorphism oracle.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--no-validate", action="store_true", help="skip GKM validation of parsed inputs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_inputs(p, gens=False):
@@ -418,7 +418,7 @@ def build_parser():
     add_inputs(p, gens=True)
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("iso", help="all labeled isomorphisms between two graphs")
+    p = sub.add_parser("iso", help="all labeled isomorphisms between two GKM graphs")
     add_inputs(p)
     p.add_argument("--signed", action="store_true", help="match signed labels exactly")
     p.set_defaults(func=_cmd_iso)

@@ -15,12 +15,14 @@ of A_d, the Smith form of its basis matrix and the quotient (A/mA)_d.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
     GeneratorsDoNotSpan,
     NotInSubalgebra,
+    SchemaError,
     TorsionInQuotient,
 )
 from .gkm import GKMGraph
@@ -398,6 +400,11 @@ class GeneratorBasis:
         self.classes = list(classes)
         if len(self.names) != len(self.classes):
             raise DimensionMismatch("generator names and classes disagree")
+        for name in self.names:  # each must read back as one parse_polynomial symbol
+            if not (isinstance(name, str) and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name)):
+                raise SchemaError("generator name %r is not of the form [A-Za-z_][A-Za-z_0-9]*" % (name,))
+        if len(set(self.names)) != len(self.names):
+            raise SchemaError("duplicate generator names in %s" % ", ".join(self.names))
         for name, c in zip(self.names, self.classes):
             if not c.is_homogeneous(2):
                 raise GeneratorsDoNotSpan("generator %s is not homogeneous of degree 2" % name)
@@ -410,6 +417,10 @@ class GeneratorBasis:
         basis matrix) in degree d."""
         if d in self._cache:
             return self._cache[d]
+        # names that span hold a basis of H^2; the rest are integer
+        # combinations of it and add nothing to the span in any degree
+        if len(self.names) > self.ring.betti(2):
+            raise GeneratorsDoNotSpan("%d generators for rank-%d H^2" % (len(self.names), self.ring.betti(2)))
         monos = monomials(len(self.names), d)
         cols = []
         for m in monos:

@@ -1,6 +1,7 @@
 """GKM graph data model, validity checking, x-ray ingestion, built-in
 examples, and the complete labeled-isomorphism search (graph bijection
-plus torus automorphism).
+plus torus automorphism) between graphs that satisfy the GKM conditions:
+there, fixing psi and the image of one vertex forces the whole map.
 
 A graph stores, for every edge and each of its two orientations, the
 weight of the edge at the initial vertex. Signed graphs keep the given
@@ -380,23 +381,18 @@ class GraphIso:
             return False
         remaining = list(g2.edges)
         for e in g1.edges:
-            target = self.psi.apply(e.weight_at_u)
-            hit = None
-            for i, f in enumerate(remaining):
-                if {f.u, f.v} != {phi[e.u], phi[e.v]}:
-                    continue
-                w = f.weight_at(phi[e.u])
-                if signed:
-                    ok = w == target
-                else:
-                    ok = canonical_sign(w) == canonical_sign(target)
-                if ok:
-                    hit = i
-                    break
+            ends, target = {phi[e.u], phi[e.v]}, self.psi.apply(e.weight_at_u)
+            hit = next((i for i, f in enumerate(remaining)
+                        if {f.u, f.v} == ends and _labels_match(f.weight_at(phi[e.u]), target, signed)), None)
             if hit is None:
                 return False
             remaining.pop(hit)
         return not remaining
+
+
+def _labels_match(w, target, signed):
+    """Whether label w is target: exactly when signed, up to sign otherwise."""
+    return w == target if signed else canonical_sign(w) == canonical_sign(target)
 
 
 def _independent_base_edges(g: GKMGraph):
@@ -430,58 +426,43 @@ def _solve_psi(base_dec, target_weights):
 
 
 def _extend_iso(g1, g2, base, image, psi, signed):
-    """Grow the vertex map from base -> image, matching edge labels through
-    psi; branches on ambiguous matches (only possible off the GKM
-    conditions) and yields completed bijections."""
+    """The vertex map that sends base to image and carries each edge label
+    through psi, or None when some label has no image.
 
-    def matches(weight, candidate):
-        if signed:
-            return candidate == weight
-        return canonical_sign(candidate) == canonical_sign(weight)
-
-    def rec(phi, used, frontier):
-        if not frontier:
-            if len(phi) == len(g1.vertices):
-                yield dict(phi)
-            return
-        v = frontier[0]
-        rest = frontier[1:]
+    The map is forced: on a GKM graph the weights at a vertex are pairwise
+    independent, so at most one edge at phi(v) carries the label psi*w (even
+    up to sign), and phi of each neighbour of v follows from phi(v). The
+    walk from base reaches every vertex, since the graph is connected.
+    """
+    phi = {base: image}
+    stack = [base]
+    while stack:
+        v = stack.pop()
         u = phi[v]
-        pending = []
         for e in g1.incident(v):
-            w = e.other(v)
             target = psi.apply(e.weight_at(v))
-            cands = [f for f in g2.incident(u) if matches(target, f.weight_at(u))]
-            pending.append((w, [f.other(u) for f in cands]))
-
-        def assign(i, phi, used, newly):
-            if i == len(pending):
-                yield from rec(phi, used, rest + newly)
-                return
-            w, images = pending[i]
-            if w in phi:
-                if phi[w] in images:
-                    yield from assign(i + 1, phi, used, newly)
-                return
-            for img in images:
-                if img in used:
-                    continue
-                phi2 = dict(phi)
-                phi2[w] = img
-                yield from assign(i + 1, phi2, used | {img}, newly + [w])
-
-        yield from assign(0, phi, used, [])
-
-    yield from rec({base: image}, {image}, [base])
+            f = next((f for f in g2.incident(u) if _labels_match(f.weight_at(u), target, signed)), None)
+            if f is None:
+                return None
+            w = e.other(v)
+            if w not in phi:
+                phi[w] = f.other(u)
+                stack.append(w)
+            elif phi[w] != f.other(u):
+                return None
+    return phi
 
 
 def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
     """All (vertex bijection, torus automorphism) pairs carrying g1's
     labels onto g2's: exactly for signed graphs, up to sign otherwise.
 
+    Both graphs must satisfy the GKM conditions (InvalidGraph otherwise).
     A base vertex with k independent incident weights pins psi for each
-    candidate image assignment; each integral unimodular solution is then
-    extended over the graph and re-verified edge by edge.
+    choice of its image and of the image edges; each integral unimodular
+    solution forces the whole vertex map, which is re-verified edge by
+    edge. Distinct choices give distinct (image, psi) pairs, so nothing
+    is found twice.
     """
     if g1.torus_rank != g2.torus_rank:
         raise DimensionMismatch("torus ranks differ (%d vs %d)" % (g1.torus_rank, g2.torus_rank))
@@ -489,6 +470,8 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
         raise DimensionMismatch("valences differ (%d vs %d)" % (g1.valence, g2.valence))
     if signed and not (g1.signed and g2.signed):
         raise ValueError("signed comparison requires signed graphs")
+    g1.require_valid()
+    g2.require_valid()
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return []
     base = _independent_base_edges(g1)
@@ -497,27 +480,19 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
     v0, base_edges = base
     base_dec = smith_normal_form(IntMatrix.from_rows([e.weight_at(v0) for e in base_edges]))
     k = g1.torus_rank
+    sign_choices = [(1,) * k] if signed else list(itertools.product((1, -1), repeat=k))
     found = []
-    seen = set()
     for u0 in g2.vertices:
         for combo in itertools.permutations(g2.incident(u0), k):
             targets = [e.weight_at(u0) for e in combo]
-            if signed:
-                sign_choices = [(1,) * k]
-            else:
-                sign_choices = list(itertools.product((1, -1), repeat=k))
             for signs in sign_choices:
                 psi = _solve_psi(base_dec, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
-                if psi is None:
+                phi = None if psi is None else _extend_iso(g1, g2, v0, u0, psi, signed)
+                if phi is None:
                     continue
-                for phi in _extend_iso(g1, g2, v0, u0, psi, signed):
-                    iso = GraphIso(tuple(sorted(phi.items())), psi)
-                    key = (iso.vertex_map, psi.entries)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if iso.verify(g1, g2, signed):
-                        found.append(iso)
+                iso = GraphIso(tuple(sorted(phi.items())), psi)
+                if iso.verify(g1, g2, signed):
+                    found.append(iso)
     found.sort(key=lambda iso: (iso.vertex_map, iso.psi.entries))
     return found
 

@@ -320,14 +320,22 @@ def int_digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def exceeds_digit_limit(n):
+    """Whether the integer n has more decimal digits than int_digit_limit();
+    the bit length decides first, so small n build no power of ten."""
+    limit = int_digit_limit()
+    return n.bit_length() > limit * math.log2(10) and abs(n) >= 10 ** limit
+
+
 def parse_polynomial(text, names, max_degree=None):
     """Parse the canonical rendering syntax back into an IntPolynomial.
 
     Supports integers, named variables, +, -, *, ^ and parentheses. With
     `max_degree`, a product or power whose top degree would pass it is
     rejected before it is expanded. Integer literals longer than the
-    int-to-str digit limit, and parentheses or unary minus signs nested
-    deeper than MAX_NESTING, are rejected too.
+    int-to-str digit limit, products with a coefficient past that limit,
+    and parentheses or unary minus signs nested deeper than MAX_NESTING,
+    are rejected too.
     """
     names = list(names)
     k = len(names)
@@ -390,6 +398,9 @@ def parse_polynomial(text, names, max_degree=None):
             factor = parse_factor()
             bounded(top(out) + top(factor))
             out = out * factor
+            # constants that each pass the power check still multiply without bound
+            if any(exceeds_digit_limit(c) for c in out.terms.values()):
+                raise PolynomialSyntaxError("product has a coefficient with more than %d digits" % limit)
         return out
 
     def parse_factor():

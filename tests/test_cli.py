@@ -4,7 +4,7 @@ import os
 import pytest
 
 from gkmcalc.cli import main
-from gkmcalc.gkm import builtin
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
 
 
 def run(capsys, *argv):
@@ -218,9 +218,17 @@ def test_gens_file(tmp_path, capsys):
 def test_no_validate_flag(tmp_path, capsys):
     path = tmp_path / "cp.json"
     path.write_text(json.dumps(builtin("cp1xcp2").to_json()))
-    # without --no-validate a computation verb refuses the invalid graph
+    # a computation verb refuses the invalid graph; no flag skips the check
     code, _, err = run(capsys, "cohomology", str(path))
     assert code == 1
+    assert "GKM conditions" in err
+
+
+def test_iso_refuses_a_graph_off_the_gkm_conditions(tmp_path, capsys):
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps(builtin("cp1xcp2").to_json()))
+    code, out, err = run(capsys, "iso", str(path), str(path))
+    assert code == 1 and out == ""
     assert "GKM conditions" in err
 
 
@@ -347,6 +355,15 @@ def test_oversized_or_deep_class_is_a_syntax_error(cls):
     assert "RecursionError" not in proc.stderr and proc.stdout == ""
 
 
+def test_product_of_many_constants_is_a_syntax_error():
+    # each factor passes the constant-power check; their product would not
+    cls = "c1^3*" + "*".join(["7^5000"] * 1000)
+    proc = gkm_process("integrate", "--example", "eschenburg", "--class", cls)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert "digits" in proc.stderr
+
+
 def _gens_doc(names, component):
     return json.dumps({"names": names, "classes": {"X1": {v: component for v in builtin("eschenburg").vertices}}})
 
@@ -372,6 +389,40 @@ def test_malformed_gens_file_is_an_error_not_a_traceback(tmp_path, doc, message)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert message in proc.stderr
+
+
+def _named_gens_doc(names):
+    gens = ESCHENBURG_GENERATORS
+    return json.dumps({"names": names, "classes": {n: gens["X2" if n == "X2" else "X1"] for n in names}})
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["c1", "X2"], "reserved"),
+        (["X 1", "X2"], "not of the form"),
+        (["X1", "X1", "X2"], "duplicate"),
+    ],
+    ids=["class-name", "space", "duplicate"],
+)
+def test_bad_generator_names_are_an_error(tmp_path, names, message):
+    path = tmp_path / "gens.json"
+    path.write_text(_named_gens_doc(names))
+    for verb in (["classes"], ["integrate", "--class", "c1^3"]):
+        proc = gkm_process(*verb, "--example", "eschenburg", "--gens-file", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert message in proc.stderr
+
+
+def test_more_generator_names_than_b2_is_an_error(tmp_path):
+    # X1, X2 and clones of X1: the span is there, but the names outnumber b2
+    path = tmp_path / "gens.json"
+    path.write_text(_named_gens_doc(["X1", "X2"] + ["Z%d" % i for i in range(198)]))
+    proc = gkm_process("classes", "--example", "eschenburg", "--gens-file", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert "rank-2 H^2" in proc.stderr
 
 
 def test_deeply_nested_graph_file_is_an_error_not_a_traceback(tmp_path):

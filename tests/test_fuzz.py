@@ -1,6 +1,7 @@
-"""Property tests on outside input: the generator-file loader and the
-polynomial parser return a result or raise a package error, never another
-exception. Derandomized, so every run tries the same examples."""
+"""Property tests on outside input: the graph and x-ray loaders, the
+generator-file loader and the polynomial parser return a result or raise a
+package error, never another exception. Derandomized, so every run tries
+the same examples."""
 
 import json
 from argparse import Namespace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from gkmcalc.cli import _generator_basis
 from gkmcalc.cohomology import GeneratorBasis, ring_of
 from gkmcalc.errors import GkmError
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json, graph_from_xray, xray_from_json
 from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
 
 GRAPH = builtin("eschenburg")
@@ -61,3 +62,72 @@ def test_parse_yields_a_bounded_polynomial_or_a_syntax_error(text):
         return
     assert isinstance(p, IntPolynomial)
     assert max(p.degrees(), default=0) <= 6
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in list(items):
+        out.append((node, key))
+        out.extend(_slots(value))
+    return out
+
+
+@st.composite
+def near_miss(draw, valid):
+    """A document from `valid`, unchanged or with one value in it replaced
+    by arbitrary JSON or, in an object, removed."""
+    doc = draw(valid)
+    slots = _slots(doc)
+    if draw(st.booleans()):
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+    return doc
+
+
+names = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def graph_docs(draw):
+    k = draw(st.integers(1, 2))
+    vertices = draw(names)
+    edge = st.fixed_dictionaries({"from": st.sampled_from(vertices), "to": st.sampled_from(vertices),
+                                  "weight_at_from": st.lists(st.integers(-2, 2), min_size=k, max_size=k)})
+    return {"format": "gkmg/1", "torus_rank": k, "signed": draw(st.booleans()), "vertices": vertices,
+            "edges": draw(st.lists(edge, max_size=8))}
+
+
+@st.composite
+def xray_docs(draw):
+    k = draw(st.integers(1, 2))
+    vertices = draw(names)
+    coordinate = st.integers(-3, 3) | st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+    return {"format": "xray/1", "torus_rank": k,
+            "vertices": {v: draw(st.lists(coordinate, min_size=k, max_size=k)) for v in vertices},
+            "edges": draw(st.lists(st.lists(st.sampled_from(vertices), min_size=2, max_size=2), max_size=8))}
+
+
+@FUZZ
+@given(doc=json_values | near_miss(graph_docs()))
+def test_graph_loader_yields_a_graph_or_a_package_error(doc):
+    try:
+        g = graph_from_json(doc)
+    except GkmError:
+        return
+    assert isinstance(g, GKMGraph)
+    assert g.validate().valid in (True, False)
+
+
+@FUZZ
+@given(doc=json_values | near_miss(xray_docs()))
+def test_xray_loader_yields_a_graph_or_a_package_error(doc):
+    try:
+        g = graph_from_xray(xray_from_json(doc))
+    except GkmError:
+        return
+    assert isinstance(g, GKMGraph)

@@ -5,6 +5,7 @@ import pytest
 
 from gkmcalc.errors import (
     DimensionMismatch,
+    InvalidGraph,
     SchemaError,
     UnknownExample,
     XRayError,
@@ -293,6 +294,10 @@ def test_search_matches_brute_force_oracle():
     assert as_set(find_isomorphisms(t, e, signed=True)) == brute_isos(t, e, True)
     assert as_set(find_isomorphisms(e, e, signed=True)) == brute_isos(e, e, True)
     assert as_set(find_isomorphisms(t, e, signed=False)) == brute_isos(t, e, False)
+    s = builtin("eschenburg-swapped")
+    assert as_set(find_isomorphisms(e, s, signed=True)) == brute_isos(e, s, True)
+    u = e.unsigned()
+    assert as_set(find_isomorphisms(u, u, signed=False)) == brute_isos(u, u, False)
 
 
 def test_mutated_label_kills_isomorphisms():
@@ -336,6 +341,14 @@ def test_rank_mismatch_raises():
     g = GKMGraph(1, ["a", "b"], [("a", "b", (1,))], signed=True)
     with pytest.raises(DimensionMismatch):
         find_isomorphisms(e, g, signed=True)
+
+
+def test_search_refuses_graphs_off_the_gkm_conditions():
+    g = builtin("cp1xcp2")
+    with pytest.raises(InvalidGraph, match="GKM conditions"):
+        find_isomorphisms(g, g, signed=True)
+    with pytest.raises(InvalidGraph):
+        find_isomorphisms(builtin("eschenburg").unsigned(), g.unsigned(), signed=False)
 
 
 def test_rank1_sphere_automorphisms():

@@ -204,6 +204,14 @@ def test_parse_bounds_literals_and_nesting():
             parse_polynomial(text, YY)
 
 
+def test_parse_bounds_coefficients_of_products():
+    limit = int_digit_limit()
+    big = "9^%d" % (limit // 2)  # about half the limit in digits
+    assert parse_polynomial(big + "*Y1", YY) == IntPolynomial.constant(2, 9 ** (limit // 2)) * parse_polynomial("Y1", YY)
+    with pytest.raises(PolynomialSyntaxError, match="digits"):
+        parse_polynomial("*".join([big] * 3), YY)
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_polynomial("Y1 +", YY)
