@@ -23,21 +23,26 @@ from .cohomology import FixedPointClass, GeneratorBasis, evaluate_class_polynomi
 from .errors import GkmError, SchemaError
 from .gkm import GKMGraph, XRay, builtin, find_isomorphisms, graph_from_xray, load_input
 from .polyring import exceeds_digit_limit, int_digit_limit, parse_polynomial
-from .wjz import diffeo_verdict, invariant_system
+from .wjz import MAX_BOUND, diffeo_verdict, invariant_system
 
 
 class UsageError(GkmError):
     pass
 
 
+def _require_inputs(args, count):
+    """Raise a UsageError unless there are `count` paths and --example
+    names together."""
+    got = len(args.inputs) + len(args.example or [])
+    if got != count:
+        raise UsageError("expected %d input(s) (paths or --example), got %d" % (count, got))
+
+
 def _resolve_inputs(args, count):
     """Positional paths and --example names, in order, as graphs. The
     library checks the GKM conditions where a computation needs them."""
+    _require_inputs(args, count)
     refs = [(load_input, path) for path in args.inputs] + [(builtin, name) for name in args.example or []]
-    if len(refs) != count:
-        raise UsageError(
-            "expected %d input(s) (paths or --example), got %d" % (count, len(refs))
-        )
     out = []
     for load, ref in refs:
         g = load(ref)
@@ -135,15 +140,10 @@ def _cmd_validate(args):
 
 
 def _cmd_xray(args):
-    if args.example:
-        xray = builtin(args.example[0], kind="xray")
-    elif args.inputs:
-        obj = load_input(args.inputs[0])
-        if isinstance(obj, GKMGraph):
-            raise SchemaError("xray expects an x-ray file, got a graph file")
-        xray = obj
-    else:
-        raise SchemaError("xray needs an input file or --example")
+    _require_inputs(args, 1)
+    xray = builtin(args.example[0], kind="xray") if args.example else load_input(args.inputs[0])
+    if isinstance(xray, GKMGraph):
+        raise SchemaError("xray expects an x-ray file, got a graph file")
     g = graph_from_xray(xray)
     payload = {"command": "xray", "graph": g.to_json()}
     lines = _write_or_dump(payload["graph"], args.output)
@@ -326,8 +326,8 @@ def _cmd_iso(args):
 
 
 def _cmd_diffeo(args):
-    if args.bound < 0:
-        raise UsageError("--bound must be nonnegative, got %d" % args.bound)
+    if not 0 <= args.bound <= MAX_BOUND:
+        raise UsageError("--bound must lie in 0..%d, got %d" % (MAX_BOUND, args.bound))
     g1, g2 = _resolve_inputs(args, 2)
     verdict = diffeo_verdict(g1, g2, assume_simply_connected=args.assume_simply_connected,
                              assume_h_odd_zero=args.assume_h_odd_zero, bound=args.bound)
@@ -427,7 +427,7 @@ def build_parser():
     add_inputs(p)
     p.add_argument("--assume-simply-connected", action="store_true")
     p.add_argument("--assume-h-odd-zero", action="store_true")
-    p.add_argument("--bound", type=int, default=10, help="entry bound for the equivalence search")
+    p.add_argument("--bound", type=int, default=10, help="entry bound for the equivalence search, 0..%d" % MAX_BOUND)
     p.set_defaults(func=_cmd_diffeo)
 
     p = sub.add_parser("example", help="write a built-in example file")

@@ -421,28 +421,25 @@ class GeneratorBasis:
         # combinations of it and add nothing to the span in any degree
         if len(self.names) > self.ring.betti(2):
             raise GeneratorsDoNotSpan("%d generators for rank-%d H^2" % (len(self.names), self.ring.betti(2)))
-        monos = monomials(len(self.names), d)
-        cols = []
-        for m in monos:
-            p = IntPolynomial(len(self.names), {m: 1})
-            value = evaluate_class_polynomial(self.ring.graph, self.classes, p)
-            cols.append(self.ring.express(value, d).coords)
         r = self.ring.betti(d)
         chosen = []
         chosen_cols = []
-        for m, col in zip(monos, cols):
+        dec = None  # the Smith form of the accepted trial, whose columns are chosen_cols
+        for m in monomials(len(self.names), d):
             if len(chosen) == r:
                 break
-            trial = chosen_cols + [col]
-            dec = smith_normal_form(IntMatrix.from_columns(trial))
-            if dec.rank() == len(trial) and all(dec.S.at(t, t) == 1 for t in range(len(trial))):
+            p = IntPolynomial(len(self.names), {m: 1})
+            col = self.ring.express(evaluate_class_polynomial(self.ring.graph, self.classes, p), d).coords
+            trial = smith_normal_form(IntMatrix.from_columns(chosen_cols + [col]))
+            # a trial has r rows and at most r columns: one diagonal entry each
+            if all(x == 1 for x in trial.diagonal()):
                 chosen.append(m)
                 chosen_cols.append(col)
+                dec = trial
         if len(chosen) < r:
             raise GeneratorsDoNotSpan(
                 "generators do not span the degree-%d ordinary cohomology over Z" % d
             )
-        dec = smith_normal_form(IntMatrix.from_columns(chosen_cols)) if chosen_cols else None
         self._cache[d] = (chosen, chosen_cols, dec)
         return self._cache[d]
 

@@ -17,7 +17,7 @@ class SchemaError(GkmError, ValueError):
     """Malformed or out-of-contract input file."""
 
 
-class UnknownExample(GkmError, KeyError):
+class UnknownExample(GkmError, LookupError):
     pass
 
 

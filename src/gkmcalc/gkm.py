@@ -32,6 +32,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_with_snf,
 )
+from .polyring import int_digit_limit
 
 GRAPH_FORMAT = "gkmg/1"
 XRAY_FORMAT = "xray/1"
@@ -720,14 +721,18 @@ def xray_from_json(data) -> XRay:
 
 
 def read_json(path):
-    """The JSON document in the file at `path`; malformed JSON, or arrays
-    and objects nested past the interpreter's recursion limit, are a
-    SchemaError."""
-    with open(path) as fh:
+    """The JSON document in the file at `path`; malformed or non-UTF-8 JSON,
+    integer literals past the digit limit, and nesting past the recursion
+    limit are a SchemaError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("%s: malformed JSON at line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
+        except UnicodeDecodeError:
+            raise SchemaError("%s: not UTF-8 text" % path)
+        except ValueError:  # what json.load raises for an over-long int literal
+            raise SchemaError("%s: an integer literal has more than %d digits" % (path, int_digit_limit()))
         except RecursionError:
             raise SchemaError("%s: JSON nested too deeply" % path)
 

@@ -180,8 +180,8 @@ def _find_pivot(s, t, m, n):
 def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     """Smith normal form over the integers, with the transforms.
 
-    The pivot strategy (minimal absolute value, ties by position) makes the
-    output reproducible across runs.
+    Each elimination step scans once for its pivot, the entry of least
+    absolute value (ties by position), so the output is reproducible.
     """
     m, n = A.rows, A.cols
     if m == 0 or n == 0:
@@ -200,48 +200,44 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         for r in v:
             r[j] -= q * r[i]
 
-    for t in range(min(m, n)):
-        if _find_pivot(s, t, m, n) is None:
-            break
-        while True:
-            i0, j0 = _find_pivot(s, t, m, n)
-            if i0 != t:
-                s[t], s[i0] = s[i0], s[t]
-                u[t], u[i0] = u[i0], u[t]
-            if j0 != t:
-                for r in s:
-                    r[t], r[j0] = r[j0], r[t]
-                for r in v:
-                    r[t], r[j0] = r[j0], r[t]
-            if s[t][t] < 0:
-                s[t] = [-a for a in s[t]]
-                u[t] = [-a for a in u[t]]
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                q = s[i][t] // p
-                if q:
-                    row_sub(i, t, q)
-                if s[i][t]:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = s[t][j] // p
-                if q:
-                    col_sub(j, t, q)
-                if s[t][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # Row and column t are clear; force p to divide the rest so the
-            # diagonal comes out as a divisibility chain.
-            bad = None
-            for i in range(t + 1, m):
-                if any(s[i][j] % p for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
+    t = 0
+    while (pivot := _find_pivot(s, t, m, n)) is not None:
+        i0, j0 = pivot
+        if i0 != t:
+            s[t], s[i0] = s[i0], s[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for r in s:
+                r[t], r[j0] = r[j0], r[t]
+            for r in v:
+                r[t], r[j0] = r[j0], r[t]
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+            u[t] = [-a for a in u[t]]
+        p = s[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            q = s[i][t] // p
+            if q:
+                row_sub(i, t, q)
+            if s[i][t]:
+                dirty = True
+        for j in range(t + 1, n):
+            q = s[t][j] // p
+            if q:
+                col_sub(j, t, q)
+            if s[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        # Row and column t are clear; force p to divide the rest so the
+        # diagonal comes out as a divisibility chain.
+        for i in range(t + 1, m):
+            if any(s[i][j] % p for j in range(t + 1, n)):
+                row_sub(t, i, -1)
                 break
-            row_sub(t, bad, -1)
+        else:
+            t += 1
     return SNFDecomposition(
         IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v)
     )

@@ -23,6 +23,10 @@ from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, smith_normal_form
 
 
+# the largest --bound the CLI accepts; at rank 2 its box takes about 2 s
+MAX_BOUND = 1000
+
+
 @dataclass
 class InvariantSystem:
     rank: int
@@ -298,9 +302,10 @@ def diffeo_verdict(
 ) -> DiffeoVerdict:
     """Three-valued diffeomorphism oracle for two signed valence-3 graphs.
 
-    A signed graph isomorphism is reported as the stronger witness and
-    always yields an exact equivalence of systems; otherwise the bounded
-    search decides. Without both assumption flags the classification
+    A signed graph isomorphism (none exists across tori of different rank)
+    is the stronger witness and yields an exact equivalence of systems;
+    otherwise one bounded search decides, and it also gives the note on the
+    reversed orientation. Without both assumption flags the classification
     theorem does not apply and the verdict is inconclusive.
     """
     for g in (g1, g2):
@@ -322,55 +327,39 @@ def diffeo_verdict(
                 "missing %s" % ", ".join(missing)
             ),
         )
-    assumptions = ("simply-connected", "h-odd-zero")
     s1 = invariant_system(g1)
     s2 = invariant_system(g2)
+    isos = find_isomorphisms(g1, g2, signed=True) if g1.torus_rank == g2.torus_rank else []
+    # Phi carries s2 to s1 exactly when -Phi, of the same entry bound, carries
+    # the reversed s2 to s1 (mu is cubic, p linear, w read mod 2), and every
+    # invariant are_equivalent checks is blind to negating mu and p: so one
+    # search gives the verdict and the note, with the same outcome and reason.
+    reversible = s2.reversed_orientation() != s2
+    outcome = are_equivalent(s1, s2, bound) if reversible or not isos else None
     note = ""
-    s2r = s2.reversed_orientation()
-    if s2r != s2:
-        rev = are_equivalent(s1, s2r, bound)
-        if isinstance(rev, Found):
+    if reversible:
+        if isinstance(outcome, Found):
             note = "systems also equivalent after reversing the second orientation"
-        elif isinstance(rev, ProvablyDistinct):
-            note = "orientation-reversed systems provably distinct (%s)" % rev.reason
+        elif isinstance(outcome, ProvablyDistinct):
+            note = "orientation-reversed systems provably distinct (%s)" % outcome.reason
         else:
             note = "orientation-reversed comparison inconclusive within bound %d" % bound
-    isos = find_isomorphisms(g1, g2, signed=True)
+    phi = None
     if isos:
-        eq = phi_from_graph_iso(g1, g2, isos[0])
-        if not eq.verify(s1, s2):
+        phi = phi_from_graph_iso(g1, g2, isos[0]).phi
+        if not _is_equivalence(phi, s1, s2):
             raise AssertionError("transported basis failed to verify the equivalence equations")
-        return DiffeoVerdict(
-            "diffeomorphic",
-            assumptions,
-            reason="signed GKM graphs are isomorphic (strong witness); induced equivalence verified",
-            graph_iso=isos[0],
-            phi=eq.phi,
-            reversed_orientation_note=note,
-            systems=(s1, s2),
-        )
-    outcome = are_equivalent(s1, s2, bound)
-    if isinstance(outcome, Found):
-        return DiffeoVerdict(
-            "diffeomorphic",
-            assumptions,
-            reason="systems of invariants are equivalent",
-            phi=outcome.equivalence.phi,
-            reversed_orientation_note=note,
-            systems=(s1, s2),
-        )
-    if isinstance(outcome, ProvablyDistinct):
-        return DiffeoVerdict(
-            "provably_distinct",
-            assumptions,
-            reason="systems differ in a GL(r,Z) invariant: %s" % outcome.reason,
-            reversed_orientation_note=note,
-            systems=(s1, s2),
-        )
-    return DiffeoVerdict(
-        "inconclusive",
-        assumptions,
-        reason="no equivalence found with entries bounded by %d; this does not prove distinctness" % outcome.bound,
-        reversed_orientation_note=note,
-        systems=(s1, s2),
-    )
+        status = "diffeomorphic"
+        reason = "signed GKM graphs are isomorphic (strong witness); induced equivalence verified"
+    elif isinstance(outcome, Found):
+        status, phi = "diffeomorphic", outcome.equivalence.phi
+        reason = "systems of invariants are equivalent"
+    elif isinstance(outcome, ProvablyDistinct):
+        status = "provably_distinct"
+        reason = "systems differ in a GL(r,Z) invariant: %s" % outcome.reason
+    else:
+        status = "inconclusive"
+        reason = "no equivalence found with entries bounded by %d; this does not prove distinctness" % bound
+    return DiffeoVerdict(status, ("simply-connected", "h-odd-zero"), reason=reason,
+                         graph_iso=isos[0] if isos else None, phi=phi,
+                         reversed_orientation_note=note, systems=(s1, s2))

@@ -170,6 +170,21 @@ def test_example_unknown(capsys):
     code, _, err = run(capsys, "example", "no-such-example")
     assert code == 1
     assert "unknown example" in err
+    for argv in (["example", "nosuch"], ["validate", "--example", "nosuch"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: unknown example 'nosuch' (known: ")
+
+
+@pytest.mark.parametrize("inputs, count", [(["--example", "tolman", "--example", "eschenburg"], 2),
+                                           (["FILE", "--example", "eschenburg"], 2), ([], 0)],
+                         ids=["two-examples", "file-and-example", "none"])
+def test_xray_takes_exactly_one_input(tmp_path, capsys, inputs, count):
+    path = tmp_path / "tolman.xray.json"
+    path.write_text(json.dumps(builtin("tolman", kind="xray").to_json()))
+    code, out, err = run(capsys, "xray", *[str(path) if a == "FILE" else a for a in inputs])
+    assert code == 2 and out == ""
+    assert "expected 1 input(s) (paths or --example), got %d" % count in err
 
 
 def test_unknown_format_version_file(tmp_path, capsys):
@@ -323,6 +338,25 @@ def test_negative_bound_is_usage_error():
                        "--assume-simply-connected", "--assume-h-odd-zero", "--bound", "-1")
     assert proc.returncode == 2
     assert "--bound" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["1001", "100000000", "99999999999"])
+def test_bound_past_the_ceiling_is_usage_error(bound):
+    proc = gkm_process("diffeo", "--example", "tolman", "--example", "eschenburg",
+                       "--assume-simply-connected", "--assume-h-odd-zero", "--bound", bound)
+    assert proc.returncode == 2
+    assert "--bound must lie in 0..1000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["classes", "--example", "eschenburg", "--gens-file"]],
+                         ids=["graph-file", "gens-file"])
+def test_over_long_integer_in_a_json_file_is_an_error(tmp_path, verb):
+    path = tmp_path / "long.json"
+    path.write_text('{"format": "gkmg/1", "torus_rank": %s}' % ("9" * 5000))
+    proc = gkm_process(*verb, str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "set_int_max_str_digits" not in proc.stderr
+    assert "digits" in proc.stderr
 
 
 @pytest.mark.parametrize("cls", ["2^9999999*c1^3", "(1+1)^99999999", "(10^2000)^3*c1^3"],

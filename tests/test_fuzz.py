@@ -9,10 +9,10 @@ from argparse import Namespace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gkmcalc.cli import _generator_basis
+from gkmcalc.cli import _generator_basis, main
 from gkmcalc.cohomology import GeneratorBasis, ring_of
 from gkmcalc.errors import GkmError
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json, graph_from_xray, xray_from_json
+from gkmcalc.gkm import BUILTIN_NAMES, ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json, graph_from_xray, xray_from_json
 from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
 
 GRAPH = builtin("eschenburg")
@@ -131,3 +131,64 @@ def test_xray_loader_yields_a_graph_or_a_package_error(doc):
     except GkmError:
         return
     assert isinstance(g, GKMGraph)
+
+
+FILES = ["eschenburg.graph", "eschenburg.xray", "tolman.graph", "tolman.xray"]
+# an input is a built-in --example name, a path to a file the test writes,
+# or arbitrary text as either; one or two inputs, what the verbs take, are
+# drawn as often as any other count
+ref = (st.tuples(st.just("example"), st.sampled_from(BUILTIN_NAMES))
+       | st.tuples(st.just("path"), st.sampled_from(FILES))
+       | st.tuples(st.sampled_from(["path", "example"]), st.text(max_size=8)))
+inputs = st.lists(ref, min_size=1, max_size=1) | st.lists(ref, min_size=2, max_size=2) | st.lists(ref, max_size=3)
+texts = st.sampled_from(["X1,X2", "c1^3", "c1*p1", "X1^3"]) | st.text(max_size=12)
+# negative, small and past any ceiling; no in-range bound above 2, which
+# would make one example slow
+ints = (st.integers(-3, 2) | st.integers(1001, 10**12)).map(str)
+
+
+def option(*flag_and_values):
+    """Nothing, or the flag followed by one drawn value (if it takes one)."""
+    flag, *values = flag_and_values
+    return st.just([]) | st.tuples(st.just(flag), *values).map(list)
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+VERB_OPTIONS = {
+    "example": joined((st.sampled_from(BUILTIN_NAMES) | st.text(max_size=8)).map(lambda n: [n]), option("--xray")),
+    "validate": st.just([]),
+    "xray": st.just([]),
+    "cohomology": option("--max-degree", ints),
+    "classes": option("--gens", texts),
+    "integrate": joined(texts.map(lambda c: ["--class", c]), option("--gens", texts)),
+    "invariants": option("--gens", texts),
+    "iso": option("--signed"),
+    "diffeo": joined(option("--bound", ints), option("--assume-simply-connected"), option("--assume-h-odd-zero")),
+}
+
+
+@FUZZ
+@given(
+    fmt=st.sampled_from(["text", "json"]),
+    verb_options=st.sampled_from(sorted(VERB_OPTIONS)).flatmap(lambda v: st.tuples(st.just(v), VERB_OPTIONS[v])),
+    refs=inputs,
+)
+def test_cli_verbs_exit_with_a_documented_code(tmp_path, capsys, fmt, verb_options, refs):
+    for key in FILES:
+        name, kind = key.split(".")
+        (tmp_path / key).write_text(json.dumps(builtin(name, kind=kind).to_json()))
+    verb, options = verb_options
+    argv = ["--format", fmt, verb, *options]
+    if verb != "example":  # which takes its NAME among its options
+        for mode, ref in refs:
+            argv += ["--example", ref] if mode == "example" else [str(tmp_path / ref) if ref in FILES else ref]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejecting the command line
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1, 2, 3), argv
+    capsys.readouterr()

@@ -19,9 +19,11 @@ from gkmcalc.gkm import (
     graph_from_json,
     graph_from_xray,
     load_input,
+    read_json,
     xray_from_json,
 )
 from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank
+from gkmcalc.polyring import int_digit_limit
 
 
 # -- reference oracle: exhaustive search over all vertex bijections ---------
@@ -450,6 +452,23 @@ def test_load_input_dispatch(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_input(str(bad))
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"format": "gkmg/1", "torus_rank": ' + b"9" * (int_digit_limit() + 1) + b"}",
+         "more than %d digits" % int_digit_limit()),
+        (b'{"format": "gkmg/1", "name": "\xff"}', "not UTF-8"),
+    ],
+    ids=["long-integer", "not-utf8"],
+)
+def test_read_json_turns_value_errors_into_schema_errors(tmp_path, raw, message):
+    path = tmp_path / "g.json"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaError, match=message) as err:
+        read_json(str(path))
+    assert str(path) in str(err.value)
 
 
 # -- strict loading -----------------------------------------------------------

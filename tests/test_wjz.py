@@ -1,5 +1,7 @@
 import itertools
+import operator
 import os
+import random
 import subprocess
 import sys
 
@@ -365,3 +367,127 @@ def test_former_wall_finishes_at_default_bound():
                           env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# -- one search per verdict ----------------------------------------------------
+
+
+def cp3(weight_map=None):
+    """CP^3 with its standard T^3 action, or with the subtorus action whose
+    labels are the T^3 labels mapped by `weight_map`."""
+    def e(i):
+        return [1 if j == i - 1 else 0 for j in range(3)]
+
+    edges = []
+    for i, j in itertools.combinations(range(4), 2):
+        w = tuple(a - b for a, b in zip(e(j), e(i)))
+        if weight_map:
+            w = tuple(sum(m * x for m, x in zip(row, w)) for row in weight_map)
+        edges.append(("p%d" % i, "p%d" % j, w))
+    rank = len(weight_map) if weight_map else 3
+    return GKMGraph(rank, ["p%d" % i for i in range(4)], edges, signed=True)
+
+
+def test_verdict_across_tori_of_different_rank():
+    g3, g2 = cp3(), cp3([[1, 0, -3], [0, 1, -1]])
+    assert g2.validate().valid and g2.torus_rank == 2
+    for a, b in ((g3, g2), (g2, g3)):
+        v = diffeo_verdict(a, b, True, True)
+        assert v.status == "diffeomorphic"
+        assert v.graph_iso is None
+        assert v.phi.to_rows() == [[-1]]
+
+
+def test_verdict_searches_once(monkeypatch):
+    import gkmcalc.wjz as wjz
+
+    calls = []
+
+    def counting(s1, s2, bound):
+        calls.append(bound)
+        return are_equivalent(s1, s2, bound)
+
+    monkeypatch.setattr(wjz, "are_equivalent", counting)
+    v = diffeo_verdict(builtin("eschenburg"), product_of_spheres([(1, 0), (0, 1), (1, 1)]), True, True)
+    assert v.status == "provably_distinct"
+    assert v.reversed_orientation_note == "orientation-reversed systems provably distinct (rank (2 vs 3))"
+    assert calls == [10]
+
+
+def test_witness_verdict_keeps_the_note_of_the_bounded_search():
+    v = diffeo_verdict(builtin("tolman"), builtin("eschenburg"), True, True, bound=0)
+    assert v.status == "diffeomorphic" and v.graph_iso is not None
+    assert v.reversed_orientation_note == "orientation-reversed comparison inconclusive within bound 0"
+
+
+def assert_reversal_keeps_the_outcome(s1, s2, bound):
+    forward = are_equivalent(s1, s2, bound)
+    reversed_ = are_equivalent(s1, s2.reversed_orientation(), bound)
+    assert type(forward) is type(reversed_)
+    if isinstance(forward, ProvablyDistinct):
+        assert forward.reason == reversed_.reason
+
+
+def random_system(rng, r):
+    """A system of rank r with a random symmetric mu, w and p."""
+    mu = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a, b, c in itertools.combinations_with_replacement(range(r), 3):
+        value = rng.randint(-3, 3)
+        for i, j, l in itertools.permutations((a, b, c)):
+            mu[i][j][l] = value
+    mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
+    w = tuple(rng.randint(0, 1) for _ in range(r))
+    p = tuple(rng.choice((0, 2, -4, 6)) for _ in range(r))
+    return InvariantSystem(r, mu, w, p)
+
+
+def random_unimodular(rng, r):
+    """A product of three elementary matrices: a sign change at rank 1,
+    otherwise the identity plus one off-diagonal +-1."""
+    phi = IntMatrix.identity(r)
+    for _ in range(3):
+        rows = IntMatrix.identity(r).to_rows()
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        rows[i][j] = rng.choice((-1, 1))
+        phi = phi * IntMatrix.from_rows(rows)
+    return phi
+
+
+def pulled_back(s, phi):
+    """The system that phi carries to s: mu and p composed with phi, and w
+    mapped by phi^-1 mod 2."""
+    r = s.rank
+    cols = [phi.column(a) for a in range(r)]
+    inv = phi.inverse_unimodular()
+
+    def cubic(x, y, z):
+        return sum(s.mu[i][j][l] * x[i] * y[j] * z[l] for i in range(r) for j in range(r) for l in range(r))
+
+    mu = tuple(tuple(tuple(cubic(cols[a], cols[b], cols[c]) for c in range(r)) for b in range(r)) for a in range(r))
+    p = tuple(sum(s.p[i] * cols[a][i] for i in range(r)) for a in range(r))
+    w = tuple(sum(map(operator.mul, inv.row(a), s.w)) % 2 for a in range(r))
+    return InvariantSystem(r, mu, w, p)
+
+
+def test_reversed_search_has_the_forward_outcome():
+    # diffeo_verdict builds its orientation note from the forward search
+    names = ("tolman", "woodward", "eschenburg", "eschenburg-swapped")
+    systems = [invariant_system(builtin(n)) for n in names]
+    for s1, s2 in itertools.product(systems, repeat=2):
+        for bound in (0, 1, 2):
+            assert_reversal_keeps_the_outcome(s1, s2, bound)
+    g = product_of_spheres([(1, 0), (0, 1), (1, 1)])
+    s1, s2 = invariant_system(g), invariant_system(relabelled(g))
+    for bound in (0, 1, 2):
+        assert_reversal_keeps_the_outcome(s1, s2, bound)
+    rng = random.Random(5)
+    for k in range(90):
+        r = 1 + k % 3
+        s1 = random_system(rng, r)
+        if k % 2:
+            phi = random_unimodular(rng, r)
+            s2 = pulled_back(s1, phi)
+            assert Equivalence(phi).verify(s2, s1)
+        else:
+            s2 = random_system(rng, r)
+        assert_reversal_keeps_the_outcome(s1, s2, 1)
