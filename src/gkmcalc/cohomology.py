@@ -166,17 +166,16 @@ class RingElement:
     degree: int
     coords: tuple
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass
 class GradedBasis:
-    """Everything the ring knows about one even degree d."""
+    """Everything the ring knows about one even degree d. A_d holds y^m * 1
+    for every degree-d monomial m, so it is never 0, and its basis matrix
+    (a column of monomial coefficients per class) has a Smith form."""
 
     degree: int
     classes: list  # Z-basis of A_degree
-    snf: SNFDecomposition  # Smith form of the A_degree basis matrix; None when A_degree = 0
+    snf: SNFDecomposition  # Smith form of the A_degree basis matrix
     quotient_rank: int
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
     projection: IntMatrix  # quotient_rank x len(classes), applied to A-coords
@@ -255,20 +254,14 @@ class CohomologyRing:
                     row = mono_pos[tuple(prod)]
                     block[row][nv * nm + ei * nq + qj] -= coeff
             rows.extend(block)
-        if not rows:
-            basis = [FixedPointClass.constant(g, 1)] if d == 0 else []
-        else:
-            basis = []
-            for vec in kernel_saturated(IntMatrix.from_rows(rows)):
-                f_part = vec[: nv * nm]
-                if any(f_part):
-                    basis.append(self._vec_to_class(f_part, d))
-            # the f-projection is injective (alpha * q = 0 forces q = 0), so
-            # this is a basis of A_d
+        # the f-projection is injective (alpha * q = 0 forces q = 0), so the
+        # f-parts of the kernel basis are the columns of A_d's basis matrix
+        kernel = kernel_saturated(IntMatrix(len(rows), ncols, [x for row in rows for x in row]))
+        f_parts = [vec[: nv * nm] for vec in kernel]
+        basis = [self._vec_to_class(f, d) for f in f_parts]
         r = len(basis)
-        if r == 0:
-            return GradedBasis(d, [], None, 0, [], IntMatrix(0, 0, []))
-        snf = smith_normal_form(IntMatrix.from_columns(self._class_to_vec(c, d) for c in basis))
+        matrix = IntMatrix.from_columns(f_parts)
+        snf = smith_normal_form(matrix)
         mgens = []
         if d >= 2:
             for b in self.gkm_basis(d - 2):
@@ -296,25 +289,8 @@ class CohomologyRing:
         projection = IntMatrix(
             r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)]
         )
-        reps = []
-        for j in range(rho, r):
-            col = uinv.column(j)
-            rep = None
-            for coeff, cls in zip(col, basis):
-                if coeff:
-                    term = cls * coeff
-                    rep = term if rep is None else rep + term
-            reps.append(rep if rep is not None else FixedPointClass.constant(g, 0))
+        reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
         return GradedBasis(d, basis, snf, r - rho, reps, projection)
-
-    def coords_in_A(self, c: FixedPointClass, d):
-        """Coordinates of a degree-d class in the A_d basis; None if the
-        class is not in the subalgebra lattice."""
-        snf = self.ordinary(d).snf
-        vec = self._class_to_vec(c, d)
-        if snf is None:
-            return () if not any(vec) else None
-        return solve_with_snf(snf, vec)
 
     def betti(self, d):
         return self.ordinary(d).quotient_rank
@@ -327,13 +303,13 @@ class CohomologyRing:
             degree = c.degree()
             if degree is None:
                 raise ValueError("class is not homogeneous; pass a degree")
-        x = self.coords_in_A(c, degree)
+        gb = self.ordinary(degree)
+        x = solve_with_snf(gb.snf, self._class_to_vec(c, degree))
         if x is None:
             raise NotInSubalgebra(
                 "class of degree %d violates the edge congruences or the "
                 "lattice structure" % degree
             )
-        gb = self.ordinary(degree)
         return RingElement(degree, gb.projection.apply(x))
 
     def express_mod2(self, components, degree):
@@ -342,19 +318,16 @@ class CohomologyRing:
         components: one IntPolynomial per vertex, any integer lift of the
         mod-2 tuple; only its degree-d part, reduced mod 2, is read. Solves
         against the mod-2 reduction of the integral basis, read off its
-        Smith form U*M*V = S (U and V stay invertible mod 2): rows of U*b at
-        odd diagonal entries are solved, all other rows must be even, and
-        the V-columns at even diagonal entries span the mod-2 kernel. A
+        Smith form U*M*V = S (U and V stay invertible mod 2). M has full
+        column rank, so S has one diagonal entry per basis class: rows of
+        U*b at odd diagonal entries are solved, all other rows must be even,
+        and the V-columns at even diagonal entries span the mod-2 kernel. A
         kernel vector with a nonzero image (possible only when some weight
         is imprimitive) makes the answer ambiguous and raises.
         """
         vec = [x % 2 for x in self._class_to_vec(FixedPointClass(self.graph, components), degree)]
         gb = self.ordinary(degree)
         dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
-        if dec is None:
-            if any(vec):
-                raise NotInSubalgebra("mod-2 class outside the subalgebra in degree %d" % degree)
-            return ()
         diag = dec.diagonal()
         y = [0] * ncols
         for i, c in enumerate(dec.U.apply(vec)):
@@ -363,7 +336,7 @@ class CohomologyRing:
             elif c % 2:
                 raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
         for j in range(ncols):
-            if j >= len(diag) or diag[j] % 2 == 0:
+            if diag[j] % 2 == 0:
                 if any(x % 2 for x in proj.apply(dec.V.column(j))):
                     raise NotInSubalgebra(
                         "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree

@@ -150,8 +150,12 @@ class GKMGraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertex names")
         vset = set(self.vertices)
+        if not isinstance(edges, (list, tuple)):
+            raise SchemaError("edges must be a list or tuple, got %r" % (edges,))
         out = []
         for entry in edges:
+            if not isinstance(entry, (list, tuple)):
+                raise SchemaError("edge entry %r must be a list or tuple" % (entry,))
             if len(entry) == 3:
                 u, v, wu = entry
                 wv = None
@@ -271,8 +275,9 @@ def _validate(g: GKMGraph) -> ValidityReport:
                     % (e.u, e.v, e.weight_at_u, e.weight_at_v),
                 )
             )
-    # connectivity
-    if g.vertices:
+    if not g.vertices:
+        violations.append(Violation("Empty", "the graph has no vertices"))
+    else:  # connectivity
         seen = {g.vertices[0]}
         stack = [g.vertices[0]]
         while stack:
@@ -299,12 +304,17 @@ class XRay:
     def __init__(self, torus_rank, vertices, edges, name=None):
         self.torus_rank = _check_torus_rank(torus_rank)
         self.name = _optional_name(name, "x-ray name")
+        if not (isinstance(vertices, dict) and isinstance(edges, (list, tuple))):
+            raise SchemaError("x-ray vertices must be a dict and edges a list or tuple")
         self.vertices = {
             _check_name(v, "x-ray vertex name"): _check_coordinates(coords, self.torus_rank, v)
             for v, coords in vertices.items()
         }
         self.edges = []
-        for u, v in edges:
+        for entry in edges:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise SchemaError("x-ray edge %r must be a (from, to) pair" % (entry,))
+            u, v = entry
             _check_name(u, "x-ray edge endpoint")
             _check_name(v, "x-ray edge endpoint")
             if u not in self.vertices or v not in self.vertices:

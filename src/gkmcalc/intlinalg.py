@@ -256,8 +256,11 @@ def kernel_saturated(A: IntMatrix):
 
     The kernel of an integer matrix is a saturated sublattice, and the
     trailing columns of the Smith V-transform are a basis of it; each basis
-    vector is normalized to have positive leading entry.
+    vector is normalized to have positive leading entry. A matrix with no
+    rows (or no columns) has the unit vectors of Z^cols as its kernel basis.
     """
+    if A.rows == 0 or A.cols == 0:
+        return [IntMatrix.identity(A.cols).row(j) for j in range(A.cols)]
     dec = smith_normal_form(A)
     r = dec.rank()
     return [canonical_sign(dec.V.column(j)) for j in range(r, A.cols)]

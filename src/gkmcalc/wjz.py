@@ -18,13 +18,18 @@ from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
-from .errors import GeneratorsDoNotSpan, Not6Dimensional, LocalizationRequiresSignedGraph
+from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, smith_normal_form
 
 
-# the largest --bound the CLI accepts; at rank 2 its box takes about 2 s
+# the largest search bound; at rank 2 its box takes about 2 s
 MAX_BOUND = 1000
+
+
+def _check_bound(bound):
+    if not (isinstance(bound, int) and not isinstance(bound, bool) and 0 <= bound <= MAX_BOUND):
+        raise SchemaError("bound must be an integer in 0..%d, got %r" % (MAX_BOUND, bound))
 
 
 @dataclass
@@ -105,12 +110,8 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
             )
     r = ring.betti(2)
     if gens is not None:
-        if len(gens.classes) != r:
-            raise GeneratorsDoNotSpan("%d generators for rank-%d H^2" % (len(gens.classes), r))
-        m = len(gens.names)
-        units = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-        if gens.basis_monomials(2) != units:
-            raise GeneratorsDoNotSpan("generators are not themselves a basis of H^2")
+        # GeneratorsDoNotSpan unless the names themselves are a basis of H^2
+        units = gens.basis_monomials(2)
         basis_classes = gens.classes
         label = ",".join(gens.names)
     else:
@@ -126,7 +127,7 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     w_coords = stiefel_whitney_coords(ring, equivariant_char_class(graph, "stiefel_whitney"), 2)
     if gens is not None:
         wpoly = gens.to_poly_mod2(w_coords, 2)
-        w = tuple(wpoly.coefficient(m) for m in gens.basis_monomials(2))
+        w = tuple(wpoly.coefficient(m) for m in units)
     else:
         w = tuple(w_coords)
     pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)
@@ -242,8 +243,10 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     GL(r,Z)-invariants that differ prove the systems distinct; otherwise
     a search over all matrices with entries bounded by `bound`, built one
     column at a time and pruned by conditions every equivalence meets,
-    either finds a witness or reports an honest inconclusive.
+    either finds a witness or reports an honest inconclusive. `bound` is an
+    int in 0..MAX_BOUND (SchemaError otherwise).
     """
+    _check_bound(bound)
     if s1.rank != s2.rank:
         return ProvablyDistinct("rank (%d vs %d)" % (s1.rank, s2.rank))
     if gcd_of(_flatten_mu(s1)) != gcd_of(_flatten_mu(s2)):
@@ -306,8 +309,10 @@ def diffeo_verdict(
     is the stronger witness and yields an exact equivalence of systems;
     otherwise one bounded search decides, and it also gives the note on the
     reversed orientation. Without both assumption flags the classification
-    theorem does not apply and the verdict is inconclusive.
+    theorem does not apply and the verdict is inconclusive. `bound` is
+    checked as in are_equivalent.
     """
+    _check_bound(bound)
     for g in (g1, g2):
         if g.valence != 3:
             raise Not6Dimensional("valence %d graph" % g.valence)

@@ -150,6 +150,20 @@ def test_validate_builtin_and_invalid(capsys):
     assert "DependentWeightsAt" in out
 
 
+def test_validate_refuses_a_graph_without_vertices(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"format": "gkmg/1", "torus_rank": 2, "signed": True, "vertices": [], "edges": []}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "Empty: the graph has no vertices" in out
+
+
+def test_integrate_refuses_a_mixed_degree_class(capsys):
+    code, out, err = run(capsys, "integrate", "--example", "eschenburg", "--class", "c1^3 + c1")
+    assert code == 1 and out == ""
+    assert "integrand is not homogeneous" in err
+
+
 def test_example_and_xray_pipeline(tmp_path, capsys):
     xpath = tmp_path / "esc.xray.json"
     gpath = tmp_path / "esc.gkmg.json"

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from gkmcalc.cohomology import (
@@ -8,7 +10,7 @@ from gkmcalc.cohomology import (
     is_gkm_class,
 )
 from gkmcalc.errors import GeneratorsDoNotSpan, InvalidGraph, NotInSubalgebra
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, smith_normal_form
 from gkmcalc.polyring import IntPolynomial, parse_polynomial
 
@@ -101,6 +103,15 @@ def test_quotient_reps_project_to_unit_vectors(ring):
 def test_invalid_graph_rejected():
     with pytest.raises(InvalidGraph):
         CohomologyRing(builtin("cp1xcp2"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_point_has_the_cohomology_of_a_point(k):
+    # with no edges there are no congruences, so A = H(BT): one class per
+    # degree-d monomial in k variables, and A/mA is Z in degree 0 only
+    ring = CohomologyRing(GKMGraph(k, ["a"], [], signed=True))
+    assert [len(ring.gkm_basis(d)) for d in (0, 2, 4)] == [comb(d // 2 + k - 1, k - 1) for d in (0, 2, 4)]
+    assert [ring.betti(d) for d in (0, 2, 4)] == [1, 0, 0]
 
 
 def test_cup_with_one_is_identity(ring, phi):

@@ -1,7 +1,7 @@
-"""Property tests on outside input: the graph and x-ray loaders, the
-generator-file loader and the polynomial parser return a result or raise a
-package error, never another exception. Derandomized, so every run tries
-the same examples."""
+"""Property tests on outside input: the graph and x-ray loaders and
+constructors, the generator-file loader and the polynomial parser return a
+result or raise a package error, never another exception. Derandomized, so
+every run tries the same examples."""
 
 import json
 from argparse import Namespace
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gkmcalc.cli import _generator_basis, main
 from gkmcalc.cohomology import GeneratorBasis, ring_of
 from gkmcalc.errors import GkmError
-from gkmcalc.gkm import BUILTIN_NAMES, ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json, graph_from_xray, xray_from_json
+from gkmcalc.gkm import (BUILTIN_NAMES, ESCHENBURG_GENERATORS, GKMGraph, XRay, builtin, graph_from_json,
+                         graph_from_xray, xray_from_json)
 from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
 
 GRAPH = builtin("eschenburg")
@@ -131,6 +132,48 @@ def test_xray_loader_yields_a_graph_or_a_package_error(doc):
     except GkmError:
         return
     assert isinstance(g, GKMGraph)
+
+
+# what a caller of the Python constructors can pass: nested lists, tuples and
+# dicts of ints, strings, booleans and None
+py_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=4)),
+    max_leaves=12,
+)
+vertex = st.sampled_from(["a", "b", "c"])
+point = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+
+
+@FUZZ
+@given(
+    rank=st.integers(1, 2) | py_values,
+    vertices=st.lists(vertex, max_size=3) | py_values,
+    edges=st.lists(st.tuples(vertex, vertex, point) | st.tuples(vertex, vertex, point, point) | py_values,
+                   max_size=3) | py_values,
+    signed=st.booleans() | py_values,
+)
+def test_graph_constructor_yields_a_graph_or_a_package_error(rank, vertices, edges, signed):
+    try:
+        g = GKMGraph(rank, vertices, edges, signed=signed)
+    except GkmError:
+        return
+    assert g.validate().valid in (True, False)
+
+
+@FUZZ
+@given(
+    rank=st.integers(1, 2) | py_values,
+    vertices=st.dictionaries(vertex, point | py_values, max_size=3) | py_values,
+    edges=st.lists(st.tuples(vertex, vertex) | py_values, max_size=3) | py_values,
+)
+def test_xray_constructor_yields_an_xray_or_a_package_error(rank, vertices, edges):
+    try:
+        x = XRay(rank, vertices, edges)
+    except GkmError:
+        return
+    assert isinstance(x.validate(), list)
 
 
 FILES = ["eschenburg.graph", "eschenburg.xray", "tolman.graph", "tolman.xray"]

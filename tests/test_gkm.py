@@ -239,6 +239,11 @@ def test_disconnected_detected():
     assert "Disconnected" in codes
 
 
+def test_empty_graph_is_invalid():
+    g = GKMGraph(2, [], [], signed=True)
+    assert [str(v) for v in g.validate().violations] == ["Empty: the graph has no vertices"]
+
+
 # -- x-rays -------------------------------------------------------------------
 
 
@@ -601,3 +606,17 @@ def test_constructor_rejects_non_string_names(vertices, edge, name):
 def test_xray_constructor_rejects_non_string_name(name):
     with pytest.raises(SchemaError, match="x-ray name must be a string"):
         XRay(2, {"a": [1, 2], "b": [0, 0]}, [("a", "b")], name=name)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [(XRay, (2, [("a", [0, 0])], [])),
+     (XRay, (2, {"a": [0, 0], "b": [1, 0]}, [("a", "b", "c")])),
+     (XRay, (2, {"a": [0, 0], "b": [1, 0]}, 7)),
+     (GKMGraph, (1, ["a", "b"], 5, True)),
+     (GKMGraph, (1, ["a", "b"], [7], True))],
+    ids=["xray-vertex-list", "xray-edge-triple", "xray-edges-int", "graph-edges-int", "graph-edge-int"],
+)
+def test_constructors_reject_malformed_containers(cls, args):
+    with pytest.raises(SchemaError):
+        cls(*args)

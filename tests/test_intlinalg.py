@@ -95,6 +95,11 @@ def test_kernel_of_identity_empty():
     assert kernel_saturated(IntMatrix.identity(2)) == []
 
 
+def test_kernel_without_rows_is_everything():
+    assert kernel_saturated(IntMatrix(0, 3, [])) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_saturated(IntMatrix(2, 0, [])) == []
+
+
 def test_kernel_random_properties():
     rng = random.Random(998877)
     for _ in range(300):

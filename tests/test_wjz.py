@@ -9,10 +9,11 @@ import pytest
 
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
 from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from gkmcalc.errors import NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra
+from gkmcalc.errors import GeneratorsDoNotSpan, NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra, SchemaError
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.wjz import (
+    MAX_BOUND,
     Equivalence,
     Found,
     InvariantSystem,
@@ -45,6 +46,22 @@ def test_eschenburg_system_values():
     assert s.mu[0][1][1] == 1
     assert s.mu[1][1][1] == -2
     assert s.basis_label == "X1,X2"
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["X1"], "generators do not span the degree-2 ordinary cohomology over Z"),
+     (["X1", "X2", "X3"], "3 generators for rank-2 H^2")],
+    ids=["too-few", "too-many"],
+)
+def test_generator_count_other_than_b2_does_not_span(names, message):
+    g = builtin("eschenburg")
+    ring = CohomologyRing(g)
+    known = dict(ESCHENBURG_GENERATORS, X3=ESCHENBURG_GENERATORS["X1"])
+    classes = [FixedPointClass.from_strings(g, known[n]) for n in names]
+    with pytest.raises(GeneratorsDoNotSpan) as info:
+        invariant_system(g, gens=GeneratorBasis(ring, names, classes), ring=ring)
+    assert str(info.value) == message
 
 
 def test_mu_fully_symmetric():
@@ -97,6 +114,17 @@ def test_rank_mismatch_provably_distinct():
     out = are_equivalent(s, other, 4)
     assert isinstance(out, ProvablyDistinct)
     assert "rank" in out.reason
+
+
+@pytest.mark.parametrize("bound", [MAX_BOUND + 1, -1, 2.5, True], ids=["past-ceiling", "negative", "float", "bool"])
+def test_search_bound_is_an_int_up_to_the_ceiling(bound):
+    # both calls would return at once without the check: the ranks differ,
+    # and the verdict lacks its assumption flags
+    with pytest.raises(SchemaError, match="bound must be an integer"):
+        are_equivalent(eschenburg_system(), InvariantSystem(1, ((2,),), (0,), (4,)), bound)
+    g = builtin("eschenburg")
+    with pytest.raises(SchemaError, match="bound must be an integer"):
+        diffeo_verdict(g, g, False, False, bound=bound)
 
 
 def test_not_found_within_bound_is_inconclusive():
@@ -491,3 +519,32 @@ def test_reversed_search_has_the_forward_outcome():
         else:
             s2 = random_system(rng, r)
         assert_reversal_keeps_the_outcome(s1, s2, 1)
+
+
+# -- an independent Betti oracle -------------------------------------------------
+
+
+def index_betti(g):
+    """Betti numbers by counting (Guillemin-Zara 2001): for a generic xi,
+    b_2i is the number of vertices with exactly i weights w where
+    <w, xi> < 0. No cohomology is computed."""
+    xi = (1, 7, 53)[: g.torus_rank]
+    counts = [0] * (g.valence + 1)
+    for v in g.vertices:
+        pairings = [sum(map(operator.mul, w, xi)) for w in g.weights_at(v)]
+        assert all(pairings), "xi is not generic for %s" % g
+        counts[sum(x < 0 for x in pairings)] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: builtin("eschenburg"), lambda: builtin("tolman"), lambda: builtin("woodward"),
+     lambda: product_of_spheres([(1, 0), (0, 1), (1, 1)]), lambda: product_of_spheres([(2, 0), (0, 1), (1, 1)]),
+     cp3, lambda: cp3([[1, 0, -3], [0, 1, -1]])],
+    ids=["eschenburg", "tolman", "woodward", "spheres", "spheres-imprimitive", "cp3", "cp3-subtorus"],
+)
+def test_betti_numbers_match_the_index_count(graph):
+    g = graph()
+    ring = CohomologyRing(g)
+    assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == index_betti(g)
