@@ -103,10 +103,7 @@ class FixedPointClass:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = FixedPointClass.constant(self.graph, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return FixedPointClass(self.graph, [a**n for a in self.components])
 
     def __eq__(self, other):
         return (
@@ -319,29 +316,33 @@ class CohomologyRing:
         mod-2 tuple; only its degree-d part, reduced mod 2, is read. Solves
         against the mod-2 reduction of the integral basis, read off its
         Smith form U*M*V = S (U and V stay invertible mod 2). M has full
-        column rank, so S has one diagonal entry per basis class: rows of
-        U*b at odd diagonal entries are solved, all other rows must be even,
-        and the V-columns at even diagonal entries span the mod-2 kernel. A
-        kernel vector with a nonzero image (possible only when some weight
-        is imprimitive) makes the answer ambiguous and raises.
+        column rank, so S has one nonzero diagonal entry per basis class:
+        rows of U*b at odd diagonal entries are solved, those at even ones
+        must be even, and M*x = b mod 2 stands in for the rows past the
+        rank. The V-columns at even diagonal entries span the mod-2 kernel;
+        a kernel vector with a nonzero image (possible only when some
+        weight is imprimitive) makes the answer ambiguous and raises.
         """
         vec = [x % 2 for x in self._class_to_vec(FixedPointClass(self.graph, components), degree)]
         gb = self.ordinary(degree)
-        dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
+        dec, proj = gb.snf, gb.projection
         diag = dec.diagonal()
-        y = [0] * ncols
-        for i, c in enumerate(dec.U.apply(vec)):
-            if i < len(diag) and diag[i] % 2:
+        y = [0] * len(gb.classes)
+        for i, (c, d) in enumerate(zip(dec.ranked_rows(vec), diag)):
+            if d % 2:
                 y[i] = c % 2
             elif c % 2:
                 raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
-        for j in range(ncols):
-            if diag[j] % 2 == 0:
+        sol = dec.V.apply(y)
+        if any((a - b) % 2 for a, b in zip(dec.A.apply(sol), vec)):
+            raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+        for j, d in enumerate(diag):
+            if d % 2 == 0:
                 if any(x % 2 for x in proj.apply(dec.V.column(j))):
                     raise NotInSubalgebra(
                         "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree
                     )
-        return tuple(x % 2 for x in proj.apply(dec.V.apply(y)))
+        return tuple(x % 2 for x in proj.apply(sol))
 
 
 def evaluate_class_polynomial(graph, generators, p: IntPolynomial) -> FixedPointClass:

@@ -11,6 +11,16 @@ integer solves and kernels come from solve_with_snf and the V-columns, and
 since U and V stay invertible mod 2, mod-2 solves read off the same
 transforms. Only det keeps its own (Bareiss) elimination, because the CLI
 prints det psi of each isomorphism and a determinant needs no transforms.
+
+The engine builds only what its caller reads. Kernels and ranks read V or
+S alone, so they ask for no U (`with_u=False`). Solves (`solve_with_snf`
+here, `CohomologyRing.express_mod2` mod 2), the quotient's projection,
+`inverse_unimodular` and the isomorphism search read U. A solve needs only
+the first rank(S) rows of U*b: the rows past the rank ask that U*b vanish
+there, and since U is invertible that holds exactly when the candidate
+x = V*y solves A*x = b, which is checked on A instead. A tall basis
+matrix (many monomial coordinates, few classes) thus costs two thin
+products in place of one square one.
 """
 
 from __future__ import annotations
@@ -42,6 +52,15 @@ class IntMatrix:
         self.entries = entries
 
     @classmethod
+    def _of(cls, rows, cols, entries):
+        """A matrix built here from int entries, without the entry check."""
+        out = object.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.entries = tuple(entries)
+        return out
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         m = len(rows)
@@ -57,7 +76,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def at(self, i, j):
         return self.entries[i * self.cols + j]
@@ -85,7 +104,7 @@ class IntMatrix:
             for i in range(self.rows)
             for col in cols
         ]
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix-vector product."""
@@ -152,11 +171,12 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SNFDecomposition:
     """U*A*V = S with U, V unimodular, S diagonal with nonnegative entries
-    each dividing the next."""
+    each dividing the next. U is None when it was not asked for."""
 
-    U: IntMatrix
+    U: IntMatrix | None
     S: IntMatrix
     V: IntMatrix
+    A: IntMatrix
 
     def diagonal(self):
         n = min(self.S.rows, self.S.cols)
@@ -165,20 +185,32 @@ class SNFDecomposition:
     def rank(self):
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def ranked_rows(self, b):
+        """The first rank(S) entries of U*b."""
+        return [sum(map(operator.mul, self.U.row(i), b)) for i in range(self.rank())]
+
 
 def _find_pivot(s, t, m, n):
-    """Smallest |nonzero| entry of s[t:, t:]; ties broken by (row, col)."""
-    best = None
+    """Smallest |nonzero| entry of s[t:, t:]; ties broken by (row, col).
+    A +-1 is the least possible, and the first one met in row-major order
+    wins every tie, so the scan stops there."""
+    best, least = None, 0
     for i in range(t, m):
+        row = s[i]
         for j in range(t, n):
-            v = s[i][j]
-            if v != 0 and (best is None or abs(v) < abs(s[best[0]][best[1]])):
-                best = (i, j)
+            v = row[j]
+            if v:
+                a = abs(v)
+                if a == 1:
+                    return (i, j)
+                if best is None or a < least:
+                    best, least = (i, j), a
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
-    """Smith normal form over the integers, with the transforms.
+def smith_normal_form(A: IntMatrix, *, with_u=True) -> SNFDecomposition:
+    """Smith normal form over the integers, with the transforms; U is left
+    out (None) when `with_u` is false.
 
     Each elimination step scans once for its pivot, the entry of least
     absolute value (ties by position), so the output is reproducible.
@@ -187,12 +219,13 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     if m == 0 or n == 0:
         raise DimensionMismatch("Smith normal form of an empty matrix")
     s = A.to_rows()
-    u = IntMatrix.identity(m).to_rows()
+    u = IntMatrix.identity(m).to_rows() if with_u else None
     v = IntMatrix.identity(n).to_rows()
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        if u is not None:
+            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def col_sub(j, i, q):  # col_j -= q * col_i
         for r in s:
@@ -205,7 +238,8 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         i0, j0 = pivot
         if i0 != t:
             s[t], s[i0] = s[i0], s[t]
-            u[t], u[i0] = u[i0], u[t]
+            if u is not None:
+                u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for r in s:
                 r[t], r[j0] = r[j0], r[t]
@@ -213,7 +247,8 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
                 r[t], r[j0] = r[j0], r[t]
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
-            u[t] = [-a for a in u[t]]
+            if u is not None:
+                u[t] = [-a for a in u[t]]
         p = s[t][t]
         dirty = False
         for i in range(t + 1, m):
@@ -231,7 +266,10 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         if dirty:
             continue
         # Row and column t are clear; force p to divide the rest so the
-        # diagonal comes out as a divisibility chain.
+        # diagonal comes out as a divisibility chain. 1 divides anything.
+        if p == 1:
+            t += 1
+            continue
         for i in range(t + 1, m):
             if any(s[i][j] % p for j in range(t + 1, n)):
                 row_sub(t, i, -1)
@@ -239,7 +277,10 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         else:
             t += 1
     return SNFDecomposition(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v)
+        IntMatrix._of(m, m, [x for r in u for x in r]) if u is not None else None,
+        IntMatrix._of(m, n, [x for r in s for x in r]),
+        IntMatrix._of(n, n, [x for r in v for x in r]),
+        A,
     )
 
 
@@ -261,32 +302,33 @@ def kernel_saturated(A: IntMatrix):
     """
     if A.rows == 0 or A.cols == 0:
         return [IntMatrix.identity(A.cols).row(j) for j in range(A.cols)]
-    dec = smith_normal_form(A)
+    dec = smith_normal_form(A, with_u=False)
     r = dec.rank()
     return [canonical_sign(dec.V.column(j)) for j in range(r, A.cols)]
 
 
 def solve_with_snf(dec: SNFDecomposition, b):
-    """Some integer x with A*x = b given the SNF of A, or None."""
-    m, n = dec.U.rows, dec.V.rows
-    c = dec.U.apply(b)
-    y = [0] * n
-    for i in range(m):
-        d = dec.S.at(i, i) if i < n else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
+    """Some integer x with A*x = b given the SNF of A, or None.
+
+    Only the first rank(S) rows of U*b are formed; A*x == b stands in for
+    the rows past the rank (see the module docstring)."""
+    b = tuple(b)
+    if len(b) != dec.A.rows:
+        raise DimensionMismatch("vector length %d != %d" % (len(b), dec.A.rows))
+    y = [0] * dec.V.rows
+    for i, (c, d) in enumerate(zip(dec.ranked_rows(b), dec.diagonal())):
+        if c % d:
             return None
-    return dec.V.apply(y)
+        y[i] = c // d
+    x = dec.V.apply(y)
+    return x if dec.A.apply(x) == b else None
 
 
 def rank(A: IntMatrix):
     """Rank over the rationals."""
     if A.rows == 0 or A.cols == 0:
         return 0
-    return smith_normal_form(A).rank()
+    return smith_normal_form(A, with_u=False).rank()
 
 
 def primitive_part(v):

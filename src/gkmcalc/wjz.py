@@ -203,7 +203,7 @@ def _candidate_columns(s1, s2, bound):
 def _saturated(cols):
     """Whether the columns span a saturated sublattice, as the leading
     columns of a unimodular matrix must."""
-    return all(d == 1 for d in smith_normal_form(IntMatrix.from_columns(cols)).diagonal())
+    return all(d == 1 for d in smith_normal_form(IntMatrix.from_columns(cols), with_u=False).diagonal())
 
 
 def _extend(s1, s2, candidates, order, placed):

@@ -242,3 +242,14 @@ def test_express_mod2_is_reduction_of_express(ring):
         for c in ring.gkm_basis(d):
             coords = ring.express_mod2([p.mod2() for p in c.components], d)
             assert coords == tuple(x % 2 for x in ring.express(c, d).coords)
+
+
+def test_class_power_checks_its_exponent(esc):
+    from gkmcalc.charclasses import equivariant_char_class
+
+    c1 = equivariant_char_class(esc, "chern").homogeneous_component(2)
+    assert c1 ** 0 == FixedPointClass.constant(esc, 1)
+    assert c1 ** 3 == c1 * c1 * c1
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            c1 ** bad

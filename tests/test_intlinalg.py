@@ -3,7 +3,12 @@ from math import gcd
 
 import pytest
 
-from gkmcalc.errors import DimensionMismatch, SchemaError, ZeroVector
+from gkmcalc import intlinalg
+from gkmcalc.cohomology import CohomologyRing
+from gkmcalc.charclasses import equivariant_char_class
+from gkmcalc.errors import DimensionMismatch, NotInSubalgebra, SchemaError, ZeroVector
+from gkmcalc.gkm import builtin
+from gkmcalc.polyring import IntPolynomial
 from gkmcalc.intlinalg import (
     IntMatrix,
     canonical_sign,
@@ -238,3 +243,132 @@ def test_rank_of_empty_and_zero_matrices():
     assert rank(IntMatrix(0, 3, [])) == 0
     assert rank(IntMatrix(3, 0, [])) == 0
     assert rank(IntMatrix(2, 3, [0] * 6)) == 0
+
+
+# -- the engine against full-work reference implementations -------------------
+#
+# The engine stops its pivot scan at the first +-1, builds no U for kernels
+# and ranks, and forms only the first rank(S) rows of U*b in a solve. The
+# references below do all of that work, as the engine once did; every output
+# must be identical.
+
+
+def _full_scan_pivot(s, t, m, n):
+    """Smallest |nonzero| entry of s[t:, t:]; ties broken by (row, col)."""
+    best = None
+    for i in range(t, m):
+        for j in range(t, n):
+            v = s[i][j]
+            if v != 0 and (best is None or abs(v) < abs(s[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def _full_u_solve(dec, b):
+    """Some integer x with A*x = b, from every row of U*b, or None."""
+    m, n = dec.U.rows, dec.V.rows
+    c = dec.U.apply(b)
+    y = [0] * n
+    for i in range(m):
+        d = dec.S.at(i, i) if i < n else 0
+        if d:
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        elif c[i] != 0:
+            return None
+    return dec.V.apply(y)
+
+
+def _row_test_express_mod2(ring, components, degree):
+    """express_mod2 testing every row of U*b for parity."""
+    from gkmcalc.cohomology import FixedPointClass
+
+    vec = [x % 2 for x in ring._class_to_vec(FixedPointClass(ring.graph, components), degree)]
+    gb = ring.ordinary(degree)
+    dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
+    diag = dec.diagonal()
+    y = [0] * ncols
+    for i, c in enumerate(dec.U.apply(vec)):
+        if i < len(diag) and diag[i] % 2:
+            y[i] = c % 2
+        elif c % 2:
+            raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+    for j in range(ncols):
+        if diag[j] % 2 == 0:
+            if any(x % 2 for x in proj.apply(dec.V.column(j))):
+                raise NotInSubalgebra(
+                    "mod-2 descent is ambiguous in degree %d (imprimitive weights?)" % degree
+                )
+    return tuple(x % 2 for x in proj.apply(dec.V.apply(y)))
+
+
+def _random_matrix(rng):
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice((0.2, 0.5, 1.0))
+    spread = rng.choice((1, 3, 9))
+    entries = [rng.randint(-spread, spread) if rng.random() < density else 0 for _ in range(m * n)]
+    return IntMatrix(m, n, entries)
+
+
+def test_engine_matches_full_work_reference(monkeypatch):
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(500):
+        A = _random_matrix(rng)
+        x = [rng.randint(-4, 4) for _ in range(A.cols)]
+        rhs = [A.apply(x), [rng.randint(-9, 9) for _ in range(A.rows)]]
+        cases.append((A, rhs, smith_normal_form(A), smith_normal_form(A, with_u=False),
+                      kernel_saturated(A)))
+    monkeypatch.setattr(intlinalg, "_find_pivot", _full_scan_pivot)
+    insoluble = 0
+    for A, rhs, dec, lean, kernel in cases:
+        ref = smith_normal_form(A)
+        assert (dec.U, dec.S, dec.V) == (ref.U, ref.S, ref.V)
+        assert (lean.U, lean.S, lean.V) == (None, ref.S, ref.V)
+        assert kernel == [canonical_sign(ref.V.column(j)) for j in range(ref.rank(), A.cols)]
+        for b in rhs:
+            want = _full_u_solve(ref, b)
+            insoluble += want is None
+            assert solve_with_snf(dec, b) == want
+    assert insoluble > 100
+
+
+def _express_mod2_outcome(express, ring, components, degree):
+    try:
+        return express(ring, components, degree)
+    except NotInSubalgebra as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("which", ["eschenburg", "imprimitive"])
+def test_express_mod2_matches_row_test(which):
+    from test_wjz import product_of_spheres
+
+    g = builtin("eschenburg") if which == "eschenburg" else product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    ring = CohomologyRing(g)
+    sw = equivariant_char_class(g, "stiefel_whitney")
+    rng = random.Random(11)
+    outcomes = set()
+    for d in range(0, ring.dim + 1, 2):
+        basis = ring.gkm_basis(d)
+        inputs = [c.components for c in basis] + [sw.homogeneous_component(d).components]
+        # combinations of basis classes, and each with one vertex moved by a
+        # degree-d monomial, which may leave the mod-2 subalgebra
+        bump = IntPolynomial.variable(g.torus_rank, 0) ** (d // 2)
+        for _ in range(20):
+            c = basis[0] * 0
+            for b in basis:
+                c = c + b * rng.randint(-3, 3)
+            comps = list(c.components)
+            inputs.append(comps)
+            i = rng.randrange(len(comps))
+            inputs.append(comps[:i] + [comps[i] + bump] + comps[i + 1:])
+        for comps in inputs:
+            got = _express_mod2_outcome(CohomologyRing.express_mod2, ring, comps, d)
+            assert got == _express_mod2_outcome(_row_test_express_mod2, ring, comps, d)
+            outcomes.add(got if isinstance(got, str) else "solved")
+    assert "solved" in outcomes
+    assert any("outside" in o for o in outcomes)
+    if which == "imprimitive":
+        assert any("ambiguous" in o for o in outcomes)
