@@ -9,8 +9,12 @@ A/mA by the ideal generated by the polynomial variables, with torsion in
 the quotient treated as a hard error (it violates the freeness hypothesis
 everything else rests on).
 
-CohomologyRing keeps one record per degree, built in one step: the basis
-of A_d, the Smith form of its basis matrix and the quotient (A/mA)_d.
+CohomologyRing keeps one record per degree, built in one step in monomial
+coordinates: the Smith form of A_d's basis matrix, which is the basis, and
+the quotient (A/mA)_d. The ideal generators y_i * b are the columns of the
+degree d-2 basis matrix with their monomials shifted by y_i. Empty matrices
+have an ordinary Smith form, so degree 0, with no ideal generators and an
+r x 0 quotient matrix, takes the same path as every other degree.
 """
 
 from __future__ import annotations
@@ -167,15 +171,14 @@ class RingElement:
 @dataclass
 class GradedBasis:
     """Everything the ring knows about one even degree d. A_d holds y^m * 1
-    for every degree-d monomial m, so it is never 0, and its basis matrix
-    (a column of monomial coefficients per class) has a Smith form."""
+    for every degree-d monomial m, so it is never 0. Its basis matrix
+    `snf.A` has one column of monomial coefficients per class of A_d, and
+    the Betti number b_d is `projection.rows`."""
 
     degree: int
-    classes: list  # Z-basis of A_degree
     snf: SNFDecomposition  # Smith form of the A_degree basis matrix
-    quotient_rank: int
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
-    projection: IntMatrix  # quotient_rank x len(classes), applied to A-coords
+    projection: IntMatrix  # b_d x rank A_degree, applied to A-coords
 
 
 class CohomologyRing:
@@ -211,11 +214,12 @@ class CohomologyRing:
 
     def gkm_basis(self, d):
         """Z-basis of A_d, the degree-d tuples satisfying all edge
-        congruences."""
-        return self.ordinary(d).classes
+        congruences: the columns of its basis matrix, as classes."""
+        matrix = self.ordinary(d).snf.A
+        return [self._vec_to_class(matrix.column(j), d) for j in range(matrix.cols)]
 
     def ordinary(self, d) -> GradedBasis:
-        """The degree-d record: A_d, the Smith form of its basis matrix and
+        """The degree-d record: the Smith form of A_d's basis matrix and
         (A/mA)_d. Building it builds every lower degree, and raises
         TorsionInQuotient if the quotient there has torsion."""
         if d % 2 or d < 0:
@@ -230,51 +234,48 @@ class CohomologyRing:
         qmonos = monomials(self.k, d - 2)
         nm, nq = len(monos), len(qmonos)
         nv, ne = len(g.vertices), len(g.edges)
+        nf = nv * nm
+        ncols = nf + ne * nq
         vidx = {v: i for i, v in enumerate(g.vertices)}
-        ncols = nv * nm + ne * nq
-        mono_pos = {m: j for j, m in enumerate(monos)}
-        rows = []
+        # shift[i][j]: the position of y_i * qmonos[j] among the degree-d monomials
+        pos = {m: j for j, m in enumerate(monos)}
+        shift = [[pos[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in qmonos] for i in range(self.k)]
+        # f_u - f_v - alpha * q_e = 0, one row per edge and degree-d monomial
+        entries = [0] * (ne * nm * ncols)
         for ei, e in enumerate(g.edges):
+            top = ei * nm * ncols
             iu, iv = vidx[e.u], vidx[e.v]
-            # f_u - f_v - alpha * q_e = 0, one row per degree-d monomial
-            alpha = e.weight_at_u
-            block = [[0] * ncols for _ in range(nm)]
             for j in range(nm):
-                block[j][iu * nm + j] += 1
-                block[j][iv * nm + j] -= 1
-            for qj, qm in enumerate(qmonos):
-                for var, coeff in enumerate(alpha):
-                    if not coeff:
-                        continue
-                    prod = list(qm)
-                    prod[var] += 1
-                    row = mono_pos[tuple(prod)]
-                    block[row][nv * nm + ei * nq + qj] -= coeff
-            rows.extend(block)
+                entries[top + j * ncols + iu * nm + j] += 1
+                entries[top + j * ncols + iv * nm + j] -= 1
+            for var, coeff in enumerate(e.weight_at_u):
+                if coeff:
+                    for qj, row in enumerate(shift[var]):
+                        entries[top + row * ncols + nf + ei * nq + qj] -= coeff
         # the f-projection is injective (alpha * q = 0 forces q = 0), so the
         # f-parts of the kernel basis are the columns of A_d's basis matrix
-        kernel = kernel_saturated(IntMatrix(len(rows), ncols, [x for row in rows for x in row]))
-        f_parts = [vec[: nv * nm] for vec in kernel]
-        basis = [self._vec_to_class(f, d) for f in f_parts]
-        r = len(basis)
-        matrix = IntMatrix.from_columns(f_parts)
+        kernel = kernel_saturated(IntMatrix._of(ne * nm, ncols, entries))
+        r = len(kernel)
+        matrix = IntMatrix._of(nf, r, [vec[i] for i in range(nf) for vec in kernel])
         snf = smith_normal_form(matrix)
-        mgens = []
-        if d >= 2:
-            for b in self.gkm_basis(d - 2):
-                for i in range(self.k):
-                    y = IntPolynomial.variable(self.k, i)
-                    mgens.append(FixedPointClass(g, [y * p for p in b.components]))
+        # mA_d is spanned by y_i * b over the basis classes b of A_(d-2); the
+        # order of their A_d coordinates in cols (b outer, i inner) fixes Q
+        # and with it the quotient basis
         cols = []
-        for gen in mgens:
-            x = solve_with_snf(snf, self._class_to_vec(gen, d))
-            if x is None:
-                raise NotInSubalgebra("ideal generator not in the subalgebra lattice (internal error)")
-            cols.append(x)
-        if not cols:
-            return GradedBasis(d, basis, snf, r, list(basis), IntMatrix.identity(r))
-        q = IntMatrix.from_columns(cols)
-        dec = smith_normal_form(q)
+        if d:
+            prev = self.ordinary(d - 2).snf.A
+            for b in range(prev.cols):
+                col = prev.column(b)
+                for s in shift:
+                    vec = [0] * nf
+                    for v in range(nv):
+                        for j, t in enumerate(s):
+                            vec[v * nm + t] = col[v * nq + j]
+                    x = solve_with_snf(snf, vec)
+                    if x is None:
+                        raise NotInSubalgebra("ideal generator not in the subalgebra lattice (internal error)")
+                    cols.append(x)
+        dec = smith_normal_form(IntMatrix._of(r, len(cols), [x[i] for i in range(r) for x in cols]))
         rho = dec.rank()
         for t in range(rho):
             if dec.S.at(t, t) != 1:
@@ -283,14 +284,12 @@ class CohomologyRing:
                     "from a space with vanishing odd cohomology" % (dec.S.at(t, t), d)
                 )
         uinv = dec.U.inverse_unimodular()
-        projection = IntMatrix(
-            r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)]
-        )
+        projection = IntMatrix._of(r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)])
         reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
-        return GradedBasis(d, basis, snf, r - rho, reps, projection)
+        return GradedBasis(d, snf, reps, projection)
 
     def betti(self, d):
-        return self.ordinary(d).quotient_rank
+        return self.ordinary(d).projection.rows
 
     # -- expressing classes ---------------------------------------------------
 
@@ -327,7 +326,7 @@ class CohomologyRing:
         gb = self.ordinary(degree)
         dec, proj = gb.snf, gb.projection
         diag = dec.diagonal()
-        y = [0] * len(gb.classes)
+        y = [0] * dec.A.cols
         for i, (c, d) in enumerate(zip(dec.ranked_rows(vec), diag)):
             if d % 2:
                 y[i] = c % 2
@@ -398,7 +397,8 @@ class GeneratorBasis:
         r = self.ring.betti(d)
         chosen = []
         chosen_cols = []
-        dec = None  # the Smith form of the accepted trial, whose columns are chosen_cols
+        # the Smith form of the accepted trial, whose columns are chosen_cols
+        dec = smith_normal_form(IntMatrix(r, 0, []))
         for m in monomials(len(self.names), d):
             if len(chosen) == r:
                 break
@@ -424,10 +424,6 @@ class GeneratorBasis:
         """Re-express quotient coordinates as a polynomial in the chosen
         generator monomials."""
         chosen, _cols, dec = self._data(elem.degree)
-        if not chosen:
-            if any(elem.coords):
-                raise GeneratorsDoNotSpan("nonzero class in degree %d with empty basis" % elem.degree)
-            return IntPolynomial.zero(len(self.names))
         x = solve_with_snf(dec, list(elem.coords))
         if x is None:
             raise GeneratorsDoNotSpan("class not an integer combination of generator monomials")

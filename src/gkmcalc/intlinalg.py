@@ -12,6 +12,10 @@ since U and V stay invertible mod 2, mod-2 solves read off the same
 transforms. Only det keeps its own (Bareiss) elimination, because the CLI
 prints det psi of each isomorphism and a determinant needs no transforms.
 
+Empty matrices (0xn, mx0) have an ordinary Smith form: the loop finds no
+pivot, so U and V are identities and S has no diagonal. Their rank is 0,
+the kernel of a 0xn matrix is all of Z^n, and no caller special-cases them.
+
 The engine builds only what its caller reads. Kernels and ranks read V or
 S alone, so they ask for no U (`with_u=False`). Solves (`solve_with_snf`
 here, `CohomologyRing.express_mod2` mod 2), the quotient's projection,
@@ -160,8 +164,6 @@ class IntMatrix:
         U*A*V is then the identity, so A^-1 = V*U."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a nonsquare matrix")
-        if self.rows == 0:
-            return self
         dec = smith_normal_form(self)
         if any(d != 1 for d in dec.diagonal()):
             raise DimensionMismatch("matrix is not unimodular")
@@ -216,8 +218,6 @@ def smith_normal_form(A: IntMatrix, *, with_u=True) -> SNFDecomposition:
     absolute value (ties by position), so the output is reproducible.
     """
     m, n = A.rows, A.cols
-    if m == 0 or n == 0:
-        raise DimensionMismatch("Smith normal form of an empty matrix")
     s = A.to_rows()
     u = IntMatrix.identity(m).to_rows() if with_u else None
     v = IntMatrix.identity(n).to_rows()
@@ -297,11 +297,8 @@ def kernel_saturated(A: IntMatrix):
 
     The kernel of an integer matrix is a saturated sublattice, and the
     trailing columns of the Smith V-transform are a basis of it; each basis
-    vector is normalized to have positive leading entry. A matrix with no
-    rows (or no columns) has the unit vectors of Z^cols as its kernel basis.
+    vector is normalized to have positive leading entry.
     """
-    if A.rows == 0 or A.cols == 0:
-        return [IntMatrix.identity(A.cols).row(j) for j in range(A.cols)]
     dec = smith_normal_form(A, with_u=False)
     r = dec.rank()
     return [canonical_sign(dec.V.column(j)) for j in range(r, A.cols)]
@@ -326,8 +323,6 @@ def solve_with_snf(dec: SNFDecomposition, b):
 
 def rank(A: IntMatrix):
     """Rank over the rationals."""
-    if A.rows == 0 or A.cols == 0:
-        return 0
     return smith_normal_form(A, with_u=False).rank()
 
 

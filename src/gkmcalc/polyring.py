@@ -147,7 +147,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bool is an int, and not an exponent
             raise ValueError("exponent must be a nonnegative integer")
         out = IntPolynomial.constant(self.k, 1)
         base = self

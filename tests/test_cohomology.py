@@ -97,7 +97,31 @@ def test_quotient_reps_project_to_unit_vectors(ring):
         gb = ring.ordinary(d)
         for i, rep in enumerate(gb.quotient_reps):
             coords = ring.express(rep, d).coords
-            assert coords == tuple(1 if j == i else 0 for j in range(gb.quotient_rank))
+            assert coords == tuple(1 if j == i else 0 for j in range(gb.projection.rows))
+
+
+@pytest.mark.parametrize("which", ["eschenburg", "imprimitive", "point"])
+def test_ideal_generators_vanish_in_the_quotient(which):
+    from test_wjz import product_of_spheres
+
+    if which == "eschenburg":
+        g = builtin("eschenburg")
+    elif which == "imprimitive":
+        g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    else:
+        g = GKMGraph(2, ["a"], [], signed=True)
+    ring = CohomologyRing(g)
+    for d in (0, 2, 4, 6):
+        A = ring.ordinary(d).snf.A
+        basis = ring.gkm_basis(d)
+        assert [A.column(j) for j in range(A.cols)] == [tuple(ring._class_to_vec(c, d)) for c in basis]
+        if d < 2:
+            continue
+        for b in ring.gkm_basis(d - 2):
+            for i in range(g.torus_rank):
+                y = IntPolynomial.variable(g.torus_rank, i)
+                yb = FixedPointClass(g, [y * p for p in b.components])
+                assert not any(ring.express(yb, d).coords), (which, d, i)
 
 
 def test_invalid_graph_rejected():
@@ -207,7 +231,7 @@ def test_ring_of_is_shared_per_graph(esc):
 
     assert ring_of(esc) is ring_of(esc)
     assert len(ring_of(esc).gkm_basis(4)) == 9
-    assert ring_of(esc).ordinary(2).quotient_rank == 2
+    assert ring_of(esc).ordinary(2).projection.rows == 2
 
 
 def test_snf_of_generator_matrix_unimodular(ring, gens, phi):
@@ -250,6 +274,6 @@ def test_class_power_checks_its_exponent(esc):
     c1 = equivariant_char_class(esc, "chern").homogeneous_component(2)
     assert c1 ** 0 == FixedPointClass.constant(esc, 1)
     assert c1 ** 3 == c1 * c1 * c1
-    for bad in (-1, 2.5):
+    for bad in (-1, 2.5, True, False):
         with pytest.raises(ValueError, match="nonnegative integer"):
             c1 ** bad

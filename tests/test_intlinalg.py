@@ -64,9 +64,18 @@ def test_snf_zero_matrix():
     assert dec.S == IntMatrix.from_rows([[0]])
 
 
-def test_snf_rejects_empty():
-    with pytest.raises(DimensionMismatch):
-        smith_normal_form(IntMatrix(0, 0, []))
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_snf_of_empty_matrices(rows, cols):
+    dec = check_snf(IntMatrix(rows, cols, []))
+    assert (dec.U, dec.V) == (IntMatrix.identity(rows), IntMatrix.identity(cols))
+    assert dec.diagonal() == ()
+
+
+def test_empty_matrix_inverse_and_solve():
+    assert IntMatrix(0, 0, []).inverse_unimodular() == IntMatrix(0, 0, [])
+    dec = smith_normal_form(IntMatrix(3, 0, []))
+    assert solve_with_snf(dec, [0, 0, 0]) == ()
+    assert solve_with_snf(dec, [0, 1, 0]) is None
 
 
 def test_snf_random_matrices():
@@ -286,7 +295,7 @@ def _row_test_express_mod2(ring, components, degree):
 
     vec = [x % 2 for x in ring._class_to_vec(FixedPointClass(ring.graph, components), degree)]
     gb = ring.ordinary(degree)
-    dec, proj, ncols = gb.snf, gb.projection, len(gb.classes)
+    dec, proj, ncols = gb.snf, gb.projection, gb.snf.A.cols
     diag = dec.diagonal()
     y = [0] * ncols
     for i, c in enumerate(dec.U.apply(vec)):

@@ -134,7 +134,7 @@ def degree_records(ring):
     for d in range(0, ring.dim + 1, 2):
         gb = ring.ordinary(d)
         out[str(d)] = {
-            "classes": [c.render() for c in gb.classes],
+            "classes": [c.render() for c in ring.gkm_basis(d)],
             "diagonal": list(gb.snf.diagonal()),
             "quotient_reps": [c.render() for c in gb.quotient_reps],
             "projection": gb.projection.to_rows(),
