@@ -19,21 +19,22 @@ from .errors import (
     NonIntegralLocalizationSum,
     NotInSubalgebra,
 )
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .gkm import GKMGraph
 from .polyring import IntPolynomial
 
 KINDS = ("chern", "pontrjagin", "stiefel_whitney")
 
 
-@dataclass
-class EquivariantTotalClass:
-    kind: str
-    graph: GKMGraph
-    components: tuple  # IntPolynomial per vertex; 0/1 lifts for stiefel_whitney
+class EquivariantTotalClass(FixedPointClass):
+    """A total class of one of KINDS: an IntPolynomial per vertex, 0/1
+    lifts for stiefel_whitney."""
 
-    def homogeneous_component(self, degree) -> FixedPointClass:
-        return FixedPointClass(self.graph, [p.homogeneous_component(degree) for p in self.components])
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str, graph: GKMGraph, components):
+        super().__init__(graph, components)
+        self.kind = kind
 
 
 def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
@@ -111,7 +112,7 @@ def descend(
     for d in range(2, ring.dim + 1, 2):
         if total.kind == "stiefel_whitney":
             coords = stiefel_whitney_coords(ring, total, d)
-            poly = gens.to_poly_mod2(coords, d).render(gens.names) if gens else None
+            poly = gens.to_poly(RingElement(d, coords)).mod2().render(gens.names) if gens else None
         else:
             elem = ring.express(total.homogeneous_component(d), d)
             coords = elem.coords

@@ -254,13 +254,12 @@ def _cmd_integrate(args):
     # addressable symbols: Chern parts c1..cn (signed graphs), Pontrjagin
     # parts p1.., and the named generators when provided
     symbols = {}
-    if g.signed:
-        chern = equivariant_char_class(g, "chern")
-        for j in range(1, g.valence + 1):
-            symbols["c%d" % j] = chern.homogeneous_component(2 * j)
-    pont = equivariant_char_class(g, "pontrjagin")
-    for j in range(1, g.valence // 2 + 1):
-        symbols["p%d" % j] = pont.homogeneous_component(4 * j)
+    for kind in ("chern", "pontrjagin") if g.signed else ("pontrjagin",):
+        total = equivariant_char_class(g, kind)
+        for d in range(2, ring.dim + 1, 2):
+            key = _class_key(kind, d)
+            if key is not None:
+                symbols[key] = total.homogeneous_component(d)
     if gens:
         for name, cls in zip(gens.names, gens.classes):
             symbols[name] = cls

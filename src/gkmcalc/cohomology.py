@@ -34,6 +34,7 @@ from .intlinalg import (
     IntMatrix,
     SNFDecomposition,
     kernel_saturated,
+    saturated,
     smith_normal_form,
     solve_with_snf,
 )
@@ -175,7 +176,6 @@ class GradedBasis:
     `snf.A` has one column of monomial coefficients per class of A_d, and
     the Betti number b_d is `projection.rows`."""
 
-    degree: int
     snf: SNFDecomposition  # Smith form of the A_degree basis matrix
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
     projection: IntMatrix  # b_d x rank A_degree, applied to A-coords
@@ -195,11 +195,7 @@ class CohomologyRing:
 
     def _class_to_vec(self, c: FixedPointClass, d):
         monos = monomials(self.k, d)
-        vec = []
-        for p in c.components:
-            part = p.homogeneous_component(d)
-            vec.extend(part.coefficient(m) for m in monos)
-        return vec
+        return [p.terms.get(m, 0) for p in c.components for m in monos]
 
     def _vec_to_class(self, vec, d):
         monos = monomials(self.k, d)
@@ -286,7 +282,7 @@ class CohomologyRing:
         uinv = dec.U.inverse_unimodular()
         projection = IntMatrix._of(r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)])
         reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
-        return GradedBasis(d, snf, reps, projection)
+        return GradedBasis(snf, reps, projection)
 
     def betti(self, d):
         return self.ordinary(d).projection.rows
@@ -368,6 +364,8 @@ class GeneratorBasis:
     subset of monomials serves as the coordinate basis."""
 
     def __init__(self, ring: CohomologyRing, names, classes):
+        if isinstance(names, str):
+            raise SchemaError("generator names must be a list of names, not the string %r" % names)
         self.ring = ring
         self.names = list(names)
         self.classes = list(classes)
@@ -379,6 +377,8 @@ class GeneratorBasis:
         if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate generator names in %s" % ", ".join(self.names))
         for name, c in zip(self.names, self.classes):
+            if not isinstance(c, FixedPointClass):
+                raise SchemaError("generator %s is %r, not a FixedPointClass" % (name, c))
             if not c.is_homogeneous(2):
                 raise GeneratorsDoNotSpan("generator %s is not homogeneous of degree 2" % name)
             if not is_gkm_class(c):
@@ -397,23 +397,19 @@ class GeneratorBasis:
         r = self.ring.betti(d)
         chosen = []
         chosen_cols = []
-        # the Smith form of the accepted trial, whose columns are chosen_cols
-        dec = smith_normal_form(IntMatrix(r, 0, []))
         for m in monomials(len(self.names), d):
             if len(chosen) == r:
                 break
             p = IntPolynomial(len(self.names), {m: 1})
             col = self.ring.express(evaluate_class_polynomial(self.ring.graph, self.classes, p), d).coords
-            trial = smith_normal_form(IntMatrix.from_columns(chosen_cols + [col]))
-            # a trial has r rows and at most r columns: one diagonal entry each
-            if all(x == 1 for x in trial.diagonal()):
+            if saturated(chosen_cols + [col]):
                 chosen.append(m)
                 chosen_cols.append(col)
-                dec = trial
         if len(chosen) < r:
             raise GeneratorsDoNotSpan(
                 "generators do not span the degree-%d ordinary cohomology over Z" % d
             )
+        dec = smith_normal_form(IntMatrix.from_columns(chosen_cols))
         self._cache[d] = (chosen, chosen_cols, dec)
         return self._cache[d]
 
@@ -428,12 +424,6 @@ class GeneratorBasis:
         if x is None:
             raise GeneratorsDoNotSpan("class not an integer combination of generator monomials")
         return IntPolynomial(len(self.names), {m: c for m, c in zip(chosen, x)})
-
-    def to_poly_mod2(self, coords, degree) -> IntPolynomial:
-        """Mod-2 version of to_poly for Stiefel-Whitney reporting, as the
-        0/1 integer lift: the chosen columns are unimodular, so the integral
-        solve reduces to the mod-2 one."""
-        return self.to_poly(RingElement(degree, coords)).mod2()
 
     def render(self, elem: RingElement) -> str:
         return self.to_poly(elem).render(self.names)

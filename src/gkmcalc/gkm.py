@@ -648,17 +648,13 @@ def _require(d, key, context):
     return d[key]
 
 
-def _require_torus_rank(d, context):
-    return _check_torus_rank(_require(d, "torus_rank", context))
-
-
 def graph_from_json(data) -> GKMGraph:
     if not isinstance(data, dict):
         raise SchemaError("graph document must be a JSON object")
     fmt = _require(data, "format", "graph document")
     if fmt != GRAPH_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, GRAPH_FORMAT))
-    k = _require_torus_rank(data, "graph document")
+    k = _check_torus_rank(_require(data, "torus_rank", "graph document"))
     signed = _require(data, "signed", "graph document")
     vertices = _require(data, "vertices", "graph document")
     if not isinstance(vertices, list):
@@ -700,7 +696,7 @@ def xray_from_json(data) -> XRay:
     fmt = _require(data, "format", "x-ray document")
     if fmt != XRAY_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, XRAY_FORMAT))
-    k = _require_torus_rank(data, "x-ray document")
+    k = _check_torus_rank(_require(data, "torus_rank", "x-ray document"))
     raw_vertices = _require(data, "vertices", "x-ray document")
     if not isinstance(raw_vertices, dict):
         raise SchemaError("x-ray vertices must be an object of coordinate lists")

@@ -16,10 +16,11 @@ Empty matrices (0xn, mx0) have an ordinary Smith form: the loop finds no
 pivot, so U and V are identities and S has no diagonal. Their rank is 0,
 the kernel of a 0xn matrix is all of Z^n, and no caller special-cases them.
 
-The engine builds only what its caller reads. Kernels and ranks read V or
-S alone, so they ask for no U (`with_u=False`). Solves (`solve_with_snf`
-here, `CohomologyRing.express_mod2` mod 2), the quotient's projection,
-`inverse_unimodular` and the isomorphism search read U. A solve needs only
+The engine builds only what its caller reads. Kernels, ranks and the
+saturation test read V or S alone, so they ask for no U (`with_u=False`).
+Solves (`solve_with_snf` here, `CohomologyRing.express_mod2` mod 2), the
+quotient's projection and its representatives (through
+`inverse_unimodular`) and the isomorphism search read U. A solve needs only
 the first rank(S) rows of U*b: the rows past the rank ask that U*b vanish
 there, and since U is invertible that holds exactly when the candidate
 x = V*y solves A*x = b, which is checked on A instead. A tall basis
@@ -326,12 +327,17 @@ def rank(A: IntMatrix):
     return smith_normal_form(A, with_u=False).rank()
 
 
+def saturated(cols):
+    """Whether the columns (no more of them than their length) are
+    independent and span a saturated sublattice: the Smith diagonal of the
+    matrix they form is all ones, as for the leading columns of a
+    unimodular matrix."""
+    return all(d == 1 for d in smith_normal_form(IntMatrix.from_columns(cols), with_u=False).diagonal())
+
+
 def primitive_part(v):
     """v divided by the (positive) gcd of its entries; direction preserved."""
-    v = tuple(int(e) for e in v)
-    g = 0
-    for e in v:
-        g = gcd(g, e)
+    g = gcd_of(v)
     if g == 0:
         raise ZeroVector("primitive part of the zero vector")
     return tuple(e // g for e in v)

@@ -337,6 +337,8 @@ def parse_polynomial(text, names, max_degree=None):
     and parentheses or unary minus signs nested deeper than MAX_NESTING,
     are rejected too.
     """
+    if not isinstance(text, str):
+        raise PolynomialSyntaxError("a polynomial must be a string, got %r" % (text,))
     names = list(names)
     k = len(names)
     index = {n: i for i, n in enumerate(names)}

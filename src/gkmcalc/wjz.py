@@ -17,10 +17,10 @@ import operator
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, ring_of
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
-from .intlinalg import IntMatrix, gcd_of, primitive_part, smith_normal_form
+from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
 
 
 # the largest search bound; at rank 2 its box takes about 2 s
@@ -75,11 +75,6 @@ class Equivalence:
 
 
 @dataclass
-class Found:
-    equivalence: Equivalence
-
-
-@dataclass
 class ProvablyDistinct:
     reason: str
 
@@ -126,7 +121,7 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
     w_coords = stiefel_whitney_coords(ring, equivariant_char_class(graph, "stiefel_whitney"), 2)
     if gens is not None:
-        wpoly = gens.to_poly_mod2(w_coords, 2)
+        wpoly = gens.to_poly(RingElement(2, w_coords)).mod2()
         w = tuple(wpoly.coefficient(m) for m in units)
     else:
         w = tuple(w_coords)
@@ -200,12 +195,6 @@ def _candidate_columns(s1, s2, bound):
     return out
 
 
-def _saturated(cols):
-    """Whether the columns span a saturated sublattice, as the leading
-    columns of a unimodular matrix must."""
-    return all(d == 1 for d in smith_normal_form(IntMatrix.from_columns(cols), with_u=False).diagonal())
-
-
 def _extend(s1, s2, candidates, order, placed):
     """Depth-first search for Phi extending `placed`, a list of (a, column
     a) pairs, with the columns in `order`.
@@ -229,7 +218,7 @@ def _extend(s1, s2, candidates, order, placed):
         if (
             all(_dot(u, v) == t for u, t in linear)
             and all(_dot(q, x) == t for x, t in quadratic)
-            and _saturated([x for _, x in placed] + [v])
+            and saturated([x for _, x in placed] + [v])
         ):
             phi = _extend(s1, s2, candidates, order, placed + [(k, v)])
             if phi is not None:
@@ -263,7 +252,7 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     # placing the columns with the fewest candidates first keeps the tree narrow
     order = sorted(range(s1.rank), key=lambda a: len(candidates[a]))
     phi = _extend(s1, s2, candidates, order, [])
-    return NotFoundWithinBound(bound) if phi is None else Found(Equivalence(phi))
+    return NotFoundWithinBound(bound) if phi is None else Equivalence(phi)
 
 
 @dataclass
@@ -279,21 +268,16 @@ class DiffeoVerdict:
 
 def phi_from_graph_iso(g1, g2, iso):
     """The equivalence of invariant systems a signed graph isomorphism
-    induces: transport the degree-2 basis of g2 back through (phi, psi),
-    express it in g1's basis, and invert."""
-    ring1, ring2 = ring_of(g1), ring_of(g2)
-    mapping = iso.mapping()
-    psi_inv = iso.psi.inverse_unimodular()
-    basis2 = ring2.ordinary(2).quotient_reps
+    induces: carry each degree-2 basis class of g1 onto g2 through (phi,
+    psi) and express it in g2's basis; those coordinates are the columns
+    of Phi."""
+    ring2 = ring_of(g2)
+    preimage = {w: v for v, w in iso.mapping().items()}
     cols = []
-    for cls in basis2:
-        comps = []
-        for v in g1.vertices:
-            comps.append(cls.component(mapping[v]).linear_substitute(psi_inv))
-        transported = FixedPointClass(g1, comps)
-        cols.append(ring1.express(transported, 2).coords)
-    c = IntMatrix.from_columns(cols)
-    return Equivalence(c.inverse_unimodular())
+    for cls in ring_of(g1).ordinary(2).quotient_reps:
+        comps = [cls.component(preimage[u]).linear_substitute(iso.psi) for u in g2.vertices]
+        cols.append(ring2.express(FixedPointClass(g2, comps), 2).coords)
+    return Equivalence(IntMatrix.from_columns(cols))
 
 
 def diffeo_verdict(
@@ -343,7 +327,7 @@ def diffeo_verdict(
     outcome = are_equivalent(s1, s2, bound) if reversible or not isos else None
     note = ""
     if reversible:
-        if isinstance(outcome, Found):
+        if isinstance(outcome, Equivalence):
             note = "systems also equivalent after reversing the second orientation"
         elif isinstance(outcome, ProvablyDistinct):
             note = "orientation-reversed systems provably distinct (%s)" % outcome.reason
@@ -356,8 +340,8 @@ def diffeo_verdict(
             raise AssertionError("transported basis failed to verify the equivalence equations")
         status = "diffeomorphic"
         reason = "signed GKM graphs are isomorphic (strong witness); induced equivalence verified"
-    elif isinstance(outcome, Found):
-        status, phi = "diffeomorphic", outcome.equivalence.phi
+    elif isinstance(outcome, Equivalence):
+        status, phi = "diffeomorphic", outcome.phi
         reason = "systems of invariants are equivalent"
     elif isinstance(outcome, ProvablyDistinct):
         status = "provably_distinct"

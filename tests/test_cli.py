@@ -473,6 +473,17 @@ def test_more_generator_names_than_b2_is_an_error(tmp_path):
     assert "rank-2 H^2" in proc.stderr
 
 
+def test_torsion_graph_is_an_error_not_a_traceback(tmp_path):
+    from test_cohomology import torsion_graph
+
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(torsion_graph().to_json()))
+    proc = gkm_process("cohomology", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "A/mA has 6-torsion in degree 6" in proc.stderr
+
+
 def test_deeply_nested_graph_file_is_an_error_not_a_traceback(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(_DEEP_JSON)

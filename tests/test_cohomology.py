@@ -9,10 +9,10 @@ from gkmcalc.cohomology import (
     evaluate_class_polynomial,
     is_gkm_class,
 )
-from gkmcalc.errors import GeneratorsDoNotSpan, InvalidGraph, NotInSubalgebra
+from gkmcalc.errors import GeneratorsDoNotSpan, InvalidGraph, NotInSubalgebra, SchemaError, TorsionInQuotient
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, smith_normal_form
-from gkmcalc.polyring import IntPolynomial, parse_polynomial
+from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
 
 VALID_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
 XX = ["X1", "X2"]
@@ -211,6 +211,37 @@ def test_generator_basis_rejects_wrong_degree(ring, esc):
     c = FixedPointClass.constant(esc, 1)
     with pytest.raises(GeneratorsDoNotSpan):
         GeneratorBasis(ring, ["bad"], [c])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda esc, ring, phi: parse_polynomial(5, ["Y1", "Y2"]), PolynomialSyntaxError),
+     (lambda esc, ring, phi: FixedPointClass.from_strings(esc, {v: 5 for v in esc.vertices}), PolynomialSyntaxError),
+     (lambda esc, ring, phi: GeneratorBasis(ring, "XY", [phi["X1"], phi["X2"]]), SchemaError),
+     (lambda esc, ring, phi: GeneratorBasis(ring, XX, [1, 2]), SchemaError)],
+    ids=["integer-polynomial", "integer-component", "string-names", "integer-classes"],
+)
+def test_entry_points_reject_wrong_types_with_a_named_error(esc, ring, phi, call, error):
+    with pytest.raises(error):
+        call(esc, ring, phi)
+
+
+# A valid GKM graph on K4 whose quotient A/mA has torsion in the top degree,
+# so it cannot come from a space with vanishing odd cohomology.
+TORSION_EDGES = [("v0", "v1", (1, 0)), ("v1", "v2", (-2, 4)), ("v2", "v3", (-1, 0)), ("v3", "v0", (-1, -1)),
+                 ("v0", "v2", (0, -3)), ("v1", "v3", (3, -3))]
+
+
+def torsion_graph():
+    return GKMGraph(2, ["v0", "v1", "v2", "v3"], TORSION_EDGES, signed=False)
+
+
+def test_torsion_in_the_quotient_is_a_named_error():
+    ring = CohomologyRing(torsion_graph())
+    assert ring.betti(4) == 3
+    for call in (ring.betti, ring.gkm_basis):
+        with pytest.raises(TorsionInQuotient, match="A/mA has 6-torsion in degree 6"):
+            call(6)
 
 
 def test_mod2_descent_of_even_class(ring, esc, phi):

@@ -1,21 +1,22 @@
+import importlib.util
 import itertools
 import operator
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
 from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
 from gkmcalc.errors import GeneratorsDoNotSpan, NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra, SchemaError
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms, graph_from_json
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.wjz import (
     MAX_BOUND,
     Equivalence,
-    Found,
     InvariantSystem,
     NotFoundWithinBound,
     ProvablyDistinct,
@@ -89,15 +90,15 @@ def test_systems_of_all_builtins_pairwise_equivalent():
     for a in names:
         for b in names:
             out = are_equivalent(systems[a], systems[b], 10)
-            assert isinstance(out, Found), (a, b)
-            assert out.equivalence.verify(systems[a], systems[b])
+            assert isinstance(out, Equivalence), (a, b)
+            assert out.verify(systems[a], systems[b])
 
 
 def test_equivalence_identity():
     s = eschenburg_system()
     out = are_equivalent(s, s, 3)
-    assert isinstance(out, Found)
-    assert out.equivalence.verify(s, s)
+    assert isinstance(out, Equivalence)
+    assert out.verify(s, s)
 
 
 def test_doubled_p_provably_distinct():
@@ -139,7 +140,7 @@ def test_not_found_within_bound_is_inconclusive():
 def test_reversed_orientation_equivalent_via_minus_identity():
     s = eschenburg_system()
     out = are_equivalent(s, s.reversed_orientation(), 2)
-    assert isinstance(out, Found)
+    assert isinstance(out, Equivalence)
     minus = Equivalence(IntMatrix.from_rows([[-1, 0], [0, -1]]))
     assert minus.verify(s, s.reversed_orientation())
 
@@ -188,14 +189,39 @@ def test_verdict_swapped_orientations():
         assert v.phi is not None
 
 
+def _load_families():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def backward_transport(g1, g2, iso):
+    """The inverse of Phi, built the other way round: g2's degree-2 basis
+    carried back to g1 through (phi, psi^-1), in g1's coordinates."""
+    ring1, ring2 = CohomologyRing(g1), CohomologyRing(g2)
+    mapping = iso.mapping()
+    psi_inv = iso.psi.inverse_unimodular()
+    cols = []
+    for cls in ring2.ordinary(2).quotient_reps:
+        comps = [cls.component(mapping[v]).linear_substitute(psi_inv) for v in g1.vertices]
+        cols.append(ring1.express(FixedPointClass(g1, comps), 2).coords)
+    return IntMatrix.from_columns(cols)
+
+
 def test_invariant_system_naturality():
-    for a, b in (("tolman", "eschenburg"), ("eschenburg", "eschenburg")):
-        g1, g2 = builtin(a), builtin(b)
+    families = _load_families()
+    surface = families.surface_x_cp1(4)
+    pairs = [(builtin("tolman"), builtin("eschenburg")), (builtin("eschenburg"), builtin("eschenburg")),
+             (surface, graph_from_json(families.disguise(surface, random.Random(0))))]
+    for g1, g2 in pairs:
         s1 = invariant_system(g1)
         s2 = invariant_system(g2)
         for iso in find_isomorphisms(g1, g2, signed=True):
             eq = phi_from_graph_iso(g1, g2, iso)
-            assert eq.verify(s1, s2), (a, b)
+            assert eq.verify(s1, s2), (g1.name, g2.name)
+            assert eq.phi * backward_transport(g1, g2, iso) == IntMatrix.identity(s1.rank)
 
 
 def product_of_spheres(weights):
@@ -322,7 +348,7 @@ def brute_force_outcome(s1, s2, bound):
     r = s1.rank
     for entries in itertools.product(range(-bound, bound + 1), repeat=r * r):
         if Equivalence(IntMatrix(r, r, entries)).verify(s1, s2):
-            return Found
+            return Equivalence
     return NotFoundWithinBound
 
 
@@ -337,8 +363,8 @@ def relabelled(g):
 def assert_matches_brute_force(s1, s2, bound):
     out = are_equivalent(s1, s2, bound)
     assert type(out) is brute_force_outcome(s1, s2, bound)
-    if isinstance(out, Found):
-        assert out.equivalence.verify(s1, s2)
+    if isinstance(out, Equivalence):
+        assert out.verify(s1, s2)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
@@ -362,14 +388,14 @@ def test_search_matches_brute_force_on_rank_3():
 def test_search_matches_brute_force_on_rank_0():
     s = InvariantSystem(0, (), (), ())
     assert_matches_brute_force(s, s, 0)
-    assert are_equivalent(s, s, 0).equivalence.phi == IntMatrix(0, 0, [])
+    assert are_equivalent(s, s, 0).phi == IntMatrix(0, 0, [])
 
 
 # Before the column-by-column search this verdict enumerated 21^9 matrices
 # for the orientation-reversed comparison and never finished.
 FORMER_WALL = """
 from test_wjz import product_of_spheres, relabelled
-from gkmcalc.wjz import Found, are_equivalent, diffeo_verdict, invariant_system
+from gkmcalc.wjz import Equivalence, are_equivalent, diffeo_verdict, invariant_system
 
 g = product_of_spheres([(1, 0), (0, 1), (1, 1)])
 h = relabelled(g)
@@ -380,7 +406,7 @@ for a, b in ((g, h), (h, g)):
     s1, s2 = invariant_system(a), invariant_system(b)
     for target in (s2, s2.reversed_orientation()):
         out = are_equivalent(s1, target, 10)
-        assert isinstance(out, Found) and out.equivalence.verify(s1, target)
+        assert isinstance(out, Equivalence) and out.verify(s1, target)
 print("ok")
 """
 
