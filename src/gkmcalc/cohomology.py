@@ -1,26 +1,48 @@
 """Degree-wise equivariant cohomology of a GKM graph.
 
 The subalgebra A of tuples over the fixed points satisfying the edge
-congruences (f_u - f_v divisible by the edge weight) is computed one even
-degree at a time by pure integer linear algebra: divisibility along an
-edge is encoded with auxiliary quotient unknowns and the solution lattice
-extracted as a saturated kernel. The ordinary cohomology is the quotient
-A/mA by the ideal generated by the polynomial variables, with torsion in
-the quotient treated as a hard error (it violates the freeness hypothesis
-everything else rests on).
+congruences (f_u - f_v divisible by the edge weight) is a free module over
+Z[y], and the ordinary cohomology is the quotient A/mA by the ideal the
+polynomial variables generate. CohomologyRing keeps one record per degree
+(GradedBasis): a basis matrix of A_d in monomial coordinates, classes that
+project to a basis of (A/mA)_d, and the projection. It builds them on one
+of two paths, chosen once per ring from the graph alone (`ring.path`).
 
-CohomologyRing keeps one record per degree, built in one step in monomial
-coordinates: the Smith form of A_d's basis matrix, which is the basis, and
-the quotient (A/mA)_d. The ideal generators y_i * b are the columns of the
-degree d-2 basis matrix with their monomials shifted by y_i. Empty matrices
-have an ordinary Smith form, so degree 0, with no ideal generators and an
-r x 0 quotient matrix, takes the same path as every other degree.
+Flow-up path (Guillemin-Zara 2001, Goldin-Tolman 2009). A generic xi
+orients every edge by the sign of <w, xi> at one end; when the orientation
+is acyclic, the vertices are sorted topologically and lambda_p counts the
+down-edges at p. The flow-up class tau_p vanishes before p, is e_p^- (the
+product of p's down-weights) at p, and at each later vertex q solves
+f = tau_p(r) mod alpha_qr over q's down-edges, a small integer system
+with one Smith form per (q, degree). Every edge is checked once, at its
+upper end, so each tau_p is a GKM class. The certificate that the tau_p
+are a Z[y]-basis of A: for x in A, let p be its first nonzero vertex; x
+vanishes at p's lower neighbours, so each down-weight divides x(p), and
+primitive, pairwise independent linear forms are coprime primes of Z[y],
+so e_p^- divides x(p) and x - (x(p)/e_p^-) tau_p vanishes at p too. Then
+A_d has the basis y^m tau_p (2 lambda_p <= d), b_d = #{p : 2 lambda_p = d},
+the quotient reps are the tau_p of index d/2, and `express` peels by exact
+division. Modulo 2 a primitive weight stays nonzero, so `express_mod2`
+peels the same way over F_2.
+
+Kernel path, for every graph the flow-up path does not cover (unsigned
+graphs, an imprimitive weight, no generic acyclic xi on the fixed list, or
+a local solve without an integral answer): divisibility along an edge is
+encoded with auxiliary quotient unknowns and the solution lattice
+extracted as a saturated kernel. The ideal generators y_i * b are the
+columns of the degree d-2 basis matrix with their monomials shifted by
+y_i, and torsion in the quotient is a hard error (it violates the
+freeness hypothesis everything else rests on). Empty matrices have an
+ordinary Smith form, so degree 0, with no ideal generators and an r x 0
+quotient matrix, takes the same path as every other degree.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -32,8 +54,8 @@ from .errors import (
 from .gkm import GKMGraph
 from .intlinalg import (
     IntMatrix,
-    SNFDecomposition,
     kernel_saturated,
+    primitive_part,
     saturated,
     smith_normal_form,
     solve_with_snf,
@@ -173,12 +195,128 @@ class RingElement:
 class GradedBasis:
     """Everything the ring knows about one even degree d. A_d holds y^m * 1
     for every degree-d monomial m, so it is never 0. Its basis matrix
-    `snf.A` has one column of monomial coefficients per class of A_d, and
-    the Betti number b_d is `projection.rows`."""
+    `basis` has one column of monomial coefficients (vertex-major, in
+    `monomials` order) per basis class of A_d; `projection` maps
+    coordinates in those columns to (A/mA)_d, and the Betti number b_d is
+    `projection.rows`."""
 
-    snf: SNFDecomposition  # Smith form of the A_degree basis matrix
+    basis: IntMatrix  # the A_degree basis matrix
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
     projection: IntMatrix  # b_d x rank A_degree, applied to A-coords
+
+
+# xi on a fixed list: the prefix of _XI of torus-rank length, then the
+# powers of 1009, which pair to nonzero with every weight whose entries
+# all lie below 504 in absolute value
+_XI = (1, 7, 53, 379, 2719)
+
+
+def _directions(k):
+    return ([_XI[:k]] if k <= len(_XI) else []) + [tuple(1009**i for i in range(k))]
+
+
+def _orient(g, xi):
+    """(topological order, down-edges) of the orientation of g by the sign
+    of <w, xi>, by vertex index, or None when xi is orthogonal to a weight
+    or the orientation has a cycle. An edge is a down-edge at the end where
+    <w, xi> < 0; down[p] lists (lower neighbour, weight at p) in edge
+    order, and Kahn's algorithm breaks ties by vertex index."""
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices)
+    down = [[] for _ in range(n)]
+    up = [[] for _ in range(n)]
+    for e in g.edges:
+        s = sum(map(operator.mul, e.weight_at_u, xi))
+        if not s:
+            return None
+        u, v = vidx[e.u], vidx[e.v]
+        hi, lo, w = (u, v, e.weight_at_u) if s < 0 else (v, u, e.weight_at_v)
+        down[hi].append((lo, w))
+        up[lo].append(hi)
+    waiting = [len(d) for d in down]
+    ready = [p for p in range(n) if not waiting[p]]
+    order = []
+    while ready:
+        p = min(ready)
+        ready.remove(p)
+        order.append(p)
+        for q in up[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                ready.append(q)
+    return (order, down) if len(order) == n else None
+
+
+class _FlowUp:
+    """Flow-up classes under one acyclic orientation, by vertex index: the
+    topological order, each vertex's down-edges as (lower neighbour,
+    weight at the vertex), so lambda_p = len(down[p]), and
+    tau[p] = {q: tau_p(q)} over the support of tau_p."""
+
+    __slots__ = ("order", "down", "tau")
+
+    def __init__(self, order, down, tau):
+        self.order, self.down, self.tau = order, down, tau
+
+
+def _flow_up(g):
+    """The flow-up classes of g, or None when the flow-up path does not
+    apply (see the module docstring)."""
+    k = g.torus_rank
+    if not g.signed or any(primitive_part(e.weight_at_u) != e.weight_at_u for e in g.edges):
+        return None
+    for xi in _directions(k):
+        if (oriented := _orient(g, xi)) is not None:
+            break
+    else:
+        return None
+    order, down = oriented
+    systems = {}
+
+    def local_solve(q, d, values):
+        """Some f of degree d with f - alpha_qr * g_r = values[r] over q's
+        down-edges, or None; one Smith form per (q, d)."""
+        if (q, d) not in systems:
+            monos, qmonos = monomials(k, d), monomials(k, d - 2)
+            nm, nq, n = len(monos), len(qmonos), len(down[q])
+            pos = {m: j for j, m in enumerate(monos)}
+            ncols = nm + n * nq
+            entries = [0] * (n * nm * ncols)
+            for i, (_, w) in enumerate(down[q]):
+                top = i * nm * ncols
+                for j in range(nm):
+                    entries[top + j * ncols + j] = 1
+                for var, coeff in enumerate(w):
+                    if coeff:
+                        for qj, m in enumerate(qmonos):
+                            row = pos[m[:var] + (m[var] + 1,) + m[var + 1 :]]
+                            entries[top + row * ncols + nm + i * nq + qj] -= coeff
+            systems[q, d] = (smith_normal_form(IntMatrix._of(n * nm, ncols, entries)), monos)
+        dec, monos = systems[q, d]
+        x = solve_with_snf(dec, [v.terms.get(m, 0) if v else 0 for v in values for m in monos])
+        return None if x is None else IntPolynomial(k, dict(zip(monos, x)))  # f is x[:nm]
+
+    tau = {}
+    for i, p in enumerate(order):
+        e = IntPolynomial.constant(k, 1)
+        for _, w in down[p]:
+            e = e * IntPolynomial.linear_form(w)
+        cls = {p: e}
+        for q in order[i + 1 :]:
+            values = [cls.get(r) for r, _ in down[q]]
+            if any(values):
+                f = local_solve(q, 2 * len(down[p]), values)
+                if f is None:
+                    return None
+                if f:
+                    cls[q] = f
+        tau[p] = cls
+    return _FlowUp(order, down, tau)
+
+
+def _check_degree(d):
+    if d % 2 or d < 0:
+        raise ValueError("cohomological degrees are even and nonnegative")
 
 
 class CohomologyRing:
@@ -190,6 +328,16 @@ class CohomologyRing:
         self.k = graph.torus_rank
         self.dim = 2 * graph.valence
         self._gkm = {}
+        self._snf = {}  # kernel path: the Smith form of each basis matrix
+
+    @cached_property
+    def _flow(self):
+        return _flow_up(self.graph)
+
+    @property
+    def path(self):
+        """"flow-up" or "kernel": how this ring builds its records."""
+        return "kernel" if self._flow is None else "flow-up"
 
     # -- raw monomial coordinates ------------------------------------------
 
@@ -211,18 +359,46 @@ class CohomologyRing:
     def gkm_basis(self, d):
         """Z-basis of A_d, the degree-d tuples satisfying all edge
         congruences: the columns of its basis matrix, as classes."""
-        matrix = self.ordinary(d).snf.A
+        matrix = self.ordinary(d).basis
         return [self._vec_to_class(matrix.column(j), d) for j in range(matrix.cols)]
 
     def ordinary(self, d) -> GradedBasis:
-        """The degree-d record: the Smith form of A_d's basis matrix and
-        (A/mA)_d. Building it builds every lower degree, and raises
+        """The degree-d record: A_d's basis matrix and (A/mA)_d. On the
+        kernel path, building it builds every lower degree, and raises
         TorsionInQuotient if the quotient there has torsion."""
-        if d % 2 or d < 0:
-            raise ValueError("cohomological degrees are even and nonnegative")
+        _check_degree(d)
         if d not in self._gkm:
-            self._gkm[d] = self._compute(d)
+            self._gkm[d] = self._compute(d) if self._flow is None else self._flow_record(d)
         return self._gkm[d]
+
+    def _flow_record(self, d):
+        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in topological
+        order and m in `monomials` order; the reps are the tau_p with
+        2 lambda_p = d, and the projection selects their coefficients."""
+        fu, k = self._flow, self.k
+        nv = len(self.graph.vertices)
+        monos = monomials(k, d)
+        nm = len(monos)
+        pos = {m: j for j, m in enumerate(monos)}
+        zero = IntPolynomial.zero(k)
+        cols, selected, reps = [], [], []
+        for p in fu.order:
+            rest = d - 2 * len(fu.down[p])
+            if rest < 0:
+                continue
+            if rest == 0:
+                selected.append(len(cols))
+                reps.append(FixedPointClass(self.graph, [fu.tau[p].get(q, zero) for q in range(nv)]))
+            for m in monomials(k, rest):
+                vec = [0] * (nv * nm)
+                for q, f in fu.tau[p].items():
+                    for e, c in f.terms.items():
+                        vec[q * nm + pos[tuple(map(operator.add, e, m))]] = c
+                cols.append(vec)
+        r = len(cols)
+        basis = IntMatrix._of(nv * nm, r, [vec[i] for i in range(nv * nm) for vec in cols])
+        projection = IntMatrix._of(len(selected), r, [int(j == t) for t in selected for j in range(r)])
+        return GradedBasis(basis, reps, projection)
 
     def _compute(self, d):
         g = self.graph
@@ -253,13 +429,13 @@ class CohomologyRing:
         kernel = kernel_saturated(IntMatrix._of(ne * nm, ncols, entries))
         r = len(kernel)
         matrix = IntMatrix._of(nf, r, [vec[i] for i in range(nf) for vec in kernel])
-        snf = smith_normal_form(matrix)
+        snf = self._snf[d] = smith_normal_form(matrix)
         # mA_d is spanned by y_i * b over the basis classes b of A_(d-2); the
         # order of their A_d coordinates in cols (b outer, i inner) fixes Q
         # and with it the quotient basis
         cols = []
         if d:
-            prev = self.ordinary(d - 2).snf.A
+            prev = self.ordinary(d - 2).basis
             for b in range(prev.cols):
                 col = prev.column(b)
                 for s in shift:
@@ -282,12 +458,40 @@ class CohomologyRing:
         uinv = dec.U.inverse_unimodular()
         projection = IntMatrix._of(r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)])
         reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
-        return GradedBasis(snf, reps, projection)
+        return GradedBasis(matrix, reps, projection)
 
     def betti(self, d):
         return self.ordinary(d).projection.rows
 
     # -- expressing classes ---------------------------------------------------
+
+    def _peel(self, components, degree, mod2):
+        """Quotient coordinates of a degree-`degree` tuple on the flow-up
+        path, over F_2 when mod2: at the first nonzero vertex p, divide
+        x(p) by e_p^- exactly, subtract that multiple of tau_p, repeat. The
+        constant quotients at 2 lambda_p = degree are the coordinates. None
+        on an inexact division, which proves x is not in A."""
+        fu, k, s = self._flow, self.k, degree // 2
+        # the degree-d part, as term dicts updated in place
+        x = [{e: c % 2 if mod2 else c for e, c in p.terms.items() if sum(e) == s} for p in components]
+        coords = []
+        for p in fu.order:
+            h = IntPolynomial(k, x[p])
+            if h:
+                for _, w in fu.down[p]:
+                    h = divide_by_linear(h, IntPolynomial.linear_form(w), mod2)
+                    if h is None:
+                        return None
+                for q, f in fu.tau[p].items():
+                    xq = x[q]
+                    for e1, c1 in h.terms.items():
+                        for e2, c2 in f.terms.items():
+                            e = tuple(map(operator.add, e1, e2))
+                            v = xq.get(e, 0) - c1 * c2
+                            xq[e] = v % 2 if mod2 else v
+            if 2 * len(fu.down[p]) == degree:
+                coords.append(h.coefficient((0,) * k))
+        return tuple(coords)
 
     def express(self, c: FixedPointClass, degree=None) -> RingElement:
         """Image of a homogeneous subalgebra class in (A/mA)_degree."""
@@ -295,42 +499,56 @@ class CohomologyRing:
             degree = c.degree()
             if degree is None:
                 raise ValueError("class is not homogeneous; pass a degree")
-        gb = self.ordinary(degree)
-        x = solve_with_snf(gb.snf, self._class_to_vec(c, degree))
-        if x is None:
+        _check_degree(degree)
+        if self._flow is not None:
+            coords = self._peel(c.components, degree, False)
+        else:
+            gb = self.ordinary(degree)
+            x = solve_with_snf(self._snf[degree], self._class_to_vec(c, degree))
+            coords = None if x is None else gb.projection.apply(x)
+        if coords is None:
             raise NotInSubalgebra(
                 "class of degree %d violates the edge congruences or the "
                 "lattice structure" % degree
             )
-        return RingElement(degree, gb.projection.apply(x))
+        return RingElement(degree, coords)
 
     def express_mod2(self, components, degree):
         """Mod-2 quotient coordinates of a mod-2 tuple of the given degree.
 
         components: one IntPolynomial per vertex, any integer lift of the
-        mod-2 tuple; only its degree-d part, reduced mod 2, is read. Solves
-        against the mod-2 reduction of the integral basis, read off its
-        Smith form U*M*V = S (U and V stay invertible mod 2). M has full
-        column rank, so S has one nonzero diagonal entry per basis class:
-        rows of U*b at odd diagonal entries are solved, those at even ones
-        must be even, and M*x = b mod 2 stands in for the rows past the
-        rank. The V-columns at even diagonal entries span the mod-2 kernel;
-        a kernel vector with a nonzero image (possible only when some
-        weight is imprimitive) makes the answer ambiguous and raises.
+        mod-2 tuple; only its degree-d part, reduced mod 2, is read. The
+        flow-up path peels over F_2. The kernel path solves against the
+        mod-2 reduction of the integral basis, read off its Smith form
+        U*M*V = S (U and V stay invertible mod 2). M has full column rank,
+        so S has one nonzero diagonal entry per basis class: rows of U*b at
+        odd diagonal entries are solved, those at even ones must be even,
+        and M*x = b mod 2 stands in for the rows past the rank. The
+        V-columns at even diagonal entries span the mod-2 kernel; a kernel
+        vector with a nonzero image (possible only when some weight is
+        imprimitive) makes the answer ambiguous and raises.
         """
-        vec = [x % 2 for x in self._class_to_vec(FixedPointClass(self.graph, components), degree)]
-        gb = self.ordinary(degree)
-        dec, proj = gb.snf, gb.projection
+        _check_degree(degree)
+        tup = FixedPointClass(self.graph, components)
+        outside = NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+        if self._flow is not None:
+            coords = self._peel(tup.components, degree, True)
+            if coords is None:
+                raise outside
+            return coords
+        vec = [x % 2 for x in self._class_to_vec(tup, degree)]
+        proj = self.ordinary(degree).projection
+        dec = self._snf[degree]
         diag = dec.diagonal()
         y = [0] * dec.A.cols
         for i, (c, d) in enumerate(zip(dec.ranked_rows(vec), diag)):
             if d % 2:
                 y[i] = c % 2
             elif c % 2:
-                raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+                raise outside
         sol = dec.V.apply(y)
         if any((a - b) % 2 for a, b in zip(dec.A.apply(sol), vec)):
-            raise NotInSubalgebra("mod-2 class outside the mod-2 subalgebra in degree %d" % degree)
+            raise outside
         for j, d in enumerate(diag):
             if d % 2 == 0:
                 if any(x % 2 for x in proj.apply(dec.V.column(j))):

@@ -226,14 +226,17 @@ class IntPolynomial:
         return "IntPolynomial(%r)" % self.render()
 
 
-def divide_by_linear(p, ell):
-    """Exact quotient p / ell over Z[Y1..Yk], or None.
+def divide_by_linear(p, ell, mod2=False):
+    """Exact quotient p / ell over Z[Y1..Yk], or None; over F_2[Y1..Yk]
+    when mod2, with 0/1 lifts in and out.
 
-    ell must be a nonzero homogeneous linear form (cohomological degree 2).
-    Division proceeds by cancelling leading terms in a lex order that puts
-    ell's pivot variable first; any step where the leading coefficient is
-    not divisible proves inexactness.
+    ell must be a nonzero homogeneous linear form (cohomological degree 2),
+    nonzero mod 2 when mod2. Division proceeds by cancelling leading terms
+    in a lex order that puts ell's pivot variable first; any step where the
+    leading coefficient is not divisible proves inexactness.
     """
+    if mod2:
+        p, ell = p.mod2(), ell.mod2()
     if ell.is_zero() or not ell.is_homogeneous(2):
         raise ValueError("divisor must be a nonzero linear form")
     pivot = None
@@ -262,6 +265,8 @@ def divide_by_linear(p, ell):
         for exps, cc in ell.terms.items():
             e = tuple(a + b for a, b in zip(qexps, exps))
             nv = rem.get(e, 0) - qc * cc
+            if mod2:
+                nv %= 2
             if nv:
                 rem[e] = nv
             else:

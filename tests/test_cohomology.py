@@ -112,7 +112,7 @@ def test_ideal_generators_vanish_in_the_quotient(which):
         g = GKMGraph(2, ["a"], [], signed=True)
     ring = CohomologyRing(g)
     for d in (0, 2, 4, 6):
-        A = ring.ordinary(d).snf.A
+        A = ring.ordinary(d).basis
         basis = ring.gkm_basis(d)
         assert [A.column(j) for j in range(A.cols)] == [tuple(ring._class_to_vec(c, d)) for c in basis]
         if d < 2:

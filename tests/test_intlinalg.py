@@ -295,7 +295,7 @@ def _row_test_express_mod2(ring, components, degree):
 
     vec = [x % 2 for x in ring._class_to_vec(FixedPointClass(ring.graph, components), degree)]
     gb = ring.ordinary(degree)
-    dec, proj, ncols = gb.snf, gb.projection, gb.snf.A.cols
+    dec, proj, ncols = smith_normal_form(gb.basis), gb.projection, gb.basis.cols
     diag = dec.diagonal()
     y = [0] * ncols
     for i, c in enumerate(dec.U.apply(vec)):

@@ -116,6 +116,15 @@ def test_divide_inexact_is_none():
     assert divide_by_linear(P("Y1^2"), P("2*Y1")) is None
 
 
+def test_divide_mod2():
+    # 3*Y1^2 + Y1*Y2 = Y1 * (Y1 + 3*Y2) over F_2 only
+    assert divide_by_linear(P("3*Y1^2 + Y1*Y2"), P("Y1 + 3*Y2")) is None
+    assert divide_by_linear(P("3*Y1^2 + Y1*Y2"), P("Y1 + 3*Y2"), mod2=True) == P("Y1")
+    with pytest.raises(ValueError):
+        divide_by_linear(P("Y1"), P("2*Y1"), mod2=True)
+    assert divide_by_linear(P("Y1 + Y2"), P("Y2"), mod2=True) is None
+
+
 def test_divide_rejects_bad_divisor():
     with pytest.raises(ValueError):
         divide_by_linear(P("Y1"), IntPolynomial.zero(2))

@@ -1,9 +1,13 @@
+import copy
 import importlib.util
 import json
 import time
 from pathlib import Path
 
 import pytest
+
+from gkmcalc.cohomology import FixedPointClass
+from gkmcalc.gkm import builtin
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
 CASES = "eschenburg,cp2~1,s2cubed2"
@@ -44,6 +48,52 @@ def test_sweep_of_three_graphs_compares(sweep, tmp_path, capsys):
     b.write_text(json.dumps(doc))
     assert sweep.main(["--compare", str(a), str(b)]) == 1
     assert "basis-independent record eschenburg/betti differs" in capsys.readouterr().out
+
+
+T = [[1, 0], [1, 1]]  # coords in the old basis = T * coords in the new one
+
+
+def _in_new_basis(x):
+    """T^-1 * x."""
+    return [x[0], x[1] - x[0]]
+
+
+def rewritten(rec, graph):
+    """The basis-dependent records of a case with b_2 = 2, rewritten in the
+    degree-2 quotient basis T carries to the old one."""
+    dep = copy.deepcopy(rec["dependent"])
+    deg = dep["degrees"]["2"]
+    r0, r1 = (FixedPointClass.from_strings(graph, c) for c in deg["quotient_reps"])
+    deg["quotient_reps"] = [(r0 + r1).render(), r1.render()]
+    deg["projection"] = [list(col) for col in zip(*(_in_new_basis(col) for col in zip(*deg["projection"])))]
+    for kind, parts in dep["coords"].items():
+        parts[0] = [x % 2 for x in _in_new_basis(parts[0])] if kind == "stiefel_whitney" else _in_new_basis(parts[0])
+    s, r = dep["system"], range(2)
+    s["mu"] = [[[sum(T[i][a] * T[j][b] * T[l][c] * s["mu"][i][j][l] for i in r for j in r for l in r)
+                 for c in r] for b in r] for a in r]
+    s["p"] = [sum(T[i][a] * s["p"][i] for i in r) for a in r]
+    s["w"] = [x % 2 for x in _in_new_basis(s["w"])]
+    return dep
+
+
+def test_sweep_relates_a_change_of_basis(sweep, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert sweep.main(["--out", str(a), "--cases", "eschenburg"]) == 0
+    doc = json.loads(a.read_text())
+    rec = doc["records"]["eschenburg"]
+    rec["dependent"] = new = rewritten(rec, builtin("eschenburg"))
+    b.write_text(json.dumps(doc))
+    assert sweep.main(["--compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "T eschenburg degree 2: [[1, 0], [1, 1]]" in out
+    # degrees, coords and system moved; each Phi is checked on its own systems
+    assert "related: 7 basis-dependent records, 3 of them changed" in out and "differs" not in out
+
+    # the coordinates must move with the basis
+    new["coords"]["chern"][0] = json.loads(a.read_text())["records"]["eschenburg"]["dependent"]["coords"]["chern"][0]
+    b.write_text(json.dumps(doc))
+    assert sweep.main(["--compare", str(a), str(b)]) == 1
+    assert "basis-dependent record eschenburg/coords differs" in capsys.readouterr().out
 
 
 def test_sweep_rejects_unknown_case(sweep, tmp_path):

@@ -19,9 +19,21 @@ and the graph families from `perfbench/families.py`. The case set is fixed:
 Each record is either basis-independent (Betti numbers, integrals of the c
 and p monomials, `descend` in user generators, GL(r,Z) invariants of each
 system, `diffeo` statuses, CLI output and exit codes) or basis-dependent
-(degree records, internal coordinates, internal systems, Phi). An error is
-recorded as its type and message. `--compare` requires both kinds to be
-equal, prints the first difference and exits 1 if there is one.
+(degree records, internal coordinates, internal systems, Phi). CLI output
+that prints internal coordinates (the coords of `classes`, `invariants`
+without --gens, Phi and the systems of `diffeo`) is split: those values
+are a basis-dependent record, and the rest of stdout, with them masked,
+stays basis-independent. An error is recorded as its type and message.
+
+`--compare A B` requires the basis-independent records to be equal. For
+each case and degree it solves the degree records for the change of
+quotient basis T_d, with coords in A = T_d * coords in B, from B's
+quotient reps expressed in A's basis of A_d. T_d must be unimodular, both
+bases must span one lattice, and the projections must agree through T_d.
+Internal coordinates must transform by T_d (mod 2 for Stiefel-Whitney),
+and the internal systems (mu, p, w) by T_2; each Phi must be an
+equivalence of its own file's systems. It prints every T_d other than the
+identity, then the first record that fails, and exits 1 if one does.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import io
 import itertools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -43,7 +56,8 @@ from gkmcalc import cli, wjz  # noqa: E402
 from gkmcalc.charclasses import descend, equivariant_char_class, localize_integral  # noqa: E402
 from gkmcalc.cohomology import FixedPointClass, GeneratorBasis, ring_of  # noqa: E402
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, BUILTIN_NAMES, GKMGraph, builtin, graph_from_json  # noqa: E402
-from gkmcalc.intlinalg import gcd_of  # noqa: E402
+from gkmcalc.intlinalg import IntMatrix, gcd_of, smith_normal_form, solve_with_snf  # noqa: E402
+from gkmcalc.polyring import monomials  # noqa: E402
 
 KINDS = ("independent", "dependent")
 DIFFEO_BOUNDS = (0, 1, 2, 10)
@@ -133,9 +147,11 @@ def degree_records(ring):
     out = {}
     for d in range(0, ring.dim + 1, 2):
         gb = ring.ordinary(d)
+        classes = ring.gkm_basis(d)
         out[str(d)] = {
-            "classes": [c.render() for c in ring.gkm_basis(d)],
-            "diagonal": list(gb.snf.diagonal()),
+            "classes": [c.render() for c in classes],
+            "diagonal": list(smith_normal_form(IntMatrix.from_columns(
+                [ring._class_to_vec(c, d) for c in classes]), with_u=False).diagonal()),
             "quotient_reps": [c.render() for c in gb.quotient_reps],
             "projection": gb.projection.to_rows(),
         }
@@ -162,7 +178,8 @@ def diffeo_records(ref, graph, rank, rec):
             continue
         rec["independent"]["diffeo@%d" % bound] = {
             "status": v.status, "reason": v.reason, "note": v.reversed_orientation_note}
-        rec["dependent"]["phi@%d" % bound] = v.phi.to_rows() if v.phi is not None else None
+        rec["dependent"]["phi@%d" % bound] = None if v.phi is None else {
+            "phi": v.phi.to_rows(), "systems": [s.to_json() for s in v.systems]}
 
 
 def case_records(graph, ref, names):
@@ -218,8 +235,66 @@ def cli_argvs():
     return out
 
 
+MASK = "<basis-dependent>"
+# text lines that print internal coordinates, by verb
+TEXT_PATTERNS = {
+    "classes": re.compile(r"(\w+) = coords (\[.*\])"),
+    "invariants": re.compile(r"(mu\((\d+),(\d+),(\d+)\) = |w2 = |p1 pairing = )(.*)"),
+    "diffeo": re.compile(r"(equivalence Phi: )(.*)"),
+}
+
+
+def _class_degree(key):
+    """c_j sits in degree 2j, p_j in degree 4j, w_j in degree j."""
+    return {"c": 2, "p": 4, "w": 1}[key[0]] * int(key[1:])
+
+
+def split_cli(argv, stdout):
+    """(stdout with its internal coordinates masked, those values or None)."""
+    fmt, verb = argv[1], argv[2]
+    if verb not in TEXT_PATTERNS or (verb == "invariants" and "--gens" in argv):
+        return stdout, None
+    dep = {"graphs": [argv[i + 1] for i, a in enumerate(argv) if a == "--example"]}
+    if fmt == "json":
+        doc = json.loads(stdout)
+        if verb == "classes":
+            dep["coords"] = {}
+            for entry in doc["classes"].values():
+                for key, part in entry.items():
+                    dep["coords"][key] = part["coords"]
+                    part["coords"] = MASK
+        for field in ("system", "systems", "phi"):
+            if field in doc and verb != "classes":
+                dep[field], doc[field] = doc[field], MASK
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n", dep
+    lines = []
+    mu, vectors = {}, {}
+    for line in stdout.splitlines():
+        m = TEXT_PATTERNS[verb].fullmatch(line)
+        if m and verb == "classes":
+            dep.setdefault("coords", {})[m.group(1)] = json.loads(m.group(2))
+            line = "%s = coords %s" % (m.group(1), MASK)
+        elif m and verb == "invariants":
+            if m.group(2):
+                mu[tuple(int(m.group(i)) - 1 for i in (2, 3, 4))] = int(m.group(5))
+            else:
+                vectors[m.group(1)[0]] = json.loads("[%s]" % m.group(5).strip("()"))
+            line = m.group(1) + MASK
+        elif m:
+            dep["phi"] = json.loads(m.group(2))
+            line = m.group(1) + MASK
+        lines.append(line)
+    if vectors:
+        r = len(vectors["p"])
+        dep["system"] = {"rank": r, "w": vectors["w"], "p": vectors["p"], "mu": [
+            [[mu[tuple(sorted((a, b, c)))] for c in range(r)] for b in range(r)] for a in range(r)]}
+    if len(dep) == 1:
+        return stdout, None
+    return "\n".join(lines) + "\n", dep
+
+
 def cli_records():
-    out = {}
+    rec = {"independent": {}, "dependent": {}}
     for argv in cli_argvs():
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -227,8 +302,12 @@ def cli_records():
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        out[" ".join(argv)] = {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": code}
-    return {"independent": out, "dependent": {}}
+        key = " ".join(argv)
+        masked, dep = split_cli(argv, stdout.getvalue())
+        rec["independent"][key] = {"stdout": masked, "stderr": stderr.getvalue(), "exit": code}
+        if dep is not None:
+            rec["dependent"][key] = dep
+    return rec
 
 
 def sweep(selected=None):
@@ -249,18 +328,173 @@ def flatten(records):
             for kind in KINDS}
 
 
+# -- relating basis-dependent records ------------------------------------------
+
+
+def _vectors(graph, rendered, d):
+    """Monomial coordinates of rendered classes, vertex-major."""
+    monos = monomials(graph.torus_rank, d)
+    return [[p.terms.get(m, 0) for p in FixedPointClass.from_strings(graph, c).components for m in monos]
+            for c in rendered]
+
+
+def _matrix(rows, ncols):
+    return IntMatrix(len(rows), ncols, [x for row in rows for x in row])
+
+
+def degree_transform(graph, d, ra, rb):
+    """T with coords in A = T * coords in B, from two degree-d records of
+    one graph, or None when they are not related by a change of basis."""
+    b = len(ra["quotient_reps"])
+    if ra == rb:
+        return IntMatrix.identity(b)
+    n = len(ra["classes"])
+    if (len(rb["classes"]), len(rb["quotient_reps"]), ra["diagonal"]) != (n, b, rb["diagonal"]):
+        return None
+    dec = smith_normal_form(IntMatrix.from_columns(_vectors(graph, ra["classes"], d)))
+    pa, pb = _matrix(ra["projection"], n), _matrix(rb["projection"], n)
+    in_a = [solve_with_snf(dec, v) for v in _vectors(graph, rb["classes"] + rb["quotient_reps"], d)]
+    if None in in_a:
+        return None
+    x = IntMatrix.from_columns(in_a[:n]) if n else IntMatrix(0, 0, [])
+    t = IntMatrix.from_columns([pa.apply(y) for y in in_a[n:]]) if b else IntMatrix(0, 0, [])
+    if not (x.is_unimodular() and t.is_unimodular() and pa * x == t * pb):
+        return None
+    return t
+
+
+def _system(doc):
+    return wjz.InvariantSystem(doc["rank"], doc["mu"], tuple(doc["w"]), tuple(doc["p"]))
+
+
+def _transforms(system_a, system_b, t):
+    """Whether system B is system A written in B's basis, where coords in
+    A = T * coords in B."""
+    if "error" in system_a or "error" in system_b:
+        return system_a == system_b
+    if t is None:
+        return False
+    if {k: v for k, v in system_a.items() if k not in ("mu", "p", "w")} != \
+            {k: v for k, v in system_b.items() if k not in ("mu", "p", "w")}:
+        return False
+    return wjz._is_equivalence(t, _system(system_b), _system(system_a))
+
+
+def _coords_transform(ca, cb, t, mod2):
+    if t is None or len(ca) != t.rows or len(cb) != t.cols:
+        return False
+    if mod2:
+        return all(x in (0, 1) for x in ca + cb) and all((x - y) % 2 == 0 for x, y in zip(ca, t.apply(cb)))
+    return list(ca) == list(t.apply(cb))
+
+
+class Relation:
+    """The change of basis between two sweeps, case by case and degree by
+    degree, and the checks of each basis-dependent record against it."""
+
+    def __init__(self, a, b):
+        self.files = (a, b)
+        self.graphs = {label: graph for label, graph, *_ in cases()}
+        self.t = {}
+
+    def transforms(self, label):
+        """{degree: T} for one case, or None when its degree records are
+        not related."""
+        if label not in self.t:
+            ra, rb = (f[label]["dependent"].get("degrees") for f in self.files)
+            if "error" in ra or "error" in rb or sorted(ra) != sorted(rb):
+                self.t[label] = {} if ra == rb else None  # equal errors need no T
+            else:
+                ts = {int(d): degree_transform(self.graphs[label], int(d), ra[d], rb[d]) for d in ra}
+                self.t[label] = None if None in ts.values() else ts
+        return self.t[label]
+
+    def t_of(self, label, d):
+        ts = self.transforms(label)
+        return None if ts is None else ts.get(d)
+
+    def phi_holds(self, which, phi, graphs, systems=None):
+        """Whether Phi carries the second graph's system to the first's in
+        file `which` (systems default to the case records)."""
+        if phi is None:
+            return True
+        if systems is None:
+            systems = [self.files[which][g]["dependent"].get("system") for g in graphs]
+        if any(not isinstance(s, dict) or "error" in s for s in systems):
+            return False
+        return wjz._is_equivalence(IntMatrix.from_rows(phi), _system(systems[0]), _system(systems[1]))
+
+    def related(self, key, va, vb):
+        label, record = key.split("/", 1)
+        if label == "cli":
+            return self.cli_related(va, vb)
+        if record == "degrees":
+            return self.transforms(label) is not None
+        if isinstance(va, dict) and "error" in va or isinstance(vb, dict) and "error" in vb:
+            return va == vb
+        if record == "system":
+            return _transforms(va, vb, self.t_of(label, 2))
+        if record == "coords":
+            return sorted(va) == sorted(vb) and all(
+                len(va[kind]) == len(vb[kind]) and all(
+                    _coords_transform(ca, cb, self.t_of(label, 2 * (i + 1)), kind == "stiefel_whitney")
+                    for i, (ca, cb) in enumerate(zip(va[kind], vb[kind])))
+                for kind in va)
+        if record.startswith("phi@"):
+            return (va is None) == (vb is None) and all(
+                v is None or self.phi_holds(i, v["phi"], None, v["systems"]) for i, v in enumerate((va, vb)))
+        return False
+
+    def cli_related(self, va, vb):
+        if sorted(va) != sorted(vb) or va["graphs"] != vb["graphs"]:
+            return False
+        graphs = va["graphs"]
+        if any(g not in f for f in self.files for g in graphs):  # a sweep of some cases only
+            return va == vb
+        if "coords" in va:
+            if sorted(va["coords"]) != sorted(vb["coords"]):
+                return False
+            for key, ca in va["coords"].items():
+                if not _coords_transform(ca, vb["coords"][key], self.t_of(graphs[0], _class_degree(key)),
+                                         key.startswith("w")):
+                    return False
+        if "system" in va and not _transforms(va["system"], vb["system"], self.t_of(graphs[0], 2)):
+            return False
+        if "systems" in va and not all(_transforms(sa, sb, self.t_of(g, 2))
+                                       for sa, sb, g in zip(va["systems"], vb["systems"], graphs)):
+            return False
+        return all(self.phi_holds(i, v.get("phi"), graphs, v.get("systems")) for i, v in enumerate((va, vb)))
+
+
 def compare(a, b):
-    """Print the first difference between two sweeps; return 1 if any."""
+    """Require equal basis-independent records and related basis-dependent
+    ones; print every T other than the identity and the first failure.
+    Return 1 if there is one."""
     fa, fb = flatten(a), flatten(b)
+    missing = object()
+    show = lambda v: "(missing)" if v is missing else json.dumps(v, sort_keys=True)[:2000]
+    relation = Relation(a, b)
+    moved = 0
     for kind in KINDS:
-        for key in sorted(set(fa[kind]) | set(fb[kind])):
-            missing = object()
+        keys = sorted(set(fa[kind]) | set(fb[kind]), key=lambda k: (not k.endswith("/degrees"), k))
+        for key in keys:
             va, vb = fa[kind].get(key, missing), fb[kind].get(key, missing)
-            if va != vb:
-                show = lambda v: "(missing)" if v is missing else json.dumps(v, sort_keys=True)[:2000]
+            if va == vb and kind == "independent":
+                continue
+            if kind == "independent" or missing in (va, vb) or not relation.related(key, va, vb):
                 print("basis-%s record %s differs:\n  A: %s\n  B: %s" % (kind, key, show(va), show(vb)))
                 return 1
-    print("identical: %s" % ", ".join("%d basis-%s records" % (len(fa[k]), k) for k in KINDS))
+            moved += va != vb
+    for label, ts in sorted(relation.t.items()):
+        for d, t in sorted(ts.items()):
+            if t != IntMatrix.identity(t.rows):
+                print("T %s degree %d: %s" % (label, d, t.to_rows()))
+    counts = "%d basis-independent records" % len(fa["independent"])
+    if not moved:
+        print("identical: %s, %d basis-dependent records" % (counts, len(fa["dependent"])))
+    else:
+        print("identical: %s; related: %d basis-dependent records, %d of them changed by a unimodular T"
+              % (counts, len(fa["dependent"]), moved))
     return 0
 
 
