@@ -39,14 +39,18 @@ quotient matrix, takes the same path as every other degree.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
     GeneratorsDoNotSpan,
+    LocalizationRequiresSignedGraph,
+    NonIntegralLocalizationSum,
     NotInSubalgebra,
     SchemaError,
     TorsionInQuotient,
@@ -183,6 +187,55 @@ def is_gkm_class(c: FixedPointClass) -> bool:
     return True
 
 
+def localize_integral(graph: GKMGraph, c: FixedPointClass):
+    """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
+    is the product of the weights at p.
+
+    For a homogeneous class of degree 2n this is the pairing with the
+    fundamental class in the orientation the signed labels induce; below
+    the top degree the sum cancels to zero. The terms are added into one
+    running fraction num/den with den the product of all e_p, so a sum that
+    fails to be an integer (or to cancel) is detected exactly and flags
+    invalid input data.
+    """
+    if not graph.signed:
+        raise LocalizationRequiresSignedGraph(
+            "localization needs the orientation carried by signed labels"
+        )
+    d = c.degree()
+    if d is None and not c.is_zero():
+        raise ValueError("localization input must be homogeneous")
+    if c.is_zero():
+        return 0
+    n2 = 2 * graph.valence
+    if d > n2:
+        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
+    k = graph.torus_rank
+    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    for v, cp in zip(graph.vertices, c.components):
+        e = IntPolynomial.constant(k, 1)
+        for w in graph.weights_at(v):
+            e = e * IntPolynomial.linear_form(w)
+        num, den = num * e + cp * den, den * e
+    if d < n2:
+        if not num.is_zero():
+            raise NonIntegralLocalizationSum(
+                "localization sum of a degree-%d class does not cancel; "
+                "the labels are inconsistent" % d
+            )
+        return 0
+    # degree 2n: the sum is a constant, so num = r * den
+    exps, dc = next(iter(den.terms.items()))
+    r = Fraction(num.coefficient(exps), dc)
+    if num * r.denominator != den * r.numerator:
+        raise NonIntegralLocalizationSum(
+            "localization sum is not constant; the labels are inconsistent"
+        )
+    if r.denominator != 1:
+        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
+    return int(r)
+
+
 @dataclass
 class RingElement:
     """Integer coordinates in the chosen basis of (A/mA)_degree."""
@@ -215,6 +268,10 @@ def _directions(k):
     return ([_XI[:k]] if k <= len(_XI) else []) + [tuple(1009**i for i in range(k))]
 
 
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
 def _orient(g, xi):
     """(topological order, down-edges) of the orientation of g by the sign
     of <w, xi>, by vertex index, or None when xi is orthogonal to a weight
@@ -226,7 +283,7 @@ def _orient(g, xi):
     down = [[] for _ in range(n)]
     up = [[] for _ in range(n)]
     for e in g.edges:
-        s = sum(map(operator.mul, e.weight_at_u, xi))
+        s = _dot(e.weight_at_u, xi)
         if not s:
             return None
         u, v = vidx[e.u], vidx[e.v]
@@ -294,7 +351,7 @@ def _flow_up(g):
             systems[q, d] = (smith_normal_form(IntMatrix._of(n * nm, ncols, entries)), monos)
         dec, monos = systems[q, d]
         x = solve_with_snf(dec, [v.terms.get(m, 0) if v else 0 for v in values for m in monos])
-        return None if x is None else IntPolynomial(k, dict(zip(monos, x)))  # f is x[:nm]
+        return None if x is None else IntPolynomial._of(k, dict(zip(monos, x)))  # f is x[:nm]
 
     tau = {}
     for i, p in enumerate(order):
@@ -312,6 +369,31 @@ def _flow_up(g):
                     cls[q] = f
         tau[p] = cls
     return _FlowUp(order, down, tau)
+
+
+class _PointEvaluation:
+    """The integral over M at one integer point xi: every edge weight pairs
+    to nonzero with xi, euler = E = prod_p e_p(xi) and weights[p] =
+    E / e_p(xi), so a top-degree class x of A has
+    <x, [M]> = sum_p x_p(xi) * weights[p] / E (see CohomologyRing._point)."""
+
+    __slots__ = ("xi", "weights", "euler")
+
+    def __init__(self, xi, weights, euler):
+        self.xi, self.weights, self.euler = xi, weights, euler
+
+    def at(self, c: FixedPointClass):
+        """The values x_p(xi), by vertex."""
+        return [f.evaluate(self.xi) for f in c.components]
+
+    def integral(self, values):
+        """<x, [M]> from the values x_p(xi) of a top-degree class of A."""
+        q, rem = divmod(_dot(values, self.weights), self.euler)
+        if rem:
+            raise NonIntegralLocalizationSum(
+                "point evaluation of a certified class is not an integer (internal error)"
+            )
+        return q
 
 
 def _check_degree(d):
@@ -334,6 +416,33 @@ class CohomologyRing:
     def _flow(self):
         return _flow_up(self.graph)
 
+    @cached_property
+    def _point(self):
+        """Certified point evaluation of the integral on A_top, or None.
+
+        Localization is H(BT)-linear (Atiyah-Bott), and by graded Nakayama
+        the quotient reps of every degree generate A over H(BT). So when
+        every rep below the top degree localizes to 0 and every top rep to
+        an integer, the localization sum of each x in A_top is an integer
+        constant, and evaluating it at one integer xi with every
+        e_p(xi) != 0 is exact. xi is the first vector on the fixed list
+        that pairs to nonzero with every weight. None for an unsigned
+        graph, when no xi qualifies, or when a rep fails its localization
+        or a degree has torsion; callers then localize symbolically."""
+        g = self.graph
+        xi = next((xi for xi in _directions(self.k) if all(_dot(e.weight_at_u, xi) for e in g.edges)), None)
+        if not g.signed or xi is None:
+            return None
+        try:
+            for d in range(0, self.dim + 1, 2):
+                for rep in self.ordinary(d).quotient_reps:
+                    localize_integral(g, rep)
+        except (NonIntegralLocalizationSum, TorsionInQuotient):
+            return None
+        euler = [math.prod(_dot(w, xi) for w in g.weights_at(v)) for v in g.vertices]
+        total = math.prod(euler)
+        return _PointEvaluation(xi, tuple(total // e for e in euler), total)
+
     @property
     def path(self):
         """"flow-up" or "kernel": how this ring builds its records."""
@@ -351,7 +460,7 @@ class CohomologyRing:
         comps = []
         for i in range(len(self.graph.vertices)):
             terms = {mono: vec[i * m + j] for j, mono in enumerate(monos)}
-            comps.append(IntPolynomial(self.k, terms))
+            comps.append(IntPolynomial._of(self.k, terms))
         return FixedPointClass(self.graph, comps)
 
     # -- one record per degree -------------------------------------------------
@@ -476,7 +585,7 @@ class CohomologyRing:
         x = [{e: c % 2 if mod2 else c for e, c in p.terms.items() if sum(e) == s} for p in components]
         coords = []
         for p in fu.order:
-            h = IntPolynomial(k, x[p])
+            h = IntPolynomial._of(k, x[p])
             if h:
                 for _, w in fu.down[p]:
                     h = divide_by_linear(h, IntPolynomial.linear_form(w), mod2)

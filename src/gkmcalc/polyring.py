@@ -11,6 +11,7 @@ and 1 (`IntPolynomial.mod2`).
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 
@@ -61,12 +62,21 @@ class IntPolynomial:
         self.terms = clean
 
     @classmethod
+    def _of(cls, k, terms):
+        """A polynomial the library builds itself: zero coefficients are
+        dropped, and the per-term checks of the constructor are skipped."""
+        p = object.__new__(cls)
+        p.k = k
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
+    @classmethod
     def zero(cls, k):
-        return cls(k)
+        return cls._of(k, {})
 
     @classmethod
     def constant(cls, k, c):
-        return cls(k, {(0,) * k: c})
+        return cls._of(k, {(0,) * k: c})
 
     @classmethod
     def variable(cls, k, i):
@@ -85,7 +95,7 @@ class IntPolynomial:
                 exps = [0] * k
                 exps[i] = 1
                 terms[tuple(exps)] = c
-        return cls(k, terms)
+        return cls._of(k, terms)
 
     def _check(self, other):
         if self.k != other.k:
@@ -118,12 +128,12 @@ class IntPolynomial:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, 0) + c
-        return IntPolynomial(self.k, terms)
+        return IntPolynomial._of(self.k, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial(self.k, {e: -c for e, c in self.terms.items()})
+        return IntPolynomial._of(self.k, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -135,14 +145,14 @@ class IntPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(self.k, {e: c * other for e, c in self.terms.items()})
+            return IntPolynomial._of(self.k, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return IntPolynomial(self.k, terms)
+        return IntPolynomial._of(self.k, terms)
 
     __rmul__ = __mul__
 
@@ -177,12 +187,14 @@ class IntPolynomial:
         if degree % 2:
             return IntPolynomial.zero(self.k)
         s = degree // 2
-        return IntPolynomial(
-            self.k, {e: c for e, c in self.terms.items() if sum(e) == s}
-        )
+        return IntPolynomial._of(self.k, {e: c for e, c in self.terms.items() if sum(e) == s})
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
+
+    def evaluate(self, point):
+        """The value at an integer point, one coordinate per variable."""
+        return sum(c * math.prod(map(pow, point, exps)) for exps, c in self.terms.items())
 
     def linear_substitute(self, B: IntMatrix):
         """Replace Y_j by sum_i B[i][j]*Y_i (a ring homomorphism)."""
@@ -217,7 +229,7 @@ class IntPolynomial:
     def mod2(self):
         """Coefficientwise reduction Z -> Z/2, as the integer lift with
         coefficients 0 and 1 (a ring homomorphism after reducing again)."""
-        return IntPolynomial(self.k, {e: c % 2 for e, c in self.terms.items()})
+        return IntPolynomial._of(self.k, {e: c % 2 for e, c in self.terms.items()})
 
     def render(self, names=None):
         return render_terms(self.k, self.terms, names)
@@ -271,7 +283,7 @@ def divide_by_linear(p, ell, mod2=False):
                 rem[e] = nv
             else:
                 rem.pop(e, None)
-    return IntPolynomial(p.k, quotient)
+    return IntPolynomial._of(p.k, quotient)
 
 
 def default_names(k, prefix="Y"):

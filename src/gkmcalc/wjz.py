@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, is_gkm_class, ring_of
 from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
@@ -87,9 +87,16 @@ class NotFoundWithinBound:
 def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: CohomologyRing = None) -> InvariantSystem:
     """Extract (H^2, mu, w2, p1) from a valid signed valence-3 graph.
 
-    mu and p come from exact localization of cup products; w2 from the
-    degree-2 Stiefel-Whitney descent. With user generators the tensors are
-    stated in that basis, otherwise in the deterministic internal one.
+    mu and p are integrals of cup products. The ring certifies once, by
+    localizing its quotient reps symbolically, that the integral on A_top is
+    exact at one integer point xi (`CohomologyRing._point`, kept for the
+    ring's life); then each entry of mu is a sum over the fixed points of
+    values at xi, and so is p when the degree-4 Pontrjagin class satisfies
+    the edge congruences. Without the certificate, or for p without that
+    class in A, each entry is localized symbolically, once per unordered
+    triple. w2 comes from the degree-2 Stiefel-Whitney descent. With user
+    generators the tensors are stated in that basis, otherwise in the
+    deterministic internal one.
     """
     if graph.valence != 3:
         raise Not6Dimensional("valence %d graph; the classification applies to valence 3" % graph.valence)
@@ -112,10 +119,16 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     else:
         basis_classes = ring.ordinary(2).quotient_reps
         label = "internal"
-    # mu is symmetric: localize each unordered triple once
+    point = ring._point
+    if point is not None:  # the basis classes lie in A: GeneratorBasis checks its generators
+        at_xi = [point.at(cls) for cls in basis_classes]
+    # mu is symmetric: compute each unordered triple once
     mu = [[[0] * r for _ in range(r)] for _ in range(r)]
     for a, b, c in itertools.combinations_with_replacement(range(r), 3):
-        value = localize_integral(graph, basis_classes[a] * basis_classes[b] * basis_classes[c])
+        if point is None:
+            value = localize_integral(graph, basis_classes[a] * basis_classes[b] * basis_classes[c])
+        else:
+            value = point.integral(x * y * z for x, y, z in zip(at_xi[a], at_xi[b], at_xi[c]))
         for i, j, l in itertools.permutations((a, b, c)):
             mu[i][j][l] = value
     mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
@@ -126,7 +139,12 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     else:
         w = tuple(w_coords)
     pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)
-    p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
+    # nothing in validation gives the graph a connection, so p1 may lie outside A
+    if point is not None and is_gkm_class(pont):
+        pont_at_xi = point.at(pont)
+        p = tuple(point.integral(map(operator.mul, pont_at_xi, at_xi[a])) for a in range(r))
+    else:
+        p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
     return InvariantSystem(r, mu, w, p, label, tuple(warnings))
 
 

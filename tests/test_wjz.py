@@ -270,7 +270,10 @@ def test_localize_flags_fractional_top_degree_sum():
         localize_integral(g, c)
 
 
-def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
+def counted_localizations(monkeypatch):
+    """Record every symbolic localization: the certificate's, in cohomology,
+    and invariant_system's own, in wjz."""
+    import gkmcalc.cohomology as cohomology
     import gkmcalc.wjz as wjz
 
     calls = []
@@ -279,10 +282,98 @@ def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
         calls.append(c)
         return localize_integral(graph, c)
 
+    monkeypatch.setattr(cohomology, "localize_integral", counting)
     monkeypatch.setattr(wjz, "localize_integral", counting)
-    s = invariant_system(product_of_spheres([(2, 0), (0, 1), (1, 1)]))
+    return calls
+
+
+def symbolic_ring(g):
+    """A ring whose point-evaluation certificate is forced off."""
+    ring = CohomologyRing(g)
+    ring.__dict__["_point"] = None
+    return ring
+
+
+def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
+    calls = counted_localizations(monkeypatch)
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    s = invariant_system(g, ring=symbolic_ring(g))
     assert s.rank == 3
     assert len(calls) == 10 + 3  # C(5, 3) entries of mu, then p
+
+
+def test_invariant_system_certifies_once_per_ring(monkeypatch):
+    import gkmcalc.wjz as wjz
+
+    calls = counted_localizations(monkeypatch)
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    ring = CohomologyRing(g)
+    first = invariant_system(g, ring=ring)
+    assert ring._point is not None
+    assert len(calls) == sum(ring.betti(d) for d in range(0, 7, 2)) == 8  # the reps, nothing else
+    del calls[:]
+    assert invariant_system(g, ring=ring) == first
+    assert calls == []
+    # p1 outside A goes back to one symbolic localization per basis class
+    monkeypatch.setattr(wjz, "is_gkm_class", lambda c: False)
+    assert invariant_system(g, ring=ring).p == first.p
+    assert len(calls) == 3
+
+
+def test_ring_and_betti_numbers_localize_nothing(monkeypatch):
+    calls = counted_localizations(monkeypatch)
+    for g in (builtin("eschenburg"), product_of_spheres([(2, 0), (0, 1), (1, 1)])):
+        ring = CohomologyRing(g)
+        [ring.betti(d) for d in range(0, ring.dim + 1, 2)]
+    assert calls == []
+
+
+# A valid signed K4 graph with primitive weights on the kernel path, b = (1, 1,
+# 1, 1), whose reps do not localize to integers: the point certificate fails.
+UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
+                  ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
+
+
+def _point_versus_symbolic_inputs():
+    families = _load_families()
+    out = [(n, builtin(n), None) for n in ("eschenburg", "tolman", "woodward", "eschenburg-swapped")]
+    out.append(("eschenburg-X1X2", builtin("eschenburg"), XX))
+    for family, param in [("cp", 3), ("cp1^", 3), ("surface", 4), ("surface", 5), ("surface", 6)]:
+        g = families.build(family, param)
+        out.append(("%s%s-disguised" % (family, param),
+                    graph_from_json(families.disguise(g, random.Random("point-%s%s" % (family, param)))), None))
+    out.append(("uncertified-k4", GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), None))
+    return out
+
+
+def _system_or_error(g, ring, names):
+    try:
+        gens = None
+        if names:
+            classes = [FixedPointClass.from_strings(g, ESCHENBURG_GENERATORS[n]) for n in names]
+            gens = GeneratorBasis(ring, names, classes)
+        s = invariant_system(g, gens=gens, ring=ring)
+        return s.to_json(), s.warnings
+    except Exception as exc:  # the error itself is the output compared
+        return type(exc), str(exc)
+
+
+POINT_INPUTS = _point_versus_symbolic_inputs()
+
+
+@pytest.mark.parametrize("name,g,names", POINT_INPUTS, ids=[name for name, _, _ in POINT_INPUTS])
+def test_point_evaluation_agrees_with_symbolic_localization(name, g, names):
+    ring = CohomologyRing(g)
+    point = _system_or_error(g, ring, names)
+    assert point == _system_or_error(g, symbolic_ring(g), names)
+    # and again from the cached certificate
+    assert _system_or_error(g, ring, names) == point
+    if name == "uncertified-k4":
+        assert ring.path == "kernel" and [ring.betti(d) for d in range(0, 7, 2)] == [1, 1, 1, 1]
+        assert ring._point is None
+        assert point == (NonIntegralLocalizationSum, "localization sum is not constant; the labels are inconsistent")
+    else:
+        assert ring._point is not None
 
 
 def test_repeated_verdict_builds_no_ring(monkeypatch):
