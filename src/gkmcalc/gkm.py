@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,8 +30,6 @@ from .intlinalg import (
     canonical_sign,
     primitive_part,
     rank,
-    smith_normal_form,
-    solve_with_snf,
 )
 from .polyring import int_digit_limit
 
@@ -390,26 +389,27 @@ class GraphIso:
             return False
         if not self.psi.is_unimodular():
             return False
-        remaining = list(g2.edges)
+        lab = tuple if signed else canonical_sign
+        # g2's edges by (end, other end, label there); each g1 edge takes the first unused one
+        index = {}
+        for i, f in enumerate(g2.edges):
+            index.setdefault((f.u, f.v, lab(f.weight_at_u)), []).append(i)
+            index.setdefault((f.v, f.u, lab(f.weight_at_v)), []).append(i)
+        used = set()
         for e in g1.edges:
-            ends, target = {phi[e.u], phi[e.v]}, self.psi.apply(e.weight_at_u)
-            hit = next((i for i, f in enumerate(remaining)
-                        if {f.u, f.v} == ends and _labels_match(f.weight_at(phi[e.u]), target, signed)), None)
+            key = (phi[e.u], phi[e.v], lab(self.psi.apply(e.weight_at_u)))
+            hit = next((i for i in index.get(key, ()) if i not in used), None)
             if hit is None:
                 return False
-            remaining.pop(hit)
-        return not remaining
-
-
-def _labels_match(w, target, signed):
-    """Whether label w is target: exactly when signed, up to sign otherwise."""
-    return w == target if signed else canonical_sign(w) == canonical_sign(target)
+            used.add(hit)
+        return len(used) == len(g2.edges)
 
 
 def _independent_base_edges(g: GKMGraph):
-    """A vertex together with k incident edges whose weights span Q^k."""
+    """The least-named vertex that carries k independent weights, together
+    with k of its edges whose weights span Q^k."""
     k = g.torus_rank
-    for v in g.vertices:
+    for v in sorted(g.vertices):
         edges = g.incident(v)
         for combo in itertools.combinations(edges, k):
             w = IntMatrix.from_rows([e.weight_at(v) for e in combo])
@@ -418,27 +418,31 @@ def _independent_base_edges(g: GKMGraph):
     return None
 
 
-def _solve_psi(base_dec, target_weights):
+def _adjugate(rows):
+    """adj(B) of the square matrix B with these rows: adj(B) * B = det(B) * I."""
+    def minor(i, j):  # det of B without row i and column j
+        return IntMatrix.from_rows([r[:j] + r[j + 1:] for h, r in enumerate(rows) if h != i]).det()
+    return [[(-1) ** (i + j) * minor(j, i) for j in range(len(rows))] for i in range(len(rows))]
+
+
+def _solve_psi(adj, det, target_weights):
     """Integer unimodular psi with psi * base_i = target_i, or None.
 
-    base_dec is the Smith form of the matrix whose rows are the base
-    weights; row i of psi solves that matrix times x = (target_j[i])_j.
+    Row i of psi solves B x = (target_j[i])_j for the nonsingular matrix B
+    whose rows are the base weights, so x = adj(B) * c / det(B) is the only
+    solution, integral exactly when det(B) divides every entry of adj(B) * c.
     """
-    rows = []
-    for i in range(len(target_weights)):
-        x = solve_with_snf(base_dec, [t[i] for t in target_weights])
-        if x is None:
-            return None
-        rows.append(x)
-    psi = IntMatrix.from_rows(rows)
-    if not psi.is_unimodular():
+    x = [divmod(sum(map(operator.mul, a, c)), det) for c in zip(*target_weights) for a in adj]
+    if any(r for _, r in x):
         return None
-    return psi
+    psi = IntMatrix(len(adj), len(adj), [q for q, _ in x])
+    return psi if psi.is_unimodular() else None
 
 
-def _extend_iso(g1, g2, base, image, psi, signed):
+def _extend_iso(g1, labels, base, image, psi, lab):
     """The vertex map that sends base to image and carries each edge label
-    through psi, or None when some label has no image.
+    through psi, or None when some label has no image. labels[u] maps the
+    label lab(w) of each edge at u in g2 to the edge's other end.
 
     The map is forced: on a GKM graph the weights at a vertex are pairwise
     independent, so at most one edge at phi(v) carries the label psi*w (even
@@ -449,24 +453,25 @@ def _extend_iso(g1, g2, base, image, psi, signed):
     stack = [base]
     while stack:
         v = stack.pop()
-        u = phi[v]
+        at = labels[phi[v]]
         for e in g1.incident(v):
-            target = psi.apply(e.weight_at(v))
-            f = next((f for f in g2.incident(u) if _labels_match(f.weight_at(u), target, signed)), None)
-            if f is None:
+            x = at.get(lab(psi.apply(e.weight_at(v))))
+            if x is None:
                 return None
             w = e.other(v)
             if w not in phi:
-                phi[w] = f.other(u)
+                phi[w] = x
                 stack.append(w)
-            elif phi[w] != f.other(u):
+            elif phi[w] != x:
                 return None
     return phi
 
 
-def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
+def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
     """All (vertex bijection, torus automorphism) pairs carrying g1's
-    labels onto g2's: exactly for signed graphs, up to sign otherwise.
+    labels onto g2's: exactly for signed graphs, up to sign otherwise,
+    sorted by (vertex_map, psi entries). With least=True, only the first
+    of that list: [] or [iso].
 
     Both graphs must satisfy the GKM conditions (InvalidGraph otherwise).
     A base vertex with k independent incident weights pins psi for each
@@ -474,6 +479,11 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
     solution forces the whole vertex map, which is re-verified edge by
     edge. Distinct choices give distinct (image, psi) pairs, so nothing
     is found twice.
+
+    The base is the least-named such vertex v. When v is g1's least name,
+    (v, phi(v)) is the first pair of every vertex_map, so least=True tries
+    the images of v in name order and stops at the first that has any
+    isomorphism; otherwise it takes the least of the complete list.
     """
     if g1.torus_rank != g2.torus_rank:
         raise DimensionMismatch("torus ranks differ (%d vs %d)" % (g1.torus_rank, g2.torus_rank))
@@ -489,23 +499,29 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool):
     if base is None:
         raise InvalidGraph("no vertex carries %d independent weights; automorphism underdetermined" % g1.torus_rank)
     v0, base_edges = base
-    base_dec = smith_normal_form(IntMatrix.from_rows([e.weight_at(v0) for e in base_edges]))
+    B = [e.weight_at(v0) for e in base_edges]
+    adj, det = _adjugate(B), IntMatrix.from_rows(B).det()
     k = g1.torus_rank
     sign_choices = [(1,) * k] if signed else list(itertools.product((1, -1), repeat=k))
+    lab = tuple if signed else canonical_sign
+    labels = {u: {lab(f.weight_at(u)): f.other(u) for f in g2.incident(u)} for u in g2.vertices}
+    stop_early = least and v0 == min(g1.vertices)
     found = []
-    for u0 in g2.vertices:
+    for u0 in sorted(g2.vertices):
         for combo in itertools.permutations(g2.incident(u0), k):
             targets = [e.weight_at(u0) for e in combo]
             for signs in sign_choices:
-                psi = _solve_psi(base_dec, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
-                phi = None if psi is None else _extend_iso(g1, g2, v0, u0, psi, signed)
+                psi = _solve_psi(adj, det, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
+                phi = None if psi is None else _extend_iso(g1, labels, v0, u0, psi, lab)
                 if phi is None:
                     continue
                 iso = GraphIso(tuple(sorted(phi.items())), psi)
                 if iso.verify(g1, g2, signed):
                     found.append(iso)
+        if stop_early and found:
+            break
     found.sort(key=lambda iso: (iso.vertex_map, iso.psi.entries))
-    return found
+    return found[:1] if least else found
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def diffeo_verdict(
         )
     s1 = invariant_system(g1)
     s2 = invariant_system(g2)
-    isos = find_isomorphisms(g1, g2, signed=True) if g1.torus_rank == g2.torus_rank else []
+    isos = find_isomorphisms(g1, g2, signed=True, least=True) if g1.torus_rank == g2.torus_rank else []
     # Phi carries s2 to s1 exactly when -Phi, of the same entry bound, carries
     # the reversed s2 to s1 (mu is cubic, p linear, w read mod 2), and every
     # invariant are_equivalent checks is blind to negating mu and p: so one

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from gkmcalc import gkm
 from gkmcalc.errors import (
     DimensionMismatch,
     InvalidGraph,
@@ -13,6 +15,7 @@ from gkmcalc.errors import (
 from gkmcalc.gkm import (
     BUILTIN_NAMES,
     GKMGraph,
+    GraphIso,
     XRay,
     builtin,
     find_isomorphisms,
@@ -22,8 +25,11 @@ from gkmcalc.gkm import (
     read_json,
     xray_from_json,
 )
-from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank
+from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank, smith_normal_form, solve_with_snf
 from gkmcalc.polyring import int_digit_limit
+from test_wjz import _load_families, random_unimodular
+
+families = _load_families()
 
 
 # -- reference oracle: exhaustive search over all vertex bijections ---------
@@ -307,7 +313,8 @@ def test_search_matches_brute_force_oracle():
     assert as_set(find_isomorphisms(u, u, signed=False)) == brute_isos(u, u, False)
 
 
-def test_mutated_label_kills_isomorphisms():
+def mutated_eschenburg():
+    """Eschenburg with the label of p1-p6 changed to (3, 1)."""
     e = builtin("eschenburg")
     edges = []
     for ed in e.edges:
@@ -315,7 +322,11 @@ def test_mutated_label_kills_isomorphisms():
             edges.append((ed.u, ed.v, (3, 1)))
         else:
             edges.append((ed.u, ed.v, ed.weight_at_u, ed.weight_at_v))
-    mutated = GKMGraph(2, e.vertices, edges, signed=True, name="mutated")
+    return GKMGraph(2, e.vertices, edges, signed=True, name="mutated")
+
+
+def test_mutated_label_kills_isomorphisms():
+    e, mutated = builtin("eschenburg"), mutated_eschenburg()
     isos = find_isomorphisms(e, mutated, signed=True)
     assert isos == []
     assert brute_isos(e, mutated, True) == set()
@@ -392,6 +403,170 @@ def test_rank3_sphere_cube_automorphism_group():
             amap, bmap = a.mapping(), b.mapping()
             comp = tuple(sorted((v, bmap[amap[v]]) for v in verts))
             assert (comp, (b.psi * a.psi).entries) in pool
+
+
+# -- the least isomorphism -----------------------------------------------------
+
+
+def least_is_first(g1, g2, signed):
+    """Assert that least=True gives the complete list's [:1]; return the list."""
+    isos = find_isomorphisms(g1, g2, signed)
+    assert find_isomorphisms(g1, g2, signed, least=True) == isos[:1]
+    return isos
+
+
+@pytest.mark.parametrize("b", families.SIGNED_BUILTINS)
+@pytest.mark.parametrize("a", families.SIGNED_BUILTINS)
+def test_least_isomorphism_on_builtin_pairs(a, b):
+    g1, g2 = builtin(a), builtin(b)
+    assert least_is_first(g1, g2, True)
+    assert least_is_first(g1, g2, False)
+    assert least_is_first(g1.unsigned(), g2.unsigned(), False)
+
+
+@pytest.mark.parametrize("family,param", [("cp", 3), ("cp1^", 3), ("surface", 4), ("surface", 5), ("surface", 6)])
+def test_least_isomorphism_on_disguised_families(family, param):
+    g = families.build(family, param)
+    copy = graph_from_json(families.disguise(g, random.Random("least-%s%s" % (family, param))))
+    assert least_is_first(g, copy, True)
+    assert least_is_first(copy, g, True)
+    assert least_is_first(copy, copy, True)
+
+
+def test_least_isomorphism_of_the_mutated_pair_is_none():
+    assert least_is_first(builtin("eschenburg"), mutated_eschenburg(), True) == []
+
+
+def test_least_isomorphism_when_the_least_vertex_spans_too_little():
+    # a's weights are pairwise independent but span a plane only, so the
+    # base is b and least=True takes the least of the complete list. The
+    # automorphism (a c)(b d) with psi = -1 gives two isomorphisms onto the
+    # renamed copy; the least image of b lies on the other one.
+    edges = [("a", "b", (1, 0, 0)), ("a", "c", (0, 1, 0)), ("a", "d", (1, 1, 0)),
+             ("b", "c", (1, 1, 0)), ("b", "d", (0, 0, 1)), ("c", "d", (-1, 0, 0))]
+    g = GKMGraph(3, ["a", "b", "c", "d"], edges, signed=True)
+    assert g.validate().valid
+    assert rank(IntMatrix.from_rows(g.weights_at("a"))) == 2
+    name = {"a": "w", "b": "z", "c": "x", "d": "y"}
+    renamed = GKMGraph(3, sorted(name.values()), [(name[u], name[v], w) for u, v, w in edges], signed=True)
+    isos = least_is_first(g, renamed, True)
+    assert len(isos) == 2 and isos[0].mapping()["b"] == "z"
+    disguised = graph_from_json(families.disguise(g, random.Random("least-spans")))
+    for g1, g2 in [(g, g), (g, disguised), (disguised, g), (renamed, disguised)]:
+        assert least_is_first(g1, g2, True)
+        assert least_is_first(g1.unsigned(), g2.unsigned(), False)
+
+
+def test_adjugate_psi_matches_the_smith_solve():
+    rng = random.Random(1616)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        B = IntMatrix(k, k, [rng.randint(-4, 4) for _ in range(k * k)])
+        if abs(B.det()) < 2:
+            continue
+        rows = [B.row(i) for i in range(k)]
+        if rng.random() < 0.5:  # psi * base_j for a unimodular psi: a solution exists
+            psi = random_unimodular(rng, k)
+            targets = [psi.apply(r) for r in rows]
+        else:
+            targets = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(k)]
+        dec = smith_normal_form(B)
+        xs = [solve_with_snf(dec, [t[i] for t in targets]) for i in range(k)]
+        want = None if None in xs else IntMatrix.from_rows(xs)
+        if want is not None and not want.is_unimodular():
+            want = None
+        assert gkm._solve_psi(gkm._adjugate(rows), B.det(), targets) == want
+        seen.add("insoluble" if None in xs else "not unimodular" if want is None else "psi")
+    assert seen == {"insoluble", "not unimodular", "psi"}
+
+
+_SEGMENT = GKMGraph(1, ["a", "b"], [("a", "b", (1,))], signed=True)
+_ERROR_CASES = {
+    "rank": (builtin("eschenburg"), _SEGMENT, True, DimensionMismatch),
+    "rank before validity": (builtin("cp1xcp2"), _SEGMENT, True, DimensionMismatch),
+    "valence": (builtin("eschenburg"), GKMGraph(2, ["a", "b"], [("a", "b", (1, 0))], signed=True), True,
+                DimensionMismatch),
+    "unsigned input": (builtin("eschenburg").unsigned(), builtin("eschenburg"), True, ValueError),
+    "unsigned before validity": (builtin("cp1xcp2").unsigned(), builtin("cp1xcp2"), True, ValueError),
+    "invalid": (builtin("cp1xcp2"), builtin("cp1xcp2"), True, InvalidGraph),
+    "invalid unsigned": (builtin("eschenburg").unsigned(), builtin("cp1xcp2").unsigned(), False, InvalidGraph),
+    "empty": (GKMGraph(2, [], [], signed=True), GKMGraph(2, [], [], signed=True), True, InvalidGraph),
+    "one vertex": (GKMGraph(2, ["a"], [], signed=True), GKMGraph(2, ["b"], [], signed=True), True, InvalidGraph),
+    "one vertex rank 1": (GKMGraph(1, ["a"], [], signed=True), GKMGraph(1, ["a"], [], signed=True), False,
+                          InvalidGraph),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+def test_least_search_raises_what_the_complete_search_raises(case):
+    g1, g2, signed, expected = _ERROR_CASES[case]
+    raised = []
+    for least in (False, True):
+        with pytest.raises(expected) as info:
+            find_isomorphisms(g1, g2, signed, least=least)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def scanned_verify(iso, g1, g2, signed):
+    """GraphIso.verify by a scan of the unused g2 edges per g1 edge: each
+    g1 edge takes the first one with its ends and its label."""
+    phi = iso.mapping()
+    if sorted(phi) != sorted(g1.vertices) or sorted(phi.values()) != sorted(g2.vertices):
+        return False
+    if not iso.psi.is_unimodular():
+        return False
+    remaining = list(g2.edges)
+    for e in g1.edges:
+        ends, target = {phi[e.u], phi[e.v]}, iso.psi.apply(e.weight_at_u)
+        hit = next((i for i, f in enumerate(remaining) if {f.u, f.v} == ends and labels_match(
+            f.weight_at(phi[e.u]), target, signed)), None)
+        if hit is None:
+            return False
+        remaining.pop(hit)
+    return not remaining
+
+
+def labels_match(w, target, signed):
+    return w == target if signed else canonical_sign(w) == canonical_sign(target)
+
+
+def test_verify_matches_the_edge_scan_on_multi_edges():
+    rng = random.Random(77)
+    labels = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
+    verts = ["a", "b", "c"]
+    verdicts = set()
+    for _ in range(600):
+        graph_signed = rng.random() < 0.5
+        edges1 = []
+        for _ in range(rng.randint(2, 6)):  # repeated end pairs make multi-edges
+            u, v = rng.sample(verts, 2)
+            wu = rng.choice(labels)
+            wv = tuple(-x for x in wu) if rng.random() < 0.7 else rng.choice(labels)
+            edges1.append((u, v, wu, wv))
+        phi = dict(zip(verts, rng.sample(verts, 3)))
+        psi = rng.choice([IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]),
+                          IntMatrix.from_rows([[-1, 0], [1, 1]])])
+        edges2 = []
+        for u, v, wu, wv in edges1:
+            image = (phi[u], phi[v], psi.apply(wu), psi.apply(wv))
+            if rng.random() < 0.5:
+                image = (image[1], image[0], image[3], image[2])
+            if rng.random() < 0.1:
+                image = image[:2] + (rng.choice(labels), image[3])
+            edges2.append(image)
+        if rng.random() < 0.1:
+            edges2[rng.randrange(len(edges2))] = edges2[0]
+        rng.shuffle(edges2)
+        g1 = GKMGraph(2, verts, edges1, graph_signed)
+        g2 = GKMGraph(2, verts, edges2, graph_signed)
+        iso = GraphIso(tuple(sorted(phi.items())), psi)
+        signed = rng.random() < 0.5
+        verdict = iso.verify(g1, g2, signed)
+        assert verdict == scanned_verify(iso, g1, g2, signed)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import operator
 import random
 from math import gcd
 
@@ -179,7 +180,8 @@ def test_solve_none_is_insoluble():
             sols = [(x, y) for x in box for y in box]
         else:
             sols = [(x, y, z) for x in box for y in box for z in box]
-        assert all(A.apply(v) != tuple(b) for v in sols)
+        rows, b = [A.row(i) for i in range(m)], tuple(b)
+        assert all(tuple(sum(map(operator.mul, r, v)) for r in rows) != b for v in sols)
     assert checked > 20
 
 
