@@ -193,7 +193,7 @@ def _cmd_cohomology(args):
     rows = []
     for d in range(0, top + 1, 2):
         gb = ring.ordinary(d)
-        rows.append({"degree": d, "rank_equivariant": gb.basis.cols, "rank_ordinary": gb.projection.rows})
+        rows.append({"degree": d, "rank_equivariant": gb.rank, "rank_ordinary": len(gb.quotient_reps)})
     payload = {
         "command": "cohomology",
         "graph": g.name,

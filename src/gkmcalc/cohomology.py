@@ -4,9 +4,10 @@ The subalgebra A of tuples over the fixed points satisfying the edge
 congruences (f_u - f_v divisible by the edge weight) is a free module over
 Z[y], and the ordinary cohomology is the quotient A/mA by the ideal the
 polynomial variables generate. CohomologyRing keeps one record per degree
-(GradedBasis): a basis matrix of A_d in monomial coordinates, classes that
-project to a basis of (A/mA)_d, and the projection. It builds them on one
-of two paths, chosen once per ring from the graph alone (`ring.path`).
+(GradedBasis): classes that project to a basis of (A/mA)_d, a basis matrix
+of A_d in monomial coordinates, and the projection; on the flow-up path
+the matrices are built when first read. It builds them on one of two
+paths, chosen once per ring from the graph alone (`ring.path`).
 
 Flow-up path (Guillemin-Zara 2001, Goldin-Tolman 2009). A generic xi
 orients every edge by the sign of <w, xi> at one end; when the orientation
@@ -20,7 +21,8 @@ are a Z[y]-basis of A: for x in A, let p be its first nonzero vertex; x
 vanishes at p's lower neighbours, so each down-weight divides x(p), and
 primitive, pairwise independent linear forms are coprime primes of Z[y],
 so e_p^- divides x(p) and x - (x(p)/e_p^-) tau_p vanishes at p too. Then
-A_d has the basis y^m tau_p (2 lambda_p <= d), b_d = #{p : 2 lambda_p = d},
+A_d has the basis y^m tau_p (2 lambda_p <= d), so rank A_d is the sum of
+C(d/2 - lambda_p + k - 1, k - 1) over those p, b_d = #{p : 2 lambda_p = d},
 the quotient reps are the tau_p of index d/2, and `express` peels by exact
 division. Modulo 2 a primitive weight stays nonzero, so `express_mod2`
 peels the same way over F_2.
@@ -44,7 +46,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     DimensionMismatch,
@@ -250,12 +252,19 @@ class GradedBasis:
     for every degree-d monomial m, so it is never 0. Its basis matrix
     `basis` has one column of monomial coefficients (vertex-major, in
     `monomials` order) per basis class of A_d; `projection` maps
-    coordinates in those columns to (A/mA)_d, and the Betti number b_d is
-    `projection.rows`."""
+    coordinates in those columns to (A/mA)_d. Both are built by `matrices`,
+    once, when first read; the Betti number b_d is len(quotient_reps)."""
 
-    basis: IntMatrix  # the A_degree basis matrix
     quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
-    projection: IntMatrix  # b_d x rank A_degree, applied to A-coords
+    rank: int  # rank A_degree, the number of columns of `basis`
+    matrices: object  # () -> (the A_degree basis matrix, the b_d x rank A_degree projection)
+
+    @cached_property
+    def _built(self):
+        return self.matrices()
+
+    basis = property(lambda self: self._built[0])
+    projection = property(lambda self: self._built[1])
 
 
 # xi on a fixed list: the prefix of _XI of torus-rank length, then the
@@ -310,10 +319,36 @@ class _FlowUp:
     weight at the vertex), so lambda_p = len(down[p]), and
     tau[p] = {q: tau_p(q)} over the support of tau_p."""
 
-    __slots__ = ("order", "down", "tau")
+    __slots__ = ("k", "order", "down", "tau")
 
-    def __init__(self, order, down, tau):
-        self.order, self.down, self.tau = order, down, tau
+    def __init__(self, k, order, down, tau):
+        self.k, self.order, self.down, self.tau = k, order, down, tau
+
+    def matrices(self, d):
+        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in topological
+        order and m in `monomials` order, and the projection that selects
+        the coefficients of the tau_p with 2 lambda_p = d."""
+        nv = len(self.order)
+        monos = monomials(self.k, d)
+        nm = len(monos)
+        pos = {m: j for j, m in enumerate(monos)}
+        cols, selected = [], []
+        for p in self.order:
+            rest = d - 2 * len(self.down[p])
+            if rest < 0:
+                continue
+            if rest == 0:
+                selected.append(len(cols))
+            for m in monomials(self.k, rest):
+                vec = [0] * (nv * nm)
+                for q, f in self.tau[p].items():
+                    for e, c in f.terms.items():
+                        vec[q * nm + pos[tuple(map(operator.add, e, m))]] = c
+                cols.append(vec)
+        r = len(cols)
+        basis = IntMatrix._of(nv * nm, r, [vec[i] for i in range(nv * nm) for vec in cols])
+        projection = IntMatrix._of(len(selected), r, [int(j == t) for t in selected for j in range(r)])
+        return basis, projection
 
 
 def _flow_up(g):
@@ -368,7 +403,7 @@ def _flow_up(g):
                 if f:
                     cls[q] = f
         tau[p] = cls
-    return _FlowUp(order, down, tau)
+    return _FlowUp(k, order, down, tau)
 
 
 class _PointEvaluation:
@@ -481,33 +516,15 @@ class CohomologyRing:
         return self._gkm[d]
 
     def _flow_record(self, d):
-        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in topological
-        order and m in `monomials` order; the reps are the tau_p with
-        2 lambda_p = d, and the projection selects their coefficients."""
-        fu, k = self._flow, self.k
+        """The reps are the tau_p with 2 lambda_p = d, in topological
+        order; rank A_d counts the y^m * tau_p in closed form."""
+        fu = self._flow
+        zero = IntPolynomial.zero(self.k)
         nv = len(self.graph.vertices)
-        monos = monomials(k, d)
-        nm = len(monos)
-        pos = {m: j for j, m in enumerate(monos)}
-        zero = IntPolynomial.zero(k)
-        cols, selected, reps = [], [], []
-        for p in fu.order:
-            rest = d - 2 * len(fu.down[p])
-            if rest < 0:
-                continue
-            if rest == 0:
-                selected.append(len(cols))
-                reps.append(FixedPointClass(self.graph, [fu.tau[p].get(q, zero) for q in range(nv)]))
-            for m in monomials(k, rest):
-                vec = [0] * (nv * nm)
-                for q, f in fu.tau[p].items():
-                    for e, c in f.terms.items():
-                        vec[q * nm + pos[tuple(map(operator.add, e, m))]] = c
-                cols.append(vec)
-        r = len(cols)
-        basis = IntMatrix._of(nv * nm, r, [vec[i] for i in range(nv * nm) for vec in cols])
-        projection = IntMatrix._of(len(selected), r, [int(j == t) for t in selected for j in range(r)])
-        return GradedBasis(basis, reps, projection)
+        reps = [FixedPointClass(self.graph, [fu.tau[p].get(q, zero) for q in range(nv)])
+                for p in fu.order if 2 * len(fu.down[p]) == d]
+        rank = sum(math.comb(d // 2 - len(down) + self.k - 1, self.k - 1) for down in fu.down if 2 * len(down) <= d)
+        return GradedBasis(reps, rank, partial(fu.matrices, d))
 
     def _compute(self, d):
         g = self.graph
@@ -567,10 +584,10 @@ class CohomologyRing:
         uinv = dec.U.inverse_unimodular()
         projection = IntMatrix._of(r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)])
         reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
-        return GradedBasis(matrix, reps, projection)
+        return GradedBasis(reps, r, lambda: (matrix, projection))
 
     def betti(self, d):
-        return self.ordinary(d).projection.rows
+        return len(self.ordinary(d).quotient_reps)
 
     # -- expressing classes ---------------------------------------------------
 

@@ -235,8 +235,9 @@ class GKMGraph:
 
 
 def _pairwise_independent(weights):
+    """The first pair of weights whose 2x2 minors all vanish, or None."""
     for a, b in itertools.combinations(weights, 2):
-        if rank(IntMatrix.from_rows([a, b])) < 2:
+        if not any(a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)):
             return (a, b)
     return None
 

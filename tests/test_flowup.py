@@ -12,7 +12,7 @@ from gkmcalc.cohomology import CohomologyRing, FixedPointClass, is_gkm_class
 from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import builtin, graph_from_json
 from gkmcalc.intlinalg import IntMatrix
-from gkmcalc.polyring import IntPolynomial
+from gkmcalc.polyring import IntPolynomial, monomials
 from test_wjz import _load_families, index_betti
 
 families = _load_families()
@@ -44,6 +44,27 @@ def product(weights, k):
     for w in weights:
         out = out * IntPolynomial.linear_form(w)
     return out
+
+
+def flow_up_matrices(ring, d):
+    """The columns y^m * tau_p (2 lambda_p <= d), p in topological order and
+    m in `monomials` order, with tau_p read off the quotient reps, and the
+    rows of the projection onto the tau_p with 2 lambda_p = d."""
+    g, k = ring.graph, ring.k
+    order = topological_order(g)
+    lam = {v: len(down_weights(g, v)) for v in order}
+    tau = {}
+    for e in range(0, ring.dim + 1, 2):
+        tau.update(zip([v for v in order if 2 * lam[v] == e], ring.ordinary(e).quotient_reps))
+    cols, selected = [], []
+    for v in order:
+        if 2 * lam[v] <= d:
+            if 2 * lam[v] == d:
+                selected.append(len(cols))
+            for m in monomials(k, d - 2 * lam[v]):
+                y = IntPolynomial(k, {m: 1})
+                cols.append(ring._class_to_vec(FixedPointClass(g, [y * f for f in tau[v].components]), d))
+    return cols, [[int(j == t) for j in range(len(cols))] for t in selected]
 
 
 def no_kernel(*args, **kwargs):
@@ -118,3 +139,56 @@ def test_kernel_fallback_agrees(name):
     with pytest.raises(NotInSubalgebra) as on_kernel:
         kernel.express(on_unsigned(broken), 2)
     assert str(on_flow.value) == str(on_kernel.value)
+
+
+def test_betti_numbers_build_no_basis_matrix(monkeypatch):
+    calls = []
+    matrices = cohomology._FlowUp.matrices
+    monkeypatch.setattr(cohomology._FlowUp, "matrices", lambda fu, d: calls.append(d) or matrices(fu, d))
+    for family, param in GRAPHS:
+        ring = CohomologyRing(families.build(family, param))
+        for d in range(0, ring.dim + 1, 2):
+            ring.betti(d), ring.ordinary(d).rank
+        assert ring.path == "flow-up"
+    assert calls == []
+    record = ring.ordinary(4)
+    record.projection, record.basis, ring.gkm_basis(4), record.basis
+    assert calls == [4]
+
+
+READS = ("basis", "projection", "gkm_basis", "betti")
+
+
+@pytest.mark.parametrize("family,param", GRAPHS, ids=["%s%s" % g for g in GRAPHS])
+def test_matrices_do_not_depend_on_the_order_of_reads(family, param):
+    g = families.build(family, param)
+    degrees = list(range(0, 2 * g.valence + 1, 2))
+    expected = {d: flow_up_matrices(CohomologyRing(g), d) for d in degrees}
+    rng = random.Random("reads-%s%s" % (family, param))
+    for _ in range(3):
+        ring = CohomologyRing(g)
+        reads = [(d, what) for d in degrees for what in READS]
+        rng.shuffle(reads)
+        for d, what in reads:
+            cols, projection = expected[d]
+            if what == "basis":
+                assert ring.ordinary(d).basis == IntMatrix.from_columns(cols)
+            elif what == "projection":
+                assert ring.ordinary(d).projection.to_rows() == projection
+            elif what == "gkm_basis":
+                assert [ring._class_to_vec(c, d) for c in ring.gkm_basis(d)] == cols
+            else:
+                assert ring.betti(d) == len(projection)
+
+
+@pytest.mark.parametrize("name", SIGNED + ("cp3", "cp1^3") + tuple("surface%d" % m for m in range(4, 9)))
+def test_rank_of_a_d_in_closed_form(name):
+    g = builtin(name) if name in SIGNED else families.build(name.rstrip("0123456789"), int(name[-1]))
+    ring = CohomologyRing(g)
+    ranks = [ring.ordinary(d).rank for d in range(0, ring.dim + 1, 2)]
+    assert ranks == [ring.ordinary(d).basis.cols for d in range(0, ring.dim + 1, 2)]
+    if g.valence == 3:  # the kernel path on the larger graphs takes seconds
+        kernel = CohomologyRing(g.unsigned())
+        assert kernel.path == "kernel"
+        assert [kernel.ordinary(d).rank for d in range(0, 7, 2)] == ranks
+        assert [kernel.ordinary(d).basis.cols for d in range(0, 7, 2)] == ranks

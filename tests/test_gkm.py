@@ -212,6 +212,35 @@ def test_parallel_labels_detected():
     assert "DependentWeightsAt" in codes
 
 
+def dependent_by_rank(weights):
+    """The first dependent pair by the Smith rank of the 2 x k matrix."""
+    for a, b in itertools.combinations(weights, 2):
+        if rank(IntMatrix.from_rows([a, b])) < 2:
+            return (a, b)
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_minors_agree_with_rank(k):
+    rng = random.Random("minors-%d" % k)
+    for _ in range(300):
+        a = tuple(rng.randint(-6, 6) for _ in range(k))
+        s = rng.choice([-3, -2, -1, 1, 2, 3])
+        b = rng.choice([
+            tuple(rng.randint(-6, 6) for _ in range(k)),
+            a,
+            tuple(-x for x in a),
+            tuple(s * x for x in a),
+            tuple(rng.randint(-1, 1) for _ in range(k)),
+        ])
+        pair = [a, b]
+        assert (gkm._pairwise_independent(pair) is not None) == (rank(IntMatrix.from_rows(pair)) < 2)
+        weights = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.5:  # plant a scaled copy of one weight
+            weights.insert(rng.randrange(len(weights) + 1), tuple(s * x for x in rng.choice(weights)))
+        assert gkm._pairwise_independent(weights) == dependent_by_rank(weights)
+
+
 def test_sign_inconsistency_detected():
     g = GKMGraph(
         2,
