@@ -1,7 +1,5 @@
 """Equivariant characteristic classes from fixed-point weights, descent to
-ordinary cohomology, and exact fixed-point localization integration
-(`localize_integral`, defined in cohomology, whose rings certify point
-evaluation with it).
+ordinary cohomology, and exact fixed-point localization integration.
 
 At a fixed point with isotropy weights a_1..a_n the total equivariant
 Chern class restricts to prod (1 + a_j) (signed graphs only), the
@@ -13,16 +11,10 @@ coefficients 0 and 1; the latter two are independent of the sign choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import ChernRequiresSignedGraph, NotInSubalgebra
-from .cohomology import (
-    CohomologyRing,
-    FixedPointClass,
-    GeneratorBasis,
-    RingElement,
-    localize_integral,
-    ring_of,
-)
+from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .gkm import GKMGraph
 from .polyring import IntPolynomial
 
@@ -122,3 +114,52 @@ def descend(
             poly = gens.render(elem) if gens else None
         entries.append({"degree": d, "coords": tuple(coords), "poly": poly})
     return CharClassReport(total.kind, entries, gens.names if gens else [])
+
+
+def localize_integral(graph: GKMGraph, c: FixedPointClass):
+    """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
+    is the product of the weights at p.
+
+    For a homogeneous class of degree 2n this is the pairing with the
+    fundamental class in the orientation the signed labels induce; below
+    the top degree the sum cancels to zero. The terms are added into one
+    running fraction num/den with den the product of all e_p, so a sum that
+    fails to be an integer (or to cancel) is detected exactly and flags
+    invalid input data.
+    """
+    if not graph.signed:
+        raise LocalizationRequiresSignedGraph(
+            "localization needs the orientation carried by signed labels"
+        )
+    d = c.degree()
+    if d is None and not c.is_zero():
+        raise ValueError("localization input must be homogeneous")
+    if c.is_zero():
+        return 0
+    n2 = 2 * graph.valence
+    if d > n2:
+        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
+    k = graph.torus_rank
+    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    for v, cp in zip(graph.vertices, c.components):
+        e = IntPolynomial.constant(k, 1)
+        for w in graph.weights_at(v):
+            e = e * IntPolynomial.linear_form(w)
+        num, den = num * e + cp * den, den * e
+    if d < n2:
+        if not num.is_zero():
+            raise NonIntegralLocalizationSum(
+                "localization sum of a degree-%d class does not cancel; "
+                "the labels are inconsistent" % d
+            )
+        return 0
+    # degree 2n: the sum is a constant, so num = r * den
+    exps, dc = next(iter(den.terms.items()))
+    r = Fraction(num.coefficient(exps), dc)
+    if num * r.denominator != den * r.numerator:
+        raise NonIntegralLocalizationSum(
+            "localization sum is not constant; the labels are inconsistent"
+        )
+    if r.denominator != 1:
+        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
+    return int(r)

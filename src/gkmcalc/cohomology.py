@@ -37,10 +37,23 @@ y_i, and torsion in the quotient is a hard error (it violates the
 freeness hypothesis everything else rests on). Empty matrices have an
 ordinary Smith form, so degree 0, with no ideal generators and an r x 0
 quotient matrix, takes the same path as every other degree.
+
+Point evaluation (Guillemin-Zara 1999, `CohomologyRing._point`). A
+connection pairs, at each edge u-v of weight alpha, the other weights at u
+with those at v so that paired weights differ by integer multiples of
+alpha; then e_u = alpha*P_u and e_v = -alpha*P_v with P_u = P_v mod alpha.
+At most one weight at a vertex is a multiple of alpha, so the poles of
+sum_p x_p/e_p along alpha pair up across the alpha-edges as
+(x_u*P_v - x_v*P_u)/(alpha*P_u*P_v), and alpha divides the numerator when
+x is in A. So the sum has no poles: a top-degree class of A integrates to a
+rational constant, exact at any integer xi with every e_p(xi) != 0, and the
+same congruences put the total Chern and Pontrjagin classes in A. A graph
+with no connection keeps the symbolic sum, `charclasses.localize_integral`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -51,17 +64,15 @@ from functools import cached_property, partial
 from .errors import (
     DimensionMismatch,
     GeneratorsDoNotSpan,
-    LocalizationRequiresSignedGraph,
     NonIntegralLocalizationSum,
     NotInSubalgebra,
     SchemaError,
     TorsionInQuotient,
 )
-from .gkm import GKMGraph
+from .gkm import GKMGraph, all_labels_primitive
 from .intlinalg import (
     IntMatrix,
     kernel_saturated,
-    primitive_part,
     saturated,
     smith_normal_form,
     solve_with_snf,
@@ -189,55 +200,6 @@ def is_gkm_class(c: FixedPointClass) -> bool:
     return True
 
 
-def localize_integral(graph: GKMGraph, c: FixedPointClass):
-    """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
-    is the product of the weights at p.
-
-    For a homogeneous class of degree 2n this is the pairing with the
-    fundamental class in the orientation the signed labels induce; below
-    the top degree the sum cancels to zero. The terms are added into one
-    running fraction num/den with den the product of all e_p, so a sum that
-    fails to be an integer (or to cancel) is detected exactly and flags
-    invalid input data.
-    """
-    if not graph.signed:
-        raise LocalizationRequiresSignedGraph(
-            "localization needs the orientation carried by signed labels"
-        )
-    d = c.degree()
-    if d is None and not c.is_zero():
-        raise ValueError("localization input must be homogeneous")
-    if c.is_zero():
-        return 0
-    n2 = 2 * graph.valence
-    if d > n2:
-        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
-    k = graph.torus_rank
-    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
-    for v, cp in zip(graph.vertices, c.components):
-        e = IntPolynomial.constant(k, 1)
-        for w in graph.weights_at(v):
-            e = e * IntPolynomial.linear_form(w)
-        num, den = num * e + cp * den, den * e
-    if d < n2:
-        if not num.is_zero():
-            raise NonIntegralLocalizationSum(
-                "localization sum of a degree-%d class does not cancel; "
-                "the labels are inconsistent" % d
-            )
-        return 0
-    # degree 2n: the sum is a constant, so num = r * den
-    exps, dc = next(iter(den.terms.items()))
-    r = Fraction(num.coefficient(exps), dc)
-    if num * r.denominator != den * r.numerator:
-        raise NonIntegralLocalizationSum(
-            "localization sum is not constant; the labels are inconsistent"
-        )
-    if r.denominator != 1:
-        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
-    return int(r)
-
-
 @dataclass
 class RingElement:
     """Integer coordinates in the chosen basis of (A/mA)_degree."""
@@ -355,7 +317,7 @@ def _flow_up(g):
     """The flow-up classes of g, or None when the flow-up path does not
     apply (see the module docstring)."""
     k = g.torus_rank
-    if not g.signed or any(primitive_part(e.weight_at_u) != e.weight_at_u for e in g.edges):
+    if not g.signed or not all_labels_primitive(g):
         return None
     for xi in _directions(k):
         if (oriented := _orient(g, xi)) is not None:
@@ -406,11 +368,24 @@ def _flow_up(g):
     return _FlowUp(k, order, down, tau)
 
 
+def _has_connection(g):
+    """Whether g has a connection (Guillemin-Zara 1999): at each edge u-v of
+    weight alpha, a pairing of the other weights at u with those at v whose
+    pairs differ by integer multiples of alpha. All (n-1)! pairings are tried."""
+    for e in g.edges:
+        alpha = IntPolynomial.linear_form(e.weight_at_u)
+        at_u, at_v = ([IntPolynomial.linear_form(f.weight_at(x)) for f in g.incident(x) if f is not e] for x in (e.u, e.v))
+        if not any(all(divide_by_linear(a - b, alpha) is not None for a, b in zip(at_u, pairing))
+                   for pairing in itertools.permutations(at_v)):
+            return False
+    return True
+
+
 class _PointEvaluation:
     """The integral over M at one integer point xi: every edge weight pairs
     to nonzero with xi, euler = E = prod_p e_p(xi) and weights[p] =
     E / e_p(xi), so a top-degree class x of A has
-    <x, [M]> = sum_p x_p(xi) * weights[p] / E (see CohomologyRing._point)."""
+    <x, [M]> = sum_p x_p(xi) * weights[p] / E under a connection."""
 
     __slots__ = ("xi", "weights", "euler")
 
@@ -422,13 +397,12 @@ class _PointEvaluation:
         return [f.evaluate(self.xi) for f in c.components]
 
     def integral(self, values):
-        """<x, [M]> from the values x_p(xi) of a top-degree class of A."""
-        q, rem = divmod(_dot(values, self.weights), self.euler)
-        if rem:
-            raise NonIntegralLocalizationSum(
-                "point evaluation of a certified class is not an integer (internal error)"
-            )
-        return q
+        """<x, [M]> from the values x_p(xi) of a top-degree class of A; a
+        rational that is not an integer raises as `localize_integral` does."""
+        total = _dot(values, self.weights)
+        if total % self.euler:
+            raise NonIntegralLocalizationSum("localization sum %s is not an integer" % Fraction(total, self.euler))
+        return total // self.euler
 
 
 def _check_degree(d):
@@ -453,26 +427,14 @@ class CohomologyRing:
 
     @cached_property
     def _point(self):
-        """Certified point evaluation of the integral on A_top, or None.
-
-        Localization is H(BT)-linear (Atiyah-Bott), and by graded Nakayama
-        the quotient reps of every degree generate A over H(BT). So when
-        every rep below the top degree localizes to 0 and every top rep to
-        an integer, the localization sum of each x in A_top is an integer
-        constant, and evaluating it at one integer xi with every
-        e_p(xi) != 0 is exact. xi is the first vector on the fixed list
-        that pairs to nonzero with every weight. None for an unsigned
-        graph, when no xi qualifies, or when a rep fails its localization
-        or a degree has torsion; callers then localize symbolically."""
+        """Point evaluation of the integral on A, certified by a connection
+        (see the module docstring), at the first xi on the fixed list that
+        pairs to nonzero with every weight. None for an unsigned graph, when
+        no xi qualifies or with no connection; callers then localize
+        symbolically. It reads the graph alone and builds no record."""
         g = self.graph
         xi = next((xi for xi in _directions(self.k) if all(_dot(e.weight_at_u, xi) for e in g.edges)), None)
-        if not g.signed or xi is None:
-            return None
-        try:
-            for d in range(0, self.dim + 1, 2):
-                for rep in self.ordinary(d).quotient_reps:
-                    localize_integral(g, rep)
-        except (NonIntegralLocalizationSum, TorsionInQuotient):
+        if not g.signed or xi is None or not _has_connection(g):
             return None
         euler = [math.prod(_dot(w, xi) for w in g.weights_at(v)) for v in g.vertices]
         total = math.prod(euler)
@@ -665,9 +627,8 @@ class CohomologyRing:
         vec = [x % 2 for x in self._class_to_vec(tup, degree)]
         proj = self.ordinary(degree).projection
         dec = self._snf[degree]
-        diag = dec.diagonal()
         y = [0] * dec.A.cols
-        for i, (c, d) in enumerate(zip(dec.ranked_rows(vec), diag)):
+        for i, (c, d) in enumerate(dec.ranked_rows(vec)):
             if d % 2:
                 y[i] = c % 2
             elif c % 2:
@@ -675,7 +636,7 @@ class CohomologyRing:
         sol = dec.V.apply(y)
         if any((a - b) % 2 for a, b in zip(dec.A.apply(sol), vec)):
             raise outside
-        for j, d in enumerate(diag):
+        for j, d in enumerate(dec.diagonal()):
             if d % 2 == 0:
                 if any(x % 2 for x in proj.apply(dec.V.column(j))):
                     raise NotInSubalgebra(

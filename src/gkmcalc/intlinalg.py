@@ -189,8 +189,8 @@ class SNFDecomposition:
         return sum(1 for d in self.diagonal() if d != 0)
 
     def ranked_rows(self, b):
-        """The first rank(S) entries of U*b."""
-        return [sum(map(operator.mul, self.U.row(i), b)) for i in range(self.rank())]
+        """(entry i of U*b, S[i][i]) for the first rank(S) rows i."""
+        return [(sum(map(operator.mul, self.U.row(i), b)), d) for i, d in enumerate(self.diagonal()) if d]
 
 
 def _find_pivot(s, t, m, n):
@@ -314,7 +314,7 @@ def solve_with_snf(dec: SNFDecomposition, b):
     if len(b) != dec.A.rows:
         raise DimensionMismatch("vector length %d != %d" % (len(b), dec.A.rows))
     y = [0] * dec.V.rows
-    for i, (c, d) in enumerate(zip(dec.ranked_rows(b), dec.diagonal())):
+    for i, (c, d) in enumerate(dec.ranked_rows(b)):
         if c % d:
             return None
         y[i] = c // d

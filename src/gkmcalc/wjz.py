@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, is_gkm_class, ring_of
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
@@ -87,14 +87,13 @@ class NotFoundWithinBound:
 def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: CohomologyRing = None) -> InvariantSystem:
     """Extract (H^2, mu, w2, p1) from a valid signed valence-3 graph.
 
-    mu and p are integrals of cup products. The ring certifies once, by
-    localizing its quotient reps symbolically, that the integral on A_top is
-    exact at one integer point xi (`CohomologyRing._point`, kept for the
-    ring's life); then each entry of mu is a sum over the fixed points of
-    values at xi, and so is p when the degree-4 Pontrjagin class satisfies
-    the edge congruences. Without the certificate, or for p without that
-    class in A, each entry is localized symbolically, once per unordered
-    triple. w2 comes from the degree-2 Stiefel-Whitney descent. With user
+    mu and p are integrals of cup products. When the graph has a
+    connection (`CohomologyRing._point`, tested once per ring from the
+    weights alone), every class integrated here lies in A and its integral
+    is exact at one integer point xi, so each entry of mu and p is a sum of
+    values at xi over the fixed points. Without one, each entry is
+    localized symbolically, once per unordered triple, with the same values
+    and errors. w2 comes from the degree-2 Stiefel-Whitney descent. With user
     generators the tensors are stated in that basis, otherwise in the
     deterministic internal one.
     """
@@ -139,12 +138,11 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     else:
         w = tuple(w_coords)
     pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)
-    # nothing in validation gives the graph a connection, so p1 may lie outside A
-    if point is not None and is_gkm_class(pont):
+    if point is None:
+        p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
+    else:  # the connection puts p1 in A
         pont_at_xi = point.at(pont)
         p = tuple(point.integral(map(operator.mul, pont_at_xi, at_xi[a])) for a in range(r))
-    else:
-        p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
     return InvariantSystem(r, mu, w, p, label, tuple(warnings))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis
+from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, _has_connection, _PointEvaluation
 from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
 from gkmcalc.errors import GeneratorsDoNotSpan, NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra, SchemaError
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms, graph_from_json
@@ -189,12 +189,16 @@ def test_verdict_swapped_orientations():
         assert v.phi is not None
 
 
-def _load_families():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
+def _load(relative):
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_families():
+    return _load("perfbench/families.py")
 
 
 def backward_transport(g1, g2, iso):
@@ -271,9 +275,9 @@ def test_localize_flags_fractional_top_degree_sum():
 
 
 def counted_localizations(monkeypatch):
-    """Record every symbolic localization: the certificate's, in cohomology,
-    and invariant_system's own, in wjz."""
-    import gkmcalc.cohomology as cohomology
+    """Record every symbolic localization: charclasses defines it, and
+    invariant_system calls it through wjz."""
+    import gkmcalc.charclasses as charclasses
     import gkmcalc.wjz as wjz
 
     calls = []
@@ -282,13 +286,13 @@ def counted_localizations(monkeypatch):
         calls.append(c)
         return localize_integral(graph, c)
 
-    monkeypatch.setattr(cohomology, "localize_integral", counting)
+    monkeypatch.setattr(charclasses, "localize_integral", counting)
     monkeypatch.setattr(wjz, "localize_integral", counting)
     return calls
 
 
 def symbolic_ring(g):
-    """A ring whose point-evaluation certificate is forced off."""
+    """A ring whose point evaluation is forced off."""
     ring = CohomologyRing(g)
     ring.__dict__["_point"] = None
     return ring
@@ -302,22 +306,23 @@ def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
     assert len(calls) == 10 + 3  # C(5, 3) entries of mu, then p
 
 
-def test_invariant_system_certifies_once_per_ring(monkeypatch):
-    import gkmcalc.wjz as wjz
-
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: builtin("eschenburg"), lambda: builtin("tolman"), lambda: builtin("woodward"),
+     lambda: builtin("eschenburg-swapped"), lambda: product_of_spheres([(2, 0), (0, 1), (1, 1)])],
+    ids=["eschenburg", "tolman", "woodward", "eschenburg-swapped", "spheres-imprimitive"],
+)
+def test_invariant_system_certifies_from_the_graph_alone(monkeypatch, graph):
     calls = counted_localizations(monkeypatch)
-    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    g = graph()
     ring = CohomologyRing(g)
     first = invariant_system(g, ring=ring)
     assert ring._point is not None
-    assert len(calls) == sum(ring.betti(d) for d in range(0, 7, 2)) == 8  # the reps, nothing else
-    del calls[:]
+    assert calls == []
+    # the certificate built no record past what H^2 and w2 read
+    assert max(ring._gkm) == 2
     assert invariant_system(g, ring=ring) == first
     assert calls == []
-    # p1 outside A goes back to one symbolic localization per basis class
-    monkeypatch.setattr(wjz, "is_gkm_class", lambda c: False)
-    assert invariant_system(g, ring=ring).p == first.p
-    assert len(calls) == 3
 
 
 def test_ring_and_betti_numbers_localize_nothing(monkeypatch):
@@ -325,11 +330,43 @@ def test_ring_and_betti_numbers_localize_nothing(monkeypatch):
     for g in (builtin("eschenburg"), product_of_spheres([(2, 0), (0, 1), (1, 1)])):
         ring = CohomologyRing(g)
         [ring.betti(d) for d in range(0, ring.dim + 1, 2)]
+        assert "_point" not in ring.__dict__  # nor test for a connection
     assert calls == []
 
 
+def test_connection_check():
+    families = _load_families()
+    for family, params in [("cp", (3, 4, 5)), ("cp1^", (3, 4, 5)), ("surface", (4, 5, 6, 7, 8))]:
+        for param in params:
+            g = families.build(family, param)
+            copy = graph_from_json(families.disguise(g, random.Random("connection-%s%s" % (family, param))))
+            assert _has_connection(g) and _has_connection(copy), (family, param)
+    from test_gkm import mutated_eschenburg
+
+    # valid graphs with no connection: invariant_system localizes symbolically
+    for g in (GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), mutated_eschenburg()):
+        assert g.validate().valid
+        assert not _has_connection(g)
+        assert CohomologyRing(g)._point is None
+
+
+def test_point_integral_that_is_not_an_integer():
+    # half the Euler class at one vertex, as in the symbolic test above
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    point = CohomologyRing(g)._point
+    c = FixedPointClass.from_strings(g, {v: "-Y1^2*Y2 - Y1*Y2^2" if v == "ppp" else "0" for v in g.vertices})
+    values = point.at(c)
+    assert sum(map(operator.mul, values, point.weights)) * 2 == point.euler
+    with pytest.raises(NonIntegralLocalizationSum, match="^localization sum 1/2 is not an integer$"):
+        point.integral(values)
+    # E = -8 at e_p(xi) = -2 and 4: the sum 4/-8 is reported in lowest terms
+    with pytest.raises(NonIntegralLocalizationSum, match="^localization sum -1/2 is not an integer$"):
+        _PointEvaluation((1, 0), (4, -2), -8).integral([1, 0])
+    assert _PointEvaluation((1, 0), (4, -2), -8).integral([2, 0]) == -1
+
+
 # A valid signed K4 graph with primitive weights on the kernel path, b = (1, 1,
-# 1, 1), whose reps do not localize to integers: the point certificate fails.
+# 1, 1), with no connection; its classes do not even localize to constants.
 UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
                   ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
 
@@ -342,6 +379,8 @@ def _point_versus_symbolic_inputs():
         g = families.build(family, param)
         out.append(("%s%s-disguised" % (family, param),
                     graph_from_json(families.disguise(g, random.Random("point-%s%s" % (family, param)))), None))
+    for i, weights in enumerate(_load("tools/sweep.py").SPHERE_WEIGHTS, 1):
+        out.append(("s2cubed%d" % i, product_of_spheres(weights), None))
     out.append(("uncertified-k4", GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), None))
     return out
 
