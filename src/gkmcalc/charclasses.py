@@ -85,12 +85,12 @@ def stiefel_whitney_coords(ring: CohomologyRing, sw: EquivariantTotalClass, degr
     it is equal whenever both are defined.
     """
     try:
-        return ring.express_mod2(sw.homogeneous_component(degree).components, degree)
+        return ring.express_mod2(sw.components, degree)
     except NotInSubalgebra:
         if not ring.graph.signed:
             raise
         chern = equivariant_char_class(ring.graph, "chern")
-        elem = ring.express(chern.homogeneous_component(degree), degree)
+        elem = ring.express(chern, degree)
         return tuple(c % 2 for c in elem.coords)
 
 
@@ -109,7 +109,7 @@ def descend(
             coords = stiefel_whitney_coords(ring, total, d)
             poly = gens.to_poly(RingElement(d, coords)).mod2().render(gens.names) if gens else None
         else:
-            elem = ring.express(total.homogeneous_component(d), d)
+            elem = ring.express(total, d)
             coords = elem.coords
             poly = gens.render(elem) if gens else None
         entries.append({"degree": d, "coords": tuple(coords), "poly": poly})

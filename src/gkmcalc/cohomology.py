@@ -582,7 +582,9 @@ class CohomologyRing:
         return tuple(coords)
 
     def express(self, c: FixedPointClass, degree=None) -> RingElement:
-        """Image of a homogeneous subalgebra class in (A/mA)_degree."""
+        """Image of a homogeneous subalgebra class in (A/mA)_degree. Given
+        a degree, only the degree-d part of c is read (both paths read the
+        degree-d monomials alone), so a total class may be passed whole."""
         if degree is None:
             degree = c.degree()
             if degree is None:

@@ -25,12 +25,7 @@ from .errors import (
     UnknownExample,
     XRayError,
 )
-from .intlinalg import (
-    IntMatrix,
-    canonical_sign,
-    primitive_part,
-    rank,
-)
+from .intlinalg import IntMatrix, canonical_sign, primitive_part
 from .polyring import int_digit_limit
 
 GRAPH_FORMAT = "gkmg/1"
@@ -384,38 +379,15 @@ class GraphIso:
     def mapping(self):
         return dict(self.vertex_map)
 
-    def verify(self, g1: GKMGraph, g2: GKMGraph, signed: bool) -> bool:
-        phi = self.mapping()
-        if sorted(phi) != sorted(g1.vertices) or sorted(phi.values()) != sorted(g2.vertices):
-            return False
-        if not self.psi.is_unimodular():
-            return False
-        lab = tuple if signed else canonical_sign
-        # g2's edges by (end, other end, label there); each g1 edge takes the first unused one
-        index = {}
-        for i, f in enumerate(g2.edges):
-            index.setdefault((f.u, f.v, lab(f.weight_at_u)), []).append(i)
-            index.setdefault((f.v, f.u, lab(f.weight_at_v)), []).append(i)
-        used = set()
-        for e in g1.edges:
-            key = (phi[e.u], phi[e.v], lab(self.psi.apply(e.weight_at_u)))
-            hit = next((i for i in index.get(key, ()) if i not in used), None)
-            if hit is None:
-                return False
-            used.add(hit)
-        return len(used) == len(g2.edges)
-
 
 def _independent_base_edges(g: GKMGraph):
-    """The least-named vertex that carries k independent weights, together
-    with k of its edges whose weights span Q^k."""
-    k = g.torus_rank
+    """The least-named vertex that carries k independent weights, the first
+    k of its edges whose weights B span Q^k, and det B, which is nonzero."""
     for v in sorted(g.vertices):
-        edges = g.incident(v)
-        for combo in itertools.combinations(edges, k):
-            w = IntMatrix.from_rows([e.weight_at(v) for e in combo])
-            if rank(w) == k:
-                return v, list(combo)
+        for combo in itertools.combinations(g.incident(v), g.torus_rank):
+            det = IntMatrix.from_rows([e.weight_at(v) for e in combo]).det()
+            if det:
+                return v, combo, det
     return None
 
 
@@ -477,9 +449,15 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
     Both graphs must satisfy the GKM conditions (InvalidGraph otherwise).
     A base vertex with k independent incident weights pins psi for each
     choice of its image and of the image edges; each integral unimodular
-    solution forces the whole vertex map, which is re-verified edge by
-    edge. Distinct choices give distinct (image, psi) pairs, so nothing
-    is found twice.
+    solution forces the whole vertex map. What the walk accepts is an
+    isomorphism: both graphs are valid with equal valence, |V| and |E|,
+    and psi is unimodular. The weights at each g2 vertex are pairwise
+    independent, so their labels are distinct, the walk maps the edges at
+    v one-to-one onto those at phi(v), and it gives each edge the same
+    image from both ends. A locally bijective, label-preserving map
+    between connected graphs with equally many vertices is a bijection on
+    vertices and on edges. Distinct choices give distinct (image, psi)
+    pairs, so nothing is found twice.
 
     The base is the least-named such vertex v. When v is g1's least name,
     (v, phi(v)) is the first pair of every vertex_map, so least=True tries
@@ -499,9 +477,8 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
     base = _independent_base_edges(g1)
     if base is None:
         raise InvalidGraph("no vertex carries %d independent weights; automorphism underdetermined" % g1.torus_rank)
-    v0, base_edges = base
-    B = [e.weight_at(v0) for e in base_edges]
-    adj, det = _adjugate(B), IntMatrix.from_rows(B).det()
+    v0, base_edges, det = base
+    adj = _adjugate([e.weight_at(v0) for e in base_edges])
     k = g1.torus_rank
     sign_choices = [(1,) * k] if signed else list(itertools.product((1, -1), repeat=k))
     lab = tuple if signed else canonical_sign
@@ -514,11 +491,8 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
             for signs in sign_choices:
                 psi = _solve_psi(adj, det, [tuple(s * x for x in t) for s, t in zip(signs, targets)])
                 phi = None if psi is None else _extend_iso(g1, labels, v0, u0, psi, lab)
-                if phi is None:
-                    continue
-                iso = GraphIso(tuple(sorted(phi.items())), psi)
-                if iso.verify(g1, g2, signed):
-                    found.append(iso)
+                if phi is not None:
+                    found.append(GraphIso(tuple(sorted(phi.items())), psi))
         if stop_early and found:
             break
     found.sort(key=lambda iso: (iso.vertex_map, iso.psi.entries))

@@ -9,8 +9,10 @@ The Smith normal form U*A*V = S is the one elimination engine: the rank is
 the number of nonzero diagonal entries, a unimodular inverse is V*U,
 integer solves and kernels come from solve_with_snf and the V-columns, and
 since U and V stay invertible mod 2, mod-2 solves read off the same
-transforms. Only det keeps its own (Bareiss) elimination, because the CLI
-prints det psi of each isomorphism and a determinant needs no transforms.
+transforms. Only det keeps its own (Bareiss) elimination, since a
+determinant needs no transforms: it picks the isomorphism search's base
+weights and builds their adjugate, and it is the is_unimodular test. The
+isomorphism search uses no Smith form at all.
 
 Empty matrices (0xn, mx0) have an ordinary Smith form: the loop finds no
 pivot, so U and V are identities and S has no diagonal. Their rank is 0,
@@ -18,14 +20,14 @@ the kernel of a 0xn matrix is all of Z^n, and no caller special-cases them.
 
 The engine builds only what its caller reads. Kernels, ranks and the
 saturation test read V or S alone, so they ask for no U (`with_u=False`).
-Solves (`solve_with_snf` here, `CohomologyRing.express_mod2` mod 2), the
-quotient's projection and its representatives (through
-`inverse_unimodular`) and the isomorphism search read U. A solve needs only
-the first rank(S) rows of U*b: the rows past the rank ask that U*b vanish
-there, and since U is invertible that holds exactly when the candidate
-x = V*y solves A*x = b, which is checked on A instead. A tall basis
-matrix (many monomial coordinates, few classes) thus costs two thin
-products in place of one square one.
+Solves (`solve_with_snf` here, `CohomologyRing.express_mod2` mod 2) and
+the quotient's projection and its representatives (through
+`inverse_unimodular`) read U. A solve needs only the first rank(S) rows of
+U*b: the rows past the rank ask that U*b vanish there, and since U is
+invertible that holds exactly when the candidate x = V*y solves A*x = b,
+which is checked on A instead. A tall basis matrix (many monomial
+coordinates, few classes) thus costs two thin products in place of one
+square one.
 """
 
 from __future__ import annotations

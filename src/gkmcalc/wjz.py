@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, _dot, ring_of
 from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
@@ -175,10 +175,6 @@ def _cubic_values_mod2(s: InvariantSystem):
 
 def _flatten_mu(s):
     return [x for plane in s.mu for row in plane for x in row]
-
-
-def _dot(x, y):
-    return sum(map(operator.mul, x, y))
 
 
 def _covector(mu, x, y):

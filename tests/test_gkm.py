@@ -15,7 +15,6 @@ from gkmcalc.errors import (
 from gkmcalc.gkm import (
     BUILTIN_NAMES,
     GKMGraph,
-    GraphIso,
     XRay,
     builtin,
     find_isomorphisms,
@@ -27,7 +26,7 @@ from gkmcalc.gkm import (
 )
 from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank, smith_normal_form, solve_with_snf
 from gkmcalc.polyring import int_digit_limit
-from test_wjz import _load_families, random_unimodular
+from test_wjz import UNCERTIFIED_K4, _load_families, random_unimodular
 
 families = _load_families()
 
@@ -325,7 +324,7 @@ def test_tolman_to_eschenburg_signed():
     e = builtin("eschenburg")
     isos = find_isomorphisms(t, e, signed=True)
     assert isos
-    assert all(iso.verify(t, e, signed=True) for iso in isos)
+    assert all(scanned_verify(iso, t, e, True) for iso in isos)
     # the composite of the shear with a reflection has determinant -1
     assert any(iso.psi.det() == -1 for iso in isos)
 
@@ -539,8 +538,9 @@ def test_least_search_raises_what_the_complete_search_raises(case):
 
 
 def scanned_verify(iso, g1, g2, signed):
-    """GraphIso.verify by a scan of the unused g2 edges per g1 edge: each
-    g1 edge takes the first one with its ends and its label."""
+    """Whether iso is an isomorphism g1 -> g2, by a scan of the unused g2
+    edges per g1 edge: each g1 edge takes the first one with its ends and
+    its label."""
     phi = iso.mapping()
     if sorted(phi) != sorted(g1.vertices) or sorted(phi.values()) != sorted(g2.vertices):
         return False
@@ -561,41 +561,48 @@ def labels_match(w, target, signed):
     return w == target if signed else canonical_sign(w) == canonical_sign(target)
 
 
-def test_verify_matches_the_edge_scan_on_multi_edges():
-    rng = random.Random(77)
-    labels = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
-    verts = ["a", "b", "c"]
-    verdicts = set()
-    for _ in range(600):
-        graph_signed = rng.random() < 0.5
-        edges1 = []
-        for _ in range(rng.randint(2, 6)):  # repeated end pairs make multi-edges
-            u, v = rng.sample(verts, 2)
-            wu = rng.choice(labels)
-            wv = tuple(-x for x in wu) if rng.random() < 0.7 else rng.choice(labels)
-            edges1.append((u, v, wu, wv))
-        phi = dict(zip(verts, rng.sample(verts, 3)))
-        psi = rng.choice([IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]),
-                          IntMatrix.from_rows([[-1, 0], [1, 1]])])
-        edges2 = []
-        for u, v, wu, wv in edges1:
-            image = (phi[u], phi[v], psi.apply(wu), psi.apply(wv))
-            if rng.random() < 0.5:
-                image = (image[1], image[0], image[3], image[2])
-            if rng.random() < 0.1:
-                image = image[:2] + (rng.choice(labels), image[3])
-            edges2.append(image)
-        if rng.random() < 0.1:
-            edges2[rng.randrange(len(edges2))] = edges2[0]
-        rng.shuffle(edges2)
-        g1 = GKMGraph(2, verts, edges1, graph_signed)
-        g2 = GKMGraph(2, verts, edges2, graph_signed)
-        iso = GraphIso(tuple(sorted(phi.items())), psi)
-        signed = rng.random() < 0.5
-        verdict = iso.verify(g1, g2, signed)
-        assert verdict == scanned_verify(iso, g1, g2, signed)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+def _search_set():
+    """The signed built-ins and seeded disguises of four family graphs,
+    each with its unsigned copy."""
+    signed = [builtin(name) for name in families.SIGNED_BUILTINS]
+    for family, param in [("cp", 3), ("cp1^", 3), ("surface", 4), ("surface", 6)]:
+        rng = random.Random("search-%s%d" % (family, param))
+        signed.append(graph_from_json(families.disguise(families.build(family, param), rng)))
+    return signed + [g.unsigned() for g in signed]
+
+
+def test_every_isomorphism_found_is_one():
+    graphs = _search_set()
+    for g1, g2 in itertools.product(graphs, repeat=2):
+        if (g1.torus_rank, g1.valence) != (g2.torus_rank, g2.valence):
+            continue
+        for signed in (True, False) if g1.signed and g2.signed else (False,):
+            isos = find_isomorphisms(g1, g2, signed)
+            assert all(scanned_verify(iso, g1, g2, signed) for iso in isos), (g1.name, g2.name, signed)
+            if g1 is g2:
+                assert isos, g1.name
+
+
+def _k4_double_cover(voltage):
+    """The double cover of the labelled K4 that crosses sheets on the edges
+    where voltage is 1; connected unless the voltage is a coboundary."""
+    edges = [(u + str(s), v + str(s ^ t), w) for (u, v, w), t in zip(UNCERTIFIED_K4, voltage) for s in (0, 1)]
+    return GKMGraph(2, [v + s for v in "abcd" for s in "01"], edges, signed=True)
+
+
+def test_the_forced_walk_closes_up_on_double_covers():
+    # any two covers are locally label-isomorphic, so a walk between
+    # different ones succeeds at every vertex until a cycle fails to close
+    covers = [_k4_double_cover(t) for t in [(0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 1, 0), (1, 1, 0, 0, 0, 0),
+                                            (1, 1, 1, 1, 1, 1)]]
+    assert all(g.validate().valid for g in covers)
+    counts = set()
+    for g1, g2 in itertools.product(covers, repeat=2):
+        for signed in (True, False):
+            isos = find_isomorphisms(g1, g2, signed)
+            assert all(scanned_verify(iso, g1, g2, signed) for iso in isos)
+            counts.add(bool(isos))
+    assert counts == {True, False}
 
 
 # -- serialization ------------------------------------------------------------

@@ -229,6 +229,7 @@ def cli_argvs():
             out.append(base + ["invariants", "--example", name] + gens)
         for a, b in itertools.product(signed, repeat=2):
             out.append(base + ["iso", "--signed", "--example", a, "--example", b])
+            out.append(base + ["iso", "--example", a, "--example", b])
             out.append(base + ["diffeo", "--example", a, "--example", b,
                                "--assume-simply-connected", "--assume-h-odd-zero"])
         out.append(base + ["diffeo", "--example", "tolman", "--example", "eschenburg"])
