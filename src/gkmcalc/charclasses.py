@@ -75,9 +75,9 @@ class CharClassReport:
         return self.entry(degree)["coords"]
 
 
-def stiefel_whitney_coords(ring: CohomologyRing, sw: EquivariantTotalClass, degree: int):
-    """Mod-2 quotient coordinates of the degree-d part of `sw`, the total
-    Stiefel-Whitney class from `equivariant_char_class`.
+def stiefel_whitney_coords(ring: CohomologyRing, sw: FixedPointClass, degree: int):
+    """Mod-2 quotient coordinates of w_d from `sw`, any integer lift whose
+    degree-d part reduces to w_d, such as the total Stiefel-Whitney class.
 
     The direct mod-2 solve is sign-independent but can be ambiguous when a
     weight is imprimitive; in that case (signed graphs only) the class is

@@ -47,8 +47,9 @@ sum_p x_p/e_p along alpha pair up across the alpha-edges as
 (x_u*P_v - x_v*P_u)/(alpha*P_u*P_v), and alpha divides the numerator when
 x is in A. So the sum has no poles: a top-degree class of A integrates to a
 rational constant, exact at any integer xi with every e_p(xi) != 0, and the
-same congruences put the total Chern and Pontrjagin classes in A. A graph
-with no connection keeps the symbolic sum, `charclasses.localize_integral`.
+same congruences put the total Chern and Pontrjagin classes in A. The sum
+at xi is formed over L = lcm_p e_p(xi), not the product. A graph with no
+connection keeps the symbolic sum, `charclasses.localize_integral`.
 """
 
 from __future__ import annotations
@@ -383,9 +384,9 @@ def _has_connection(g):
 
 class _PointEvaluation:
     """The integral over M at one integer point xi: every edge weight pairs
-    to nonzero with xi, euler = E = prod_p e_p(xi) and weights[p] =
-    E / e_p(xi), so a top-degree class x of A has
-    <x, [M]> = sum_p x_p(xi) * weights[p] / E under a connection."""
+    to nonzero with xi, euler = L = lcm_p e_p(xi) and weights[p] =
+    L / e_p(xi), so a top-degree class x of A has
+    <x, [M]> = sum_p x_p(xi) * weights[p] / L under a connection."""
 
     __slots__ = ("xi", "weights", "euler")
 
@@ -437,8 +438,8 @@ class CohomologyRing:
         if not g.signed or xi is None or not _has_connection(g):
             return None
         euler = [math.prod(_dot(w, xi) for w in g.weights_at(v)) for v in g.vertices]
-        total = math.prod(euler)
-        return _PointEvaluation(xi, tuple(total // e for e in euler), total)
+        lcm = math.lcm(*euler)
+        return _PointEvaluation(xi, tuple(lcm // e for e in euler), lcm)
 
     @property
     def path(self):

@@ -16,7 +16,6 @@ import re
 import sys
 
 from .errors import DimensionMismatch, GkmError, SchemaError
-from .intlinalg import IntMatrix
 
 
 def monomials(k, degree):
@@ -195,15 +194,6 @@ class IntPolynomial:
     def evaluate(self, point):
         """The value at an integer point, one coordinate per variable."""
         return sum(c * math.prod(map(pow, point, exps)) for exps, c in self.terms.items())
-
-    def linear_substitute(self, B: IntMatrix):
-        """Replace Y_j by sum_i B[i][j]*Y_i (a ring homomorphism)."""
-        if B.rows != self.k or B.cols != self.k:
-            raise DimensionMismatch("substitution matrix must be %dx%d" % (self.k, self.k))
-        images = [
-            IntPolynomial.linear_form(B.column(j)) for j in range(self.k)
-        ]
-        return self.substitute(images)
 
     def substitute(self, images):
         """Substitute images[i] for variable i; images live in any common

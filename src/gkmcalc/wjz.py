@@ -16,11 +16,12 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
+from .charclasses import localize_integral, stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, _dot, ring_of
 from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
+from .polyring import IntPolynomial, monomials
 
 
 # the largest search bound; at rank 2 its box takes about 2 s
@@ -93,8 +94,10 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
     is exact at one integer point xi, so each entry of mu and p is a sum of
     values at xi over the fixed points. Without one, each entry is
     localized symbolically, once per unordered triple, with the same values
-    and errors. w2 comes from the degree-2 Stiefel-Whitney descent. With user
-    generators the tensors are stated in that basis, otherwise in the
+    and errors. No total class is built: w2 is the mod-2 descent of
+    c1 = sum_j a_j over the weights at each vertex, and p1 = sum_j a_j^2 is
+    one integer per vertex at xi (a class only on the symbolic path). With
+    user generators the tensors are stated in that basis, otherwise in the
     deterministic internal one.
     """
     if graph.valence != 3:
@@ -131,17 +134,19 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
         for i, j, l in itertools.permutations((a, b, c)):
             mu[i][j][l] = value
     mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
-    w_coords = stiefel_whitney_coords(ring, equivariant_char_class(graph, "stiefel_whitney"), 2)
+    c1 = [IntPolynomial.linear_form(map(sum, zip(*graph.weights_at(v)))) for v in graph.vertices]
+    w_coords = stiefel_whitney_coords(ring, FixedPointClass(graph, c1), 2)
     if gens is not None:
         wpoly = gens.to_poly(RingElement(2, w_coords)).mod2()
         w = tuple(wpoly.coefficient(m) for m in units)
     else:
         w = tuple(w_coords)
-    pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)
     if point is None:
+        forms = [map(IntPolynomial.linear_form, graph.weights_at(v)) for v in graph.vertices]
+        pont = FixedPointClass(graph, [a * a + b * b + c * c for a, b, c in forms])
         p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
     else:  # the connection puts p1 in A
-        pont_at_xi = point.at(pont)
+        pont_at_xi = [sum(_dot(w, point.xi) ** 2 for w in graph.weights_at(v)) for v in graph.vertices]
         p = tuple(point.integral(map(operator.mul, pont_at_xi, at_xi[a])) for a in range(r))
     return InvariantSystem(r, mu, w, p, label, tuple(warnings))
 
@@ -285,9 +290,12 @@ def phi_from_graph_iso(g1, g2, iso):
     of Phi."""
     ring2 = ring_of(g2)
     preimage = {w: v for v, w in iso.mapping().items()}
+    units = monomials(g1.torus_rank, 2)
     cols = []
     for cls in ring_of(g1).ordinary(2).quotient_reps:
-        comps = [cls.component(preimage[u]).linear_substitute(iso.psi) for u in g2.vertices]
+        # psi carries the linear form with coefficient vector c to psi*c
+        comps = [IntPolynomial.linear_form(iso.psi.apply(map(cls.component(preimage[u]).coefficient, units)))
+                 for u in g2.vertices]
         cols.append(ring2.express(FixedPointClass(g2, comps), 2).coords)
     return Equivalence(IntMatrix.from_columns(cols))
 

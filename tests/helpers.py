@@ -1,0 +1,128 @@
+"""Graphs, matrices and reference checks that several test modules share,
+so that no test module imports another."""
+
+import importlib.util
+import operator
+from pathlib import Path
+
+from gkmcalc.gkm import GKMGraph, builtin
+from gkmcalc.intlinalg import IntMatrix, canonical_sign
+from gkmcalc.polyring import IntPolynomial
+
+
+def _load(relative):
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_families():
+    return _load("perfbench/families.py")
+
+
+def product_of_spheres(weights):
+    """Three rotated 2-spheres under one 2-torus; an imprimitive rotation
+    speed gives disconnected isotropy but a perfectly good GKM manifold."""
+    import itertools
+
+    verts = ["".join(s) for s in itertools.product("pm", repeat=3)]
+    edges = []
+    for i, w in enumerate(weights):
+        for eps in itertools.product("pm", repeat=3):
+            if eps[i] == "p":
+                other = list(eps)
+                other[i] = "m"
+                edges.append(("".join(eps), "".join(other), tuple(-x for x in w)))
+    return GKMGraph(2, verts, edges, signed=True, name="s2cubed")
+
+
+def relabelled(g):
+    """The same signed graph with renamed vertices, its edge list reversed
+    and every edge stored from its other end."""
+    name = {v: "v%d" % i for i, v in enumerate(reversed(g.vertices))}
+    edges = [(name[e.v], name[e.u], e.weight_at_v) for e in reversed(g.edges)]
+    return GKMGraph(g.torus_rank, [name[v] for v in g.vertices], edges, signed=True)
+
+
+def random_unimodular(rng, r):
+    """A product of three elementary matrices: a sign change at rank 1,
+    otherwise the identity plus one off-diagonal +-1."""
+    phi = IntMatrix.identity(r)
+    for _ in range(3):
+        rows = IntMatrix.identity(r).to_rows()
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        rows[i][j] = rng.choice((-1, 1))
+        phi = phi * IntMatrix.from_rows(rows)
+    return phi
+
+
+# A valid signed K4 graph with primitive weights on the kernel path, b = (1, 1,
+# 1, 1), with no connection; its classes do not even localize to constants.
+UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
+                  ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
+
+
+def mutated_eschenburg():
+    """Eschenburg with the label of p1-p6 changed to (3, 1)."""
+    e = builtin("eschenburg")
+    edges = []
+    for ed in e.edges:
+        if {ed.u, ed.v} == {"p1", "p6"}:
+            edges.append((ed.u, ed.v, (3, 1)))
+        else:
+            edges.append((ed.u, ed.v, ed.weight_at_u, ed.weight_at_v))
+    return GKMGraph(2, e.vertices, edges, signed=True, name="mutated")
+
+
+# A valid GKM graph on K4 whose quotient A/mA has torsion in the top degree,
+# so it cannot come from a space with vanishing odd cohomology.
+TORSION_EDGES = [("v0", "v1", (1, 0)), ("v1", "v2", (-2, 4)), ("v2", "v3", (-1, 0)), ("v3", "v0", (-1, -1)),
+                 ("v0", "v2", (0, -3)), ("v1", "v3", (3, -3))]
+
+
+def torsion_graph():
+    return GKMGraph(2, ["v0", "v1", "v2", "v3"], TORSION_EDGES, signed=False)
+
+
+def index_betti(g):
+    """Betti numbers by counting (Guillemin-Zara 2001): for a generic xi,
+    b_2i is the number of vertices with exactly i weights w where
+    <w, xi> < 0. No cohomology is computed."""
+    xi = (1, 7, 53, 379, 2719)[: g.torus_rank]
+    counts = [0] * (g.valence + 1)
+    for v in g.vertices:
+        pairings = [sum(map(operator.mul, w, xi)) for w in g.weights_at(v)]
+        assert all(pairings), "xi is not generic for %s" % g
+        counts[sum(x < 0 for x in pairings)] += 1
+    return counts
+
+
+def scanned_verify(iso, g1, g2, signed):
+    """Whether iso is an isomorphism g1 -> g2, by a scan of the unused g2
+    edges per g1 edge: each g1 edge takes the first one with its ends and
+    its label."""
+    phi = iso.mapping()
+    if sorted(phi) != sorted(g1.vertices) or sorted(phi.values()) != sorted(g2.vertices):
+        return False
+    if not iso.psi.is_unimodular():
+        return False
+    remaining = list(g2.edges)
+    for e in g1.edges:
+        ends, target = {phi[e.u], phi[e.v]}, iso.psi.apply(e.weight_at_u)
+        hit = next((i for i, f in enumerate(remaining) if {f.u, f.v} == ends and labels_match(
+            f.weight_at(phi[e.u]), target, signed)), None)
+        if hit is None:
+            return False
+        remaining.pop(hit)
+    return not remaining
+
+
+def labels_match(w, target, signed):
+    return w == target if signed else canonical_sign(w) == canonical_sign(target)
+
+
+def linear_substitute(p, B):
+    """p with Y_j replaced by sum_i B[i][j]*Y_i (a ring homomorphism)."""
+    return p.substitute([IntPolynomial.linear_form(B.column(j)) for j in range(B.cols)])

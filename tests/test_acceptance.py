@@ -20,7 +20,7 @@ from gkmcalc.cohomology import (
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms
 from gkmcalc.intlinalg import IntMatrix, smith_normal_form
 from gkmcalc.polyring import IntPolynomial, divide_by_linear, parse_polynomial
-from test_gkm import scanned_verify
+from helpers import scanned_verify
 
 GKM_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
 DIFFEO_TRIO = ("eschenburg", "tolman", "woodward")

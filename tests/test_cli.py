@@ -5,6 +5,7 @@ import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from helpers import torsion_graph
 
 
 def run(capsys, *argv):
@@ -474,8 +475,6 @@ def test_more_generator_names_than_b2_is_an_error(tmp_path):
 
 
 def test_torsion_graph_is_an_error_not_a_traceback(tmp_path):
-    from test_cohomology import torsion_graph
-
     path = tmp_path / "torsion.json"
     path.write_text(json.dumps(torsion_graph().to_json()))
     proc = gkm_process("cohomology", str(path))

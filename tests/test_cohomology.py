@@ -13,6 +13,7 @@ from gkmcalc.errors import GeneratorsDoNotSpan, InvalidGraph, NotInSubalgebra, S
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, smith_normal_form
 from gkmcalc.polyring import IntPolynomial, PolynomialSyntaxError, parse_polynomial
+from helpers import product_of_spheres, torsion_graph
 
 VALID_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
 XX = ["X1", "X2"]
@@ -102,8 +103,6 @@ def test_quotient_reps_project_to_unit_vectors(ring):
 
 @pytest.mark.parametrize("which", ["eschenburg", "imprimitive", "point"])
 def test_ideal_generators_vanish_in_the_quotient(which):
-    from test_wjz import product_of_spheres
-
     if which == "eschenburg":
         g = builtin("eschenburg")
     elif which == "imprimitive":
@@ -224,16 +223,6 @@ def test_generator_basis_rejects_wrong_degree(ring, esc):
 def test_entry_points_reject_wrong_types_with_a_named_error(esc, ring, phi, call, error):
     with pytest.raises(error):
         call(esc, ring, phi)
-
-
-# A valid GKM graph on K4 whose quotient A/mA has torsion in the top degree,
-# so it cannot come from a space with vanishing odd cohomology.
-TORSION_EDGES = [("v0", "v1", (1, 0)), ("v1", "v2", (-2, 4)), ("v2", "v3", (-1, 0)), ("v3", "v0", (-1, -1)),
-                 ("v0", "v2", (0, -3)), ("v1", "v3", (3, -3))]
-
-
-def torsion_graph():
-    return GKMGraph(2, ["v0", "v1", "v2", "v3"], TORSION_EDGES, signed=False)
 
 
 def test_torsion_in_the_quotient_is_a_named_error():

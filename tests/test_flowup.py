@@ -13,7 +13,7 @@ from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import builtin, graph_from_json
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.polyring import IntPolynomial, monomials
-from test_wjz import _load_families, index_betti
+from helpers import _load_families, index_betti, product_of_spheres
 
 families = _load_families()
 SIGNED = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -96,8 +96,6 @@ def test_flow_up_classes(family, param, copy, monkeypatch):
 
 
 def test_flow_up_needs_primitive_signed_weights():
-    from test_wjz import product_of_spheres
-
     assert CohomologyRing(product_of_spheres([(1, 0), (0, 1), (1, 1)])).path == "flow-up"
     assert CohomologyRing(product_of_spheres([(2, 0), (0, 1), (1, 1)])).path == "kernel"
     assert CohomologyRing(builtin("eschenburg").unsigned()).path == "kernel"

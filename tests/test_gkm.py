@@ -26,7 +26,7 @@ from gkmcalc.gkm import (
 )
 from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank, smith_normal_form, solve_with_snf
 from gkmcalc.polyring import int_digit_limit
-from test_wjz import UNCERTIFIED_K4, _load_families, random_unimodular
+from helpers import UNCERTIFIED_K4, _load_families, mutated_eschenburg, random_unimodular, scanned_verify
 
 families = _load_families()
 
@@ -341,18 +341,6 @@ def test_search_matches_brute_force_oracle():
     assert as_set(find_isomorphisms(u, u, signed=False)) == brute_isos(u, u, False)
 
 
-def mutated_eschenburg():
-    """Eschenburg with the label of p1-p6 changed to (3, 1)."""
-    e = builtin("eschenburg")
-    edges = []
-    for ed in e.edges:
-        if {ed.u, ed.v} == {"p1", "p6"}:
-            edges.append((ed.u, ed.v, (3, 1)))
-        else:
-            edges.append((ed.u, ed.v, ed.weight_at_u, ed.weight_at_v))
-    return GKMGraph(2, e.vertices, edges, signed=True, name="mutated")
-
-
 def test_mutated_label_kills_isomorphisms():
     e, mutated = builtin("eschenburg"), mutated_eschenburg()
     isos = find_isomorphisms(e, mutated, signed=True)
@@ -535,30 +523,6 @@ def test_least_search_raises_what_the_complete_search_raises(case):
             find_isomorphisms(g1, g2, signed, least=least)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
-
-
-def scanned_verify(iso, g1, g2, signed):
-    """Whether iso is an isomorphism g1 -> g2, by a scan of the unused g2
-    edges per g1 edge: each g1 edge takes the first one with its ends and
-    its label."""
-    phi = iso.mapping()
-    if sorted(phi) != sorted(g1.vertices) or sorted(phi.values()) != sorted(g2.vertices):
-        return False
-    if not iso.psi.is_unimodular():
-        return False
-    remaining = list(g2.edges)
-    for e in g1.edges:
-        ends, target = {phi[e.u], phi[e.v]}, iso.psi.apply(e.weight_at_u)
-        hit = next((i for i, f in enumerate(remaining) if {f.u, f.v} == ends and labels_match(
-            f.weight_at(phi[e.u]), target, signed)), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return not remaining
-
-
-def labels_match(w, target, signed):
-    return w == target if signed else canonical_sign(w) == canonical_sign(target)
 
 
 def _search_set():

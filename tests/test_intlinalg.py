@@ -19,6 +19,7 @@ from gkmcalc.intlinalg import (
     smith_normal_form,
     solve_with_snf,
 )
+from helpers import product_of_spheres
 
 
 @pytest.mark.parametrize("entry", [1.7, "3", True, None], ids=["float", "string", "bool", "null"])
@@ -354,8 +355,6 @@ def _express_mod2_outcome(express, ring, components, degree):
 
 @pytest.mark.parametrize("which", ["eschenburg", "imprimitive"])
 def test_express_mod2_matches_row_test(which):
-    from test_wjz import product_of_spheres
-
     g = builtin("eschenburg") if which == "eschenburg" else product_of_spheres([(2, 0), (0, 1), (1, 1)])
     ring = CohomologyRing(g)
     sw = equivariant_char_class(g, "stiefel_whitney")

@@ -1,19 +1,25 @@
-import importlib.util
 import itertools
 import operator
 import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, _has_connection, _PointEvaluation
+from gkmcalc.cohomology import (
+    CohomologyRing,
+    FixedPointClass,
+    GeneratorBasis,
+    RingElement,
+    _has_connection,
+    _PointEvaluation,
+    ring_of,
+)
 from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
 from gkmcalc.errors import GeneratorsDoNotSpan, NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra, SchemaError
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms, graph_from_json
-from gkmcalc.intlinalg import IntMatrix
+from gkmcalc.intlinalg import IntMatrix, primitive_part
 from gkmcalc.wjz import (
     MAX_BOUND,
     Equivalence,
@@ -24,6 +30,18 @@ from gkmcalc.wjz import (
     diffeo_verdict,
     invariant_system,
     phi_from_graph_iso,
+)
+from helpers import (
+    UNCERTIFIED_K4,
+    _load,
+    _load_families,
+    index_betti,
+    linear_substitute,
+    mutated_eschenburg,
+    product_of_spheres,
+    random_unimodular,
+    relabelled,
+    scanned_verify,
 )
 
 XX = ["X1", "X2"]
@@ -189,18 +207,6 @@ def test_verdict_swapped_orientations():
         assert v.phi is not None
 
 
-def _load(relative):
-    path = Path(__file__).resolve().parent.parent / relative
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _load_families():
-    return _load("perfbench/families.py")
-
-
 def backward_transport(g1, g2, iso):
     """The inverse of Phi, built the other way round: g2's degree-2 basis
     carried back to g1 through (phi, psi^-1), in g1's coordinates."""
@@ -209,39 +215,26 @@ def backward_transport(g1, g2, iso):
     psi_inv = iso.psi.inverse_unimodular()
     cols = []
     for cls in ring2.ordinary(2).quotient_reps:
-        comps = [cls.component(mapping[v]).linear_substitute(psi_inv) for v in g1.vertices]
+        comps = [linear_substitute(cls.component(mapping[v]), psi_inv) for v in g1.vertices]
         cols.append(ring1.express(FixedPointClass(g1, comps), 2).coords)
     return IntMatrix.from_columns(cols)
 
 
-def test_invariant_system_naturality():
+def naturality_pairs():
     families = _load_families()
     surface = families.surface_x_cp1(4)
-    pairs = [(builtin("tolman"), builtin("eschenburg")), (builtin("eschenburg"), builtin("eschenburg")),
-             (surface, graph_from_json(families.disguise(surface, random.Random(0))))]
-    for g1, g2 in pairs:
+    return [(builtin("tolman"), builtin("eschenburg")), (builtin("eschenburg"), builtin("eschenburg")),
+            (surface, graph_from_json(families.disguise(surface, random.Random(0))))]
+
+
+def test_invariant_system_naturality():
+    for g1, g2 in naturality_pairs():
         s1 = invariant_system(g1)
         s2 = invariant_system(g2)
         for iso in find_isomorphisms(g1, g2, signed=True):
             eq = phi_from_graph_iso(g1, g2, iso)
             assert eq.verify(s1, s2), (g1.name, g2.name)
             assert eq.phi * backward_transport(g1, g2, iso) == IntMatrix.identity(s1.rank)
-
-
-def product_of_spheres(weights):
-    """Three rotated 2-spheres under one 2-torus; an imprimitive rotation
-    speed gives disconnected isotropy but a perfectly good GKM manifold."""
-    import itertools
-
-    verts = ["".join(s) for s in itertools.product("pm", repeat=3)]
-    edges = []
-    for i, w in enumerate(weights):
-        for eps in itertools.product("pm", repeat=3):
-            if eps[i] == "p":
-                other = list(eps)
-                other[i] = "m"
-                edges.append(("".join(eps), "".join(other), tuple(-x for x in w)))
-    return GKMGraph(2, verts, edges, signed=True, name="s2cubed")
 
 
 def test_primitivity_warning():
@@ -341,8 +334,6 @@ def test_connection_check():
             g = families.build(family, param)
             copy = graph_from_json(families.disguise(g, random.Random("connection-%s%s" % (family, param))))
             assert _has_connection(g) and _has_connection(copy), (family, param)
-    from test_gkm import mutated_eschenburg
-
     # valid graphs with no connection: invariant_system localizes symbolically
     for g in (GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), mutated_eschenburg()):
         assert g.validate().valid
@@ -365,12 +356,6 @@ def test_point_integral_that_is_not_an_integer():
     assert _PointEvaluation((1, 0), (4, -2), -8).integral([2, 0]) == -1
 
 
-# A valid signed K4 graph with primitive weights on the kernel path, b = (1, 1,
-# 1, 1), with no connection; its classes do not even localize to constants.
-UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
-                  ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
-
-
 def _point_versus_symbolic_inputs():
     families = _load_families()
     out = [(n, builtin(n), None) for n in ("eschenburg", "tolman", "woodward", "eschenburg-swapped")]
@@ -385,13 +370,13 @@ def _point_versus_symbolic_inputs():
     return out
 
 
-def _system_or_error(g, ring, names):
+def _system_or_error(g, ring, names, system=invariant_system):
     try:
         gens = None
         if names:
             classes = [FixedPointClass.from_strings(g, ESCHENBURG_GENERATORS[n]) for n in names]
             gens = GeneratorBasis(ring, names, classes)
-        s = invariant_system(g, gens=gens, ring=ring)
+        s = system(g, gens=gens, ring=ring)
         return s.to_json(), s.warnings
     except Exception as exc:  # the error itself is the output compared
         return type(exc), str(exc)
@@ -415,6 +400,104 @@ def test_point_evaluation_agrees_with_symbolic_localization(name, g, names):
         assert ring._point is not None
 
 
+# -- the system reads no total class ---------------------------------------------
+
+
+def counted_total_classes(monkeypatch):
+    """Record the kind of every total class built: charclasses defines
+    `equivariant_char_class`, and wjz would call it by its own name."""
+    import gkmcalc.charclasses as charclasses
+    import gkmcalc.wjz as wjz
+
+    calls = []
+    build = charclasses.equivariant_char_class
+
+    def counting(graph, kind):
+        calls.append(kind)
+        return build(graph, kind)
+
+    monkeypatch.setattr(charclasses, "equivariant_char_class", counting)
+    monkeypatch.setattr(wjz, "equivariant_char_class", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("name,g,names", POINT_INPUTS, ids=[name for name, _, _ in POINT_INPUTS])
+def test_invariant_system_builds_no_total_class(monkeypatch, name, g, names):
+    calls = counted_total_classes(monkeypatch)
+    for ring in (CohomologyRing(g), symbolic_ring(g)):
+        _system_or_error(g, ring, names)
+        # only the imprimitive graph takes the Chern fallback of the mod-2 descent
+        assert calls == (["chern"] if name == "s2cubed2" else [])
+        calls.clear()
+
+
+def total_class_reference(graph, gens=None, ring=None):
+    """invariant_system on a valid signed valence-3 graph, written with the
+    total classes: w2 from the total Stiefel-Whitney class, p1 from the
+    degree-4 part of the total Pontrjagin class."""
+    ring = ring or ring_of(graph)
+    warnings = tuple(
+        "weight %r on edge %s-%s is not primitive; connected isotropy is doubtful" % (e.weight_at_u, e.u, e.v)
+        for e in graph.edges if primitive_part(e.weight_at_u) != e.weight_at_u)
+    r = ring.betti(2)
+    if gens is not None:
+        basis, label = gens.classes, ",".join(gens.names)
+    else:
+        basis, label = ring.ordinary(2).quotient_reps, "internal"
+    point = ring._point
+
+    def integral(c):
+        if point is None:
+            return localize_integral(graph, c)
+        return point.integral(point.at(c))
+
+    mu = [[[None] * r for _ in range(r)] for _ in range(r)]
+    for a, b, c in itertools.product(range(r), repeat=3):
+        if mu[a][b][c] is None:
+            value = integral(basis[a] * basis[b] * basis[c])
+            for i, j, l in itertools.permutations((a, b, c)):
+                mu[i][j][l] = value
+    w = stiefel_whitney_coords(ring, equivariant_char_class(graph, "stiefel_whitney"), 2)
+    if gens is not None:
+        wpoly = gens.to_poly(RingElement(2, w)).mod2()
+        w = tuple(wpoly.coefficient(m) for m in gens.basis_monomials(2))
+    pont = equivariant_char_class(graph, "pontrjagin").homogeneous_component(4)
+    p = tuple(integral(pont * basis[a]) for a in range(r))
+    mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
+    return InvariantSystem(r, mu, tuple(w), p, label, warnings)
+
+
+def substitution_reference_phi(g1, g2, iso):
+    """phi_from_graph_iso with each class carried through psi by polynomial
+    substitution."""
+    ring2 = ring_of(g2)
+    preimage = {w: v for v, w in iso.mapping().items()}
+    cols = []
+    for cls in ring_of(g1).ordinary(2).quotient_reps:
+        comps = [linear_substitute(cls.component(preimage[u]), iso.psi) for u in g2.vertices]
+        cols.append(ring2.express(FixedPointClass(g2, comps), 2).coords)
+    return IntMatrix.from_columns(cols)
+
+
+REFERENCE_INPUTS = POINT_INPUTS + [("mutated-eschenburg", mutated_eschenburg(), None)] + [
+    ("naturality%d-%d" % (i, j), pair[j], None) for i, pair in enumerate(naturality_pairs()) for j in (0, 1)]
+
+
+@pytest.mark.parametrize("name,g,names", REFERENCE_INPUTS, ids=[name for name, _, _ in REFERENCE_INPUTS])
+def test_invariant_system_matches_the_total_class_reference(name, g, names):
+    for ring in (CohomologyRing(g), symbolic_ring(g)):
+        expected = _system_or_error(g, ring, names, total_class_reference)
+        assert _system_or_error(g, ring, names) == expected
+    if name == "mutated-eschenburg":  # the mod-2 descent fails, and so does its Chern fallback
+        assert expected == (NotInSubalgebra, "class of degree 2 violates the edge congruences or the lattice structure")
+
+
+def test_phi_matches_the_substitution_reference():
+    for g1, g2 in naturality_pairs():
+        for iso in find_isomorphisms(g1, g2, signed=True):
+            assert phi_from_graph_iso(g1, g2, iso).phi == substitution_reference_phi(g1, g2, iso)
+
+
 def test_repeated_verdict_builds_no_ring(monkeypatch):
     g1, g2 = builtin("tolman"), builtin("eschenburg")
     first = diffeo_verdict(g1, g2, True, True, bound=1)
@@ -433,8 +516,6 @@ def test_repeated_verdict_builds_no_ring(monkeypatch):
 
 
 def test_imprimitive_automorphisms_verify():
-    from test_gkm import scanned_verify  # test_gkm imports this module
-
     g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
     for signed in (True, False):
         isos = find_isomorphisms(g, g, signed)
@@ -484,14 +565,6 @@ def brute_force_outcome(s1, s2, bound):
     return NotFoundWithinBound
 
 
-def relabelled(g):
-    """The same signed graph with renamed vertices, its edge list reversed
-    and every edge stored from its other end."""
-    name = {v: "v%d" % i for i, v in enumerate(reversed(g.vertices))}
-    edges = [(name[e.v], name[e.u], e.weight_at_v) for e in reversed(g.edges)]
-    return GKMGraph(g.torus_rank, [name[v] for v in g.vertices], edges, signed=True)
-
-
 def assert_matches_brute_force(s1, s2, bound):
     out = are_equivalent(s1, s2, bound)
     assert type(out) is brute_force_outcome(s1, s2, bound)
@@ -526,7 +599,7 @@ def test_search_matches_brute_force_on_rank_0():
 # Before the column-by-column search this verdict enumerated 21^9 matrices
 # for the orientation-reversed comparison and never finished.
 FORMER_WALL = """
-from test_wjz import product_of_spheres, relabelled
+from helpers import product_of_spheres, relabelled
 from gkmcalc.wjz import Equivalence, are_equivalent, diffeo_verdict, invariant_system
 
 g = product_of_spheres([(1, 0), (0, 1), (1, 1)])
@@ -627,18 +700,6 @@ def random_system(rng, r):
     return InvariantSystem(r, mu, w, p)
 
 
-def random_unimodular(rng, r):
-    """A product of three elementary matrices: a sign change at rank 1,
-    otherwise the identity plus one off-diagonal +-1."""
-    phi = IntMatrix.identity(r)
-    for _ in range(3):
-        rows = IntMatrix.identity(r).to_rows()
-        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
-        rows[i][j] = rng.choice((-1, 1))
-        phi = phi * IntMatrix.from_rows(rows)
-    return phi
-
-
 def pulled_back(s, phi):
     """The system that phi carries to s: mu and p composed with phi, and w
     mapped by phi^-1 mod 2."""
@@ -680,19 +741,6 @@ def test_reversed_search_has_the_forward_outcome():
 
 
 # -- an independent Betti oracle -------------------------------------------------
-
-
-def index_betti(g):
-    """Betti numbers by counting (Guillemin-Zara 2001): for a generic xi,
-    b_2i is the number of vertices with exactly i weights w where
-    <w, xi> < 0. No cohomology is computed."""
-    xi = (1, 7, 53, 379, 2719)[: g.torus_rank]
-    counts = [0] * (g.valence + 1)
-    for v in g.vertices:
-        pairings = [sum(map(operator.mul, w, xi)) for w in g.weights_at(v)]
-        assert all(pairings), "xi is not generic for %s" % g
-        counts[sum(x < 0 for x in pairings)] += 1
-    return counts
 
 
 @pytest.mark.parametrize(

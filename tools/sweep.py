@@ -13,6 +13,12 @@ and the graph families from `perfbench/families.py`. The case set is fixed:
 - four products of three 2-spheres (`s2cubed1..4`, weights in
   `SPHERE_WEIGHTS`), one with the imprimitive weight (2,0);
 - the one-vertex graph and the empty graph;
+- two valid signed graphs with no connection, so `invariant_system`
+  localizes symbolically and raises: `mutated-eschenburg` (eschenburg with
+  one edge label changed; NotInSubalgebra in degree 2) and
+  `uncertified-k4` (a signed K4; its localization sum is not constant),
+  each compared by `diffeo` with the other, which pins the order of the
+  errors too;
 - eschenburg with the built-in generators X1, X2 (`eschenburg+gens`);
 - `cli`: the gkm verbs on the built-ins, run in-process.
 
@@ -67,6 +73,8 @@ DIFFEO_FULL_RANK = 4
 SPHERE_WEIGHTS = ([(1, 0), (0, 1), (1, 1)], [(2, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, -1)],
                   [(1, 0), (1, 2), (1, -1)])
 FAMILIES = [("cp", n) for n in (2, 3, 4)] + [("cp1^", n) for n in (2, 3)] + [("surface", m) for m in range(4, 9)]
+UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
+                  ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
 
 
 def product_of_spheres(weights):
@@ -78,6 +86,14 @@ def product_of_spheres(weights):
             if eps[i] == "p":
                 edges.append((eps, eps[:i] + "m" + eps[i + 1:], tuple(-x for x in w)))
     return GKMGraph(2, verts, edges, signed=True, name="s2cubed")
+
+
+def mutated_eschenburg():
+    """Eschenburg with the label of p1-p6 changed to (3, 1)."""
+    g = builtin("eschenburg")
+    edges = [(e.u, e.v, (3, 1)) if {e.u, e.v} == {"p1", "p6"} else (e.u, e.v, e.weight_at_u, e.weight_at_v)
+             for e in g.edges]
+    return GKMGraph(2, g.vertices, edges, signed=True, name="mutated")
 
 
 def cases():
@@ -96,6 +112,9 @@ def cases():
     out.append(("one-vertex", GKMGraph(2, ["a"], [], signed=True), None, None))
     out.append(("empty", GKMGraph(2, [], [], signed=True), None, None))
     out.append(("eschenburg+gens", builtin("eschenburg"), None, ["X1", "X2"]))
+    mutated, k4 = mutated_eschenburg(), GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)
+    out.append(("mutated-eschenburg", mutated, k4, None))
+    out.append(("uncertified-k4", k4, mutated, None))
     return out
 
 
@@ -207,8 +226,8 @@ def case_records(graph, ref, names):
         for kind in ("chern", "pontrjagin", "stiefel_whitney"):
             ind["descend/" + kind] = outcome(lambda: [
                 e["poly"] for e in descend(graph, equivariant_char_class(graph, kind), gens).degrees])
-    if ref is not None and not isinstance(system, dict):
-        diffeo_records(ref, graph, system.rank, rec)
+    if ref is not None:
+        diffeo_records(ref, graph, 0 if isinstance(system, dict) else system.rank, rec)
     return rec
 
 
