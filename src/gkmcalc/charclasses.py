@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
-from .gkm import GKMGraph
+from .gkm import GKMGraph, all_labels_primitive
 from .polyring import IntPolynomial
 
 KINDS = ("chern", "pontrjagin", "stiefel_whitney")
@@ -80,14 +80,14 @@ def stiefel_whitney_coords(ring: CohomologyRing, sw: FixedPointClass, degree: in
     degree-d part reduces to w_d, such as the total Stiefel-Whitney class.
 
     The direct mod-2 solve is sign-independent but can be ambiguous when a
-    weight is imprimitive; in that case (signed graphs only) the class is
+    weight is imprimitive; only there (signed graphs only) the class is
     recovered as the reduction of the integral Chern coordinates, to which
-    it is equal whenever both are defined.
+    it is equal whenever both are defined; every other failure is raised.
     """
     try:
         return ring.express_mod2(sw.components, degree)
     except NotInSubalgebra:
-        if not ring.graph.signed:
+        if not ring.graph.signed or all_labels_primitive(ring.graph):
             raise
         chern = equivariant_char_class(ring.graph, "chern")
         elem = ring.express(chern, degree)

@@ -14,22 +14,26 @@ orients every edge by the sign of <w, xi> at one end; when the orientation
 is acyclic, the vertices are sorted topologically and lambda_p counts the
 down-edges at p. The flow-up class tau_p vanishes before p, is e_p^- (the
 product of p's down-weights) at p, and at each later vertex q solves
-f = tau_p(r) mod alpha_qr over q's down-edges, a small integer system
-with one Smith form per (q, degree). Every edge is checked once, at its
-upper end, so each tau_p is a GKM class. The certificate that the tau_p
-are a Z[y]-basis of A: for x in A, let p be its first nonzero vertex; x
-vanishes at p's lower neighbours, so each down-weight divides x(p), and
-primitive, pairwise independent linear forms are coprime primes of Z[y],
-so e_p^- divides x(p) and x - (x(p)/e_p^-) tau_p vanishes at p too. Then
-A_d has the basis y^m tau_p (2 lambda_p <= d), so rank A_d is the sum of
+f = tau_p(r_j) mod alpha_j over q's down-edges q-r_j by Chinese
+remaindering: f starts as tau_p(r_1), and step j adds P * lift(h), with
+P = alpha_1 ... alpha_(j-1) and h = tau_p(r_j) - f in Z[y]/(alpha_j) =
+Z[t_1..t_(k-1)] divided exactly by the image of P. Primitive, pairwise
+independent linear forms are coprime primes of Z[y], so P divides f* - f
+for any integral answer f*, and h exists exactly when f* does. Every edge
+is checked once, at its upper end, so each tau_p is a GKM class. The
+certificate that the tau_p are a Z[y]-basis of A: for x in A, let p be
+its first nonzero vertex; x vanishes at p's lower neighbours, so each
+down-weight divides x(p), by coprimality e_p^- divides x(p), and
+x - (x(p)/e_p^-) tau_p vanishes at p too. Then A_d has the basis
+y^m tau_p (2 lambda_p <= d), so rank A_d is the sum of
 C(d/2 - lambda_p + k - 1, k - 1) over those p, b_d = #{p : 2 lambda_p = d},
-the quotient reps are the tau_p of index d/2, and `express` peels by exact
-division. Modulo 2 a primitive weight stays nonzero, so `express_mod2`
-peels the same way over F_2.
+the quotient reps are the tau_p of index d/2, and `express` peels by the
+same exact division. Modulo 2 a primitive weight stays nonzero, so
+`express_mod2` peels the same way over F_2.
 
 Kernel path, for every graph the flow-up path does not cover (unsigned
 graphs, an imprimitive weight, no generic acyclic xi on the fixed list, or
-a local solve without an integral answer): divisibility along an edge is
+a flow-up class without an integral value): divisibility along an edge is
 encoded with auxiliary quotient unknowns and the solution lattice
 extracted as a saturated kernel. The ideal generators y_i * b are the
 columns of the degree d-2 basis matrix with their monomials shifted by
@@ -314,6 +318,17 @@ class _FlowUp:
         return basis, projection
 
 
+def _completion(w):
+    """Z[y]/(alpha) = Z[t_1..t_(k-1)] for a primitive alpha = <w, y>, as
+    (restriction, lift) images of the variables for `substitute`: the V of
+    one 1 x k Smith form has w*V = +-e_1, so y -> V*(0, t) restricts, and
+    t -> rows 2..k of V^-1 * y lifts."""
+    v = smith_normal_form(IntMatrix._of(1, len(w), w), with_u=False).V
+    vinv = v.inverse_unimodular()
+    return ([IntPolynomial.linear_form(v.row(i)[1:]) for i in range(v.rows)],
+            [IntPolynomial.linear_form(vinv.row(j)) for j in range(1, v.rows)])
+
+
 def _flow_up(g):
     """The flow-up classes of g, or None when the flow-up path does not
     apply (see the module docstring)."""
@@ -326,41 +341,32 @@ def _flow_up(g):
     else:
         return None
     order, down = oriented
-    systems = {}
+    completions = {}  # one per distinct down-weight
 
-    def local_solve(q, d, values):
-        """Some f of degree d with f - alpha_qr * g_r = values[r] over q's
-        down-edges, or None; one Smith form per (q, d)."""
-        if (q, d) not in systems:
-            monos, qmonos = monomials(k, d), monomials(k, d - 2)
-            nm, nq, n = len(monos), len(qmonos), len(down[q])
-            pos = {m: j for j, m in enumerate(monos)}
-            ncols = nm + n * nq
-            entries = [0] * (n * nm * ncols)
-            for i, (_, w) in enumerate(down[q]):
-                top = i * nm * ncols
-                for j in range(nm):
-                    entries[top + j * ncols + j] = 1
-                for var, coeff in enumerate(w):
-                    if coeff:
-                        for qj, m in enumerate(qmonos):
-                            row = pos[m[:var] + (m[var] + 1,) + m[var + 1 :]]
-                            entries[top + row * ncols + nm + i * nq + qj] -= coeff
-            systems[q, d] = (smith_normal_form(IntMatrix._of(n * nm, ncols, entries)), monos)
-        dec, monos = systems[q, d]
-        x = solve_with_snf(dec, [v.terms.get(m, 0) if v else 0 for v in values for m in monos])
-        return None if x is None else IntPolynomial._of(k, dict(zip(monos, x)))  # f is x[:nm]
+    def remainder(q, values):
+        """Some f with f = values[j] mod alpha_j over q's down-edges, or None."""
+        f, prod = values[0], IntPolynomial.constant(k, 1)
+        for j in range(1, len(values)):
+            prod = prod * IntPolynomial.linear_form(down[q][j - 1][1])
+            w = down[q][j][1]
+            if w not in completions:
+                completions[w] = _completion(w)
+            restrict, lift = completions[w]
+            if h := (values[j] - f).substitute(restrict):
+                for _, a in down[q][:j]:
+                    if (h := divide_by_linear(h, IntPolynomial.linear_form(a).substitute(restrict))) is None:
+                        return None  # no integral tau_p(q) exists
+                f = f + prod * h.substitute(lift)
+        return f
 
+    zero = IntPolynomial.zero(k)
     tau = {}
     for i, p in enumerate(order):
-        e = IntPolynomial.constant(k, 1)
-        for _, w in down[p]:
-            e = e * IntPolynomial.linear_form(w)
-        cls = {p: e}
+        cls = {p: math.prod((IntPolynomial.linear_form(w) for _, w in down[p]), start=IntPolynomial.constant(k, 1))}
         for q in order[i + 1 :]:
-            values = [cls.get(r) for r, _ in down[q]]
+            values = [cls.get(r, zero) for r, _ in down[q]]
             if any(values):
-                f = local_solve(q, 2 * len(down[p]), values)
+                f = remainder(q, values)
                 if f is None:
                     return None
                 if f:

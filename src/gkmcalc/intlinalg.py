@@ -324,11 +324,6 @@ def solve_with_snf(dec: SNFDecomposition, b):
     return x if dec.A.apply(x) == b else None
 
 
-def rank(A: IntMatrix):
-    """Rank over the rationals."""
-    return smith_normal_form(A, with_u=False).rank()
-
-
 def saturated(cols):
     """Whether the columns (no more of them than their length) are
     independent and span a saturated sublattice: the Smith diagonal of the

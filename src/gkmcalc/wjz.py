@@ -71,9 +71,6 @@ class InvariantSystem:
 class Equivalence:
     phi: IntMatrix
 
-    def verify(self, s1: InvariantSystem, s2: InvariantSystem) -> bool:
-        return _is_equivalence(self.phi, s1, s2)
-
 
 @dataclass
 class ProvablyDistinct:

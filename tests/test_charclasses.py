@@ -191,6 +191,13 @@ def test_localize_rejects_above_top_degree():
         localize_integral(g, c)
 
 
+def test_localize_rejects_a_mixed_degree_class():
+    g = builtin("eschenburg")
+    c = FixedPointClass.from_strings(g, {v: "Y1 + Y1^2" for v in g.vertices})
+    with pytest.raises(ValueError, match="^localization input must be homogeneous$"):
+        localize_integral(g, c)
+
+
 def test_localize_flags_inconsistent_class():
     g = builtin("eschenburg")
     c = FixedPointClass.from_strings(

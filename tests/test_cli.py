@@ -464,6 +464,23 @@ def test_bad_generator_names_are_an_error(tmp_path, names, message):
         assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classes", "--example", "eschenburg", "--gens", "X1,X1"], "error: duplicate generator names in X1, X1"),
+        (["invariants", "UNSIGNED"], "error: invariants need a signed graph"),
+    ],
+    ids=["duplicate-gens", "unsigned-invariants"],
+)
+def test_rejected_input_is_an_error_not_a_traceback(tmp_path, argv, message):
+    path = tmp_path / "unsigned.json"
+    path.write_text(json.dumps(builtin("eschenburg").unsigned().to_json()))
+    proc = gkm_process(*[str(path) if a == "UNSIGNED" else a for a in argv])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message
+
+
 def test_more_generator_names_than_b2_is_an_error(tmp_path):
     # X1, X2 and clones of X1: the span is there, but the names outnumber b2
     path = tmp_path / "gens.json"

@@ -10,10 +10,10 @@ import gkmcalc.cohomology as cohomology
 from gkmcalc.charclasses import equivariant_char_class
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, is_gkm_class
 from gkmcalc.errors import NotInSubalgebra
-from gkmcalc.gkm import builtin, graph_from_json
+from gkmcalc.gkm import GKMGraph, all_labels_primitive, builtin, graph_from_json
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.polyring import IntPolynomial, monomials
-from helpers import _load_families, index_betti, product_of_spheres
+from helpers import UNCERTIFIED_K4, _load_families, index_betti, mutated_eschenburg, product_of_spheres
 
 families = _load_families()
 SIGNED = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -137,6 +137,37 @@ def test_kernel_fallback_agrees(name):
     with pytest.raises(NotInSubalgebra) as on_kernel:
         kernel.express(on_unsigned(broken), 2)
     assert str(on_flow.value) == str(on_kernel.value)
+
+
+def test_flow_up_classes_by_exact_division(monkeypatch):
+    """Fresh rings on the flow-up path build their classes with no integer
+    solve, no local matrix and no monomial list, and with one completion
+    (one 1 x k Smith form) per distinct down-weight."""
+    completions, shapes = [], []
+    completion, snf = cohomology._completion, cohomology.smith_normal_form
+    monkeypatch.setattr(cohomology, "kernel_saturated", no_kernel)
+    monkeypatch.setattr(cohomology, "solve_with_snf", no_kernel)
+    monkeypatch.setattr(cohomology, "monomials", no_kernel)
+    monkeypatch.setattr(cohomology, "_completion", lambda w: completions.append(w) or completion(w))
+    monkeypatch.setattr(cohomology, "smith_normal_form", lambda a, **kw: shapes.append((a.rows, a.cols)) or snf(a, **kw))
+    for family, param in GRAPHS + [("cp", 6), ("cp1^", 6)]:
+        g = families.build(family, param)
+        del completions[:], shapes[:]
+        ring = CohomologyRing(g)
+        betti = [ring.betti(d) for d in range(0, ring.dim + 1, 2)]
+        assert ring.path == "flow-up"
+        assert betti == families.oracle(family, param)["betti"]
+        assert len(set(completions)) == len(completions) <= len({w for v in g.vertices for w in g.weights_at(v)})
+        assert shapes == [(1, g.torus_rank)] * len(completions)
+
+
+@pytest.mark.parametrize("graph", [mutated_eschenburg, lambda: GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)],
+                         ids=["mutated-eschenburg", "uncertified-k4"])
+def test_no_integral_flow_up_class_takes_the_kernel_path(graph):
+    # primitive weights and an acyclic orientation, but a division fails
+    g = graph()
+    assert g.signed and all_labels_primitive(g) and cohomology._orient(g, XI[:2]) is not None
+    assert CohomologyRing(g).path == "kernel"
 
 
 def test_betti_numbers_build_no_basis_matrix(monkeypatch):

@@ -24,7 +24,7 @@ from gkmcalc.gkm import (
     read_json,
     xray_from_json,
 )
-from gkmcalc.intlinalg import IntMatrix, canonical_sign, rank, smith_normal_form, solve_with_snf
+from gkmcalc.intlinalg import IntMatrix, canonical_sign, smith_normal_form, solve_with_snf
 from gkmcalc.polyring import int_digit_limit
 from helpers import UNCERTIFIED_K4, _load_families, mutated_eschenburg, random_unimodular, scanned_verify
 
@@ -40,7 +40,7 @@ def _psi_candidates(g1, g2, phi, signed):
     pairs = None
     for combo in itertools.combinations(edges, g1.torus_rank):
         W = IntMatrix.from_rows([e.weight_at(v0) for e in combo])
-        if rank(W) == g1.torus_rank:
+        if smith_normal_form(W, with_u=False).rank() == g1.torus_rank:
             pairs = combo
             break
     assert pairs is not None
@@ -214,7 +214,7 @@ def test_parallel_labels_detected():
 def dependent_by_rank(weights):
     """The first dependent pair by the Smith rank of the 2 x k matrix."""
     for a, b in itertools.combinations(weights, 2):
-        if rank(IntMatrix.from_rows([a, b])) < 2:
+        if smith_normal_form(IntMatrix.from_rows([a, b]), with_u=False).rank() < 2:
             return (a, b)
     return None
 
@@ -233,7 +233,8 @@ def test_minors_agree_with_rank(k):
             tuple(rng.randint(-1, 1) for _ in range(k)),
         ])
         pair = [a, b]
-        assert (gkm._pairwise_independent(pair) is not None) == (rank(IntMatrix.from_rows(pair)) < 2)
+        rank = smith_normal_form(IntMatrix.from_rows(pair), with_u=False).rank()
+        assert (gkm._pairwise_independent(pair) is not None) == (rank < 2)
         weights = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(rng.randint(2, 5))]
         if rng.random() < 0.5:  # plant a scaled copy of one weight
             weights.insert(rng.randrange(len(weights) + 1), tuple(s * x for x in rng.choice(weights)))
@@ -462,7 +463,7 @@ def test_least_isomorphism_when_the_least_vertex_spans_too_little():
              ("b", "c", (1, 1, 0)), ("b", "d", (0, 0, 1)), ("c", "d", (-1, 0, 0))]
     g = GKMGraph(3, ["a", "b", "c", "d"], edges, signed=True)
     assert g.validate().valid
-    assert rank(IntMatrix.from_rows(g.weights_at("a"))) == 2
+    assert smith_normal_form(IntMatrix.from_rows(g.weights_at("a")), with_u=False).rank() == 2
     name = {"a": "w", "b": "z", "c": "x", "d": "y"}
     renamed = GKMGraph(3, sorted(name.values()), [(name[u], name[v], w) for u, v, w in edges], signed=True)
     isos = least_is_first(g, renamed, True)
@@ -679,6 +680,20 @@ def _edited_graph_doc(edit):
 )
 def test_graph_from_json_rejects_malformed(edit):
     with pytest.raises(SchemaError):
+        graph_from_json(_edited_graph_doc(edit))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["edges"][0].update(to="zz"), "edge p1-zz references an unknown vertex"),
+        (lambda d: d["edges"][0].update(weight_at_from=[1, 0, 0]), "has length 3, expected 2"),
+        (lambda d: d["edges"][0].update(weight_at_from=[0, 0]), "zero weight on edge p1-"),
+    ],
+    ids=["unknown-vertex", "weight-length", "zero-weight"],
+)
+def test_graph_from_json_names_the_fault(edit, message):
+    with pytest.raises(SchemaError, match=message):
         graph_from_json(_edited_graph_doc(edit))
 
 

@@ -26,6 +26,7 @@ from gkmcalc.wjz import (
     InvariantSystem,
     NotFoundWithinBound,
     ProvablyDistinct,
+    _is_equivalence,
     are_equivalent,
     diffeo_verdict,
     invariant_system,
@@ -109,14 +110,14 @@ def test_systems_of_all_builtins_pairwise_equivalent():
         for b in names:
             out = are_equivalent(systems[a], systems[b], 10)
             assert isinstance(out, Equivalence), (a, b)
-            assert out.verify(systems[a], systems[b])
+            assert _is_equivalence(out.phi, systems[a], systems[b])
 
 
 def test_equivalence_identity():
     s = eschenburg_system()
     out = are_equivalent(s, s, 3)
     assert isinstance(out, Equivalence)
-    assert out.verify(s, s)
+    assert _is_equivalence(out.phi, s, s)
 
 
 def test_doubled_p_provably_distinct():
@@ -160,7 +161,7 @@ def test_reversed_orientation_equivalent_via_minus_identity():
     out = are_equivalent(s, s.reversed_orientation(), 2)
     assert isinstance(out, Equivalence)
     minus = Equivalence(IntMatrix.from_rows([[-1, 0], [0, -1]]))
-    assert minus.verify(s, s.reversed_orientation())
+    assert _is_equivalence(minus.phi, s, s.reversed_orientation())
 
 
 def test_verdict_tolman_eschenburg():
@@ -170,7 +171,7 @@ def test_verdict_tolman_eschenburg():
     assert v.phi is not None
     s1 = invariant_system(builtin("tolman"))
     s2 = invariant_system(builtin("eschenburg"))
-    assert Equivalence(v.phi).verify(s1, s2)
+    assert _is_equivalence(v.phi, s1, s2)
 
 
 def test_verdict_pairwise_diffeomorphic():
@@ -233,7 +234,7 @@ def test_invariant_system_naturality():
         s2 = invariant_system(g2)
         for iso in find_isomorphisms(g1, g2, signed=True):
             eq = phi_from_graph_iso(g1, g2, iso)
-            assert eq.verify(s1, s2), (g1.name, g2.name)
+            assert _is_equivalence(eq.phi, s1, s2), (g1.name, g2.name)
             assert eq.phi * backward_transport(g1, g2, iso) == IntMatrix.identity(s1.rank)
 
 
@@ -488,8 +489,8 @@ def test_invariant_system_matches_the_total_class_reference(name, g, names):
     for ring in (CohomologyRing(g), symbolic_ring(g)):
         expected = _system_or_error(g, ring, names, total_class_reference)
         assert _system_or_error(g, ring, names) == expected
-    if name == "mutated-eschenburg":  # the mod-2 descent fails, and so does its Chern fallback
-        assert expected == (NotInSubalgebra, "class of degree 2 violates the edge congruences or the lattice structure")
+    if name == "mutated-eschenburg":  # primitive weights: the mod-2 failure of w2 is reported, with no Chern fallback
+        assert expected == (NotInSubalgebra, "mod-2 class outside the mod-2 subalgebra in degree 2")
 
 
 def test_phi_matches_the_substitution_reference():
@@ -539,6 +540,13 @@ def test_not_6_dimensional():
         invariant_system(tri)
 
 
+def test_diffeo_verdict_is_not_6_dimensional():
+    square = GKMGraph(2, list("abcd"), [("a", "b", (1, 0)), ("b", "c", (0, 1)), ("c", "d", (1, 0)), ("d", "a", (0, 1))],
+                      signed=True)
+    with pytest.raises(Not6Dimensional, match="^valence 2 graph$"):
+        diffeo_verdict(square, square, True, True)
+
+
 def test_json_shape():
     s = eschenburg_system()
     doc = s.to_json()
@@ -555,12 +563,12 @@ def test_json_shape():
 def brute_force_outcome(s1, s2, bound):
     """Reference outcome class: the GL(r,Z)-invariant checks, then every
     rank x rank matrix with entries in [-bound, bound] tested with
-    Equivalence.verify."""
+    _is_equivalence."""
     if isinstance(are_equivalent(s1, s2, 0), ProvablyDistinct):
         return ProvablyDistinct
     r = s1.rank
     for entries in itertools.product(range(-bound, bound + 1), repeat=r * r):
-        if Equivalence(IntMatrix(r, r, entries)).verify(s1, s2):
+        if _is_equivalence(IntMatrix(r, r, entries), s1, s2):
             return Equivalence
     return NotFoundWithinBound
 
@@ -569,7 +577,7 @@ def assert_matches_brute_force(s1, s2, bound):
     out = are_equivalent(s1, s2, bound)
     assert type(out) is brute_force_outcome(s1, s2, bound)
     if isinstance(out, Equivalence):
-        assert out.verify(s1, s2)
+        assert _is_equivalence(out.phi, s1, s2)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
@@ -600,7 +608,7 @@ def test_search_matches_brute_force_on_rank_0():
 # for the orientation-reversed comparison and never finished.
 FORMER_WALL = """
 from helpers import product_of_spheres, relabelled
-from gkmcalc.wjz import Equivalence, are_equivalent, diffeo_verdict, invariant_system
+from gkmcalc.wjz import Equivalence, _is_equivalence, are_equivalent, diffeo_verdict, invariant_system
 
 g = product_of_spheres([(1, 0), (0, 1), (1, 1)])
 h = relabelled(g)
@@ -611,7 +619,7 @@ for a, b in ((g, h), (h, g)):
     s1, s2 = invariant_system(a), invariant_system(b)
     for target in (s2, s2.reversed_orientation()):
         out = are_equivalent(s1, target, 10)
-        assert isinstance(out, Equivalence) and out.verify(s1, target)
+        assert isinstance(out, Equivalence) and _is_equivalence(out.phi, s1, target)
 print("ok")
 """
 
@@ -734,7 +742,7 @@ def test_reversed_search_has_the_forward_outcome():
         if k % 2:
             phi = random_unimodular(rng, r)
             s2 = pulled_back(s1, phi)
-            assert Equivalence(phi).verify(s2, s1)
+            assert _is_equivalence(phi, s2, s1)
         else:
             s2 = random_system(rng, r)
         assert_reversal_keeps_the_outcome(s1, s2, 1)
