@@ -64,7 +64,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .errors import (
     DimensionMismatch,
@@ -341,20 +341,22 @@ def _flow_up(g):
     else:
         return None
     order, down = oriented
-    completions = {}  # one per distinct down-weight
+    completion, plans = cache(_completion), {}  # one per distinct down-weight; one per vertex
 
     def remainder(q, values):
-        """Some f with f = values[j] mod alpha_j over q's down-edges, or None."""
-        f, prod = values[0], IntPolynomial.constant(k, 1)
-        for j in range(1, len(values)):
-            prod = prod * IntPolynomial.linear_form(down[q][j - 1][1])
-            w = down[q][j][1]
-            if w not in completions:
-                completions[w] = _completion(w)
-            restrict, lift = completions[w]
-            if h := (values[j] - f).substitute(restrict):
-                for _, a in down[q][:j]:
-                    if (h := divide_by_linear(h, IntPolynomial.linear_form(a).substitute(restrict))) is None:
+        """Some f with f = values[j] mod alpha_j over q's down-edges, or None; q's steps
+        (P_j, restriction, alpha_1..alpha_(j-1) restricted, lift) are planned when first reached."""
+        if q not in plans:
+            plans[q], prod = [], IntPolynomial.constant(k, 1)
+            for j in range(1, len(down[q])):
+                prod = prod * IntPolynomial.linear_form(down[q][j - 1][1])
+                restrict, lift = completion(down[q][j][1])
+                plans[q].append((prod, restrict, [IntPolynomial.linear_form(a).substitute(restrict) for _, a in down[q][:j]], lift))
+        f = values[0]
+        for value, (prod, restrict, divisors, lift) in zip(values[1:], plans[q]):
+            if h := (value - f).substitute(restrict):
+                for a in divisors:
+                    if (h := divide_by_linear(h, a)) is None:
                         return None  # no integral tau_p(q) exists
                 f = f + prod * h.substitute(lift)
         return f

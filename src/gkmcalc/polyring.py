@@ -38,6 +38,16 @@ def monomials(k, degree):
     return list(gen(k, total))
 
 
+def _mul_terms(a, b):
+    """The product of two term dicts; zero coefficients may remain."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return terms
+
+
 def _term_sort_key(exps):
     # ascending total degree, then descending lex inside a degree
     return (sum(exps), tuple(-e for e in exps))
@@ -137,7 +147,11 @@ class IntPolynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = IntPolynomial.constant(self.k, other)
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            terms[exps] = terms.get(exps, 0) - c
+        return IntPolynomial._of(self.k, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,25 +160,19 @@ class IntPolynomial:
         if isinstance(other, int):
             return IntPolynomial._of(self.k, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return IntPolynomial._of(self.k, terms)
+        return IntPolynomial._of(self.k, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:  # bool is an int, and not an exponent
             raise ValueError("exponent must be a nonnegative integer")
-        out = IntPolynomial.constant(self.k, 1)
-        base = self
+        out, base = IntPolynomial.constant(self.k, 1), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
-            n >>= 1
+            if n := n >> 1:
+                base = base * base
         return out
 
     def degrees(self):
@@ -201,20 +209,20 @@ class IntPolynomial:
         images = list(images)
         if len(images) != self.k:
             raise DimensionMismatch("need %d images, got %d" % (self.k, len(images)))
-        if not images:
-            kk = 0
-        else:
-            kk = images[0].k
-            if any(p.k != kk for p in images):
-                raise DimensionMismatch("substitution images disagree on variables")
-        out = IntPolynomial.zero(kk)
+        kk = images[0].k if images else 0
+        if any(p.k != kk for p in images):
+            raise DimensionMismatch("substitution images disagree on variables")
+        out, powers = {}, [[None, p.terms] for p in images]  # powers[i][e]: images[i] ** e, grown on demand
         for exps, c in self.terms.items():
-            term = IntPolynomial.constant(kk, c)
+            term = {(0,) * kk: c}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * images[i] ** e
-            out = out + term
-        return out
+                    while len(powers[i]) <= e:
+                        powers[i].append(_mul_terms(powers[i][-1], powers[i][1]))
+                    term = _mul_terms(term, powers[i][e])
+            for m, v in term.items():
+                out[m] = out.get(m, 0) + v
+        return IntPolynomial._of(kk, out)
 
     def mod2(self):
         """Coefficientwise reduction Z -> Z/2, as the integer lift with

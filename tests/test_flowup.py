@@ -1,6 +1,7 @@
 """The flow-up path of CohomologyRing, and the kernel path it falls back to."""
 
 import itertools
+import math
 import operator
 import random
 
@@ -159,6 +160,38 @@ def test_flow_up_classes_by_exact_division(monkeypatch):
         assert betti == families.oracle(family, param)["betti"]
         assert len(set(completions)) == len(completions) <= len({w for v in g.vertices for w in g.weights_at(v)})
         assert shapes == [(1, g.torus_rank)] * len(completions)
+
+
+def test_each_vertex_restricts_its_earlier_down_weights_once(monkeypatch):
+    """A fresh flow-up ring restricts alpha_1..alpha_(j-1) to alpha_j = 0
+    once per step j of each vertex q, sum_q lambda_q (lambda_q - 1) / 2
+    restrictions in all, not once per flow-up class reaching q."""
+    forms, restrictions, made = {}, [], []
+    completion, linear_form, substitute = cohomology._completion, IntPolynomial.linear_form.__func__, IntPolynomial.substitute
+
+    def keep(p):  # ids stay unique while the objects are kept
+        forms[id(p)] = p
+        return p
+
+    def counted(p, images):
+        if id(p) in forms and any(images is restrict for restrict, _ in made):
+            restrictions.append(p)
+        return substitute(p, images)
+
+    monkeypatch.setattr(cohomology, "_completion", lambda w: made.append(completion(w)) or made[-1])
+    monkeypatch.setattr(IntPolynomial, "linear_form", classmethod(lambda cls, coeffs: keep(linear_form(cls, coeffs))))
+    monkeypatch.setattr(IntPolynomial, "substitute", counted)
+    graphs = [builtin(name) for name in SIGNED] + [families.build(*g) for g in (("cp", 5), ("cp1^", 5), ("surface", 8))]
+    for g in graphs:
+        del restrictions[:]
+        ring = CohomologyRing(g)
+        betti = [ring.betti(d) for d in range(0, ring.dim + 1, 2)]
+        assert ring.path == "flow-up" and betti == index_betti(g)
+        assert len(restrictions) == sum(math.comb(len(down_weights(g, v)), 2) for v in g.vertices)
+    for g in (mutated_eschenburg(), GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)):
+        del restrictions[:]
+        assert CohomologyRing(g).path == "kernel"
+        assert len(restrictions) <= sum(math.comb(len(down_weights(g, v)), 2) for v in g.vertices)
 
 
 @pytest.mark.parametrize("graph", [mutated_eschenburg, lambda: GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)],

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gkmcalc.errors import SchemaError
+from gkmcalc.errors import DimensionMismatch, SchemaError
 from gkmcalc.intlinalg import IntMatrix
 from gkmcalc.polyring import (
     MAX_NESTING,
@@ -100,6 +100,74 @@ def test_linear_substitute_is_ring_hom():
         B = IntMatrix(2, 2, [rng.randint(-3, 3) for _ in range(4)])
         assert linear_substitute(p * q, B) == linear_substitute(p, B) * linear_substitute(q, B)
         assert linear_substitute(p + q, B) == linear_substitute(p, B) + linear_substitute(q, B)
+
+
+def test_pow_is_the_repeated_product():
+    rng = random.Random(13)
+    polys = [IntPolynomial.zero(2), IntPolynomial.constant(2, -3), P("Y1 - 2*Y2"), P("Y1^2 + 3*Y1*Y2 - 1")]
+    polys += [random_poly(rng, k) for k in (0, 1, 2, 3)]
+    for p in polys:
+        expected = IntPolynomial.constant(p.k, 1)
+        for n in range(9):
+            assert p ** n == expected
+            expected = expected * p
+    for n in (True, -1, 2.0):
+        with pytest.raises(ValueError):
+            P("Y1") ** n
+
+
+def naive_substitute(p, images, kk):
+    """Term by term, each power a chain of products."""
+    out = IntPolynomial.zero(kk)
+    for exps, c in p.terms.items():
+        term = IntPolynomial.constant(kk, c)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
+
+
+def test_substitute_matches_term_by_term_expansion():
+    rng = random.Random(14)
+    for _ in range(300):
+        k = rng.randint(0, 3)
+        kk = rng.randint(0, 3) if k else 0  # no images: a 0-variable target
+        p = random_poly(rng, k, max_exp=4) if rng.random() < 0.9 else IntPolynomial.zero(k)
+        images = [random_poly(rng, kk, max_terms=3, max_exp=2) for _ in range(k)]
+        assert p.substitute(images) == naive_substitute(p, images, kk)
+        assert p.substitute(images).k == kk
+        assert 0 not in p.substitute(images).terms.values()
+    p = P("Y1^4*Y2 - 2*Y2^3 + 5")
+    assert p.substitute([IntPolynomial.constant(0, 2), IntPolynomial.constant(0, -1)]) == IntPolynomial.constant(0, -9)
+    assert IntPolynomial.constant(0, 7).substitute([]) == IntPolynomial.constant(0, 7)
+    assert IntPolynomial.zero(0).substitute([]).terms == {}
+
+
+def test_substitute_rejects_mismatched_images():
+    p = P("Y1*Y2")
+    with pytest.raises(DimensionMismatch):
+        p.substitute([P("Y1")])
+    with pytest.raises(DimensionMismatch):
+        p.substitute([P("Y1"), P("Y1"), P("Y2")])
+    with pytest.raises(DimensionMismatch):
+        p.substitute([P("Y1"), IntPolynomial.variable(3, 0)])
+
+
+def test_sub_is_adding_the_negation():
+    rng = random.Random(15)
+    for _ in range(200):
+        k = rng.randint(0, 3)
+        a, b, n = random_poly(rng, k), random_poly(rng, k), rng.randint(-5, 5)
+        assert a - b == a + (-b)
+        assert a - n == a + (-n)
+        assert n - a == (-a) + n
+        assert (a - a).terms == {}
+        assert 0 not in (a - b).terms.values()
+    with pytest.raises(DimensionMismatch):
+        P("Y1") - IntPolynomial.variable(3, 0)
+    with pytest.raises(DimensionMismatch):
+        IntPolynomial.variable(3, 0) - P("Y1")
 
 
 def test_divide_difference_of_squares():

@@ -96,6 +96,23 @@ def test_sweep_relates_a_change_of_basis(sweep, tmp_path, capsys):
     assert "basis-dependent record eschenburg/coords differs" in capsys.readouterr().out
 
 
+def test_sweep_compare_prints_every_difference(sweep, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert sweep.main(["--out", str(a), "--cases", "eschenburg,cp2"]) == 0
+    doc = json.loads(a.read_text())
+    records = doc["records"]
+    records["eschenburg"]["independent"]["betti"] = [1, 2, 2]
+    records["cp2"]["independent"]["integrals"]["c1*c1"] += 1
+    records["eschenburg"]["dependent"]["coords"]["chern"][0][0] += 1
+    b.write_text(json.dumps(doc))
+    assert sweep.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    for key in ("basis-independent record eschenburg/betti", "basis-independent record cp2/integrals",
+                "basis-dependent record eschenburg/coords"):
+        assert key + " differs" in out
+    assert out.count(" differs:") == 3 and out.endswith("3 records differ\n")
+
+
 def test_sweep_rejects_unknown_case(sweep, tmp_path):
     with pytest.raises(SystemExit):
         sweep.main(["--out", str(tmp_path / "x.json"), "--cases", "no-such-graph"])

@@ -38,8 +38,9 @@ quotient reps expressed in A's basis of A_d. T_d must be unimodular, both
 bases must span one lattice, and the projections must agree through T_d.
 Internal coordinates must transform by T_d (mod 2 for Stiefel-Whitney),
 and the internal systems (mu, p, w) by T_2; each Phi must be an
-equivalence of its own file's systems. It prints every T_d other than the
-identity, then the first record that fails, and exits 1 if one does.
+equivalence of its own file's systems. It prints every record that fails,
+in both kinds, and exits 1 if one does; otherwise it prints every T_d other
+than the identity.
 """
 
 from __future__ import annotations
@@ -488,13 +489,13 @@ class Relation:
 
 def compare(a, b):
     """Require equal basis-independent records and related basis-dependent
-    ones; print every T other than the identity and the first failure.
-    Return 1 if there is one."""
+    ones; print every failure, or else every T other than the identity.
+    Return 1 if there is a failure."""
     fa, fb = flatten(a), flatten(b)
     missing = object()
     show = lambda v: "(missing)" if v is missing else json.dumps(v, sort_keys=True)[:2000]
     relation = Relation(a, b)
-    moved = 0
+    moved = failed = 0
     for kind in KINDS:
         keys = sorted(set(fa[kind]) | set(fb[kind]), key=lambda k: (not k.endswith("/degrees"), k))
         for key in keys:
@@ -503,8 +504,12 @@ def compare(a, b):
                 continue
             if kind == "independent" or missing in (va, vb) or not relation.related(key, va, vb):
                 print("basis-%s record %s differs:\n  A: %s\n  B: %s" % (kind, key, show(va), show(vb)))
-                return 1
-            moved += va != vb
+                failed += 1
+            else:
+                moved += va != vb
+    if failed:
+        print("%d records differ" % failed)
+        return 1
     for label, ts in sorted(relation.t.items()):
         for d, t in sorted(ts.items()):
             if t != IntMatrix.identity(t.rows):
