@@ -8,12 +8,9 @@ mod-2 reduction of prod (1 + a_j), carried as its integer lift with
 coefficients 0 and 1; the latter two are independent of the sign choices.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra
+from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra, Record
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .gkm import GKMGraph, all_labels_primitive
 from .polyring import IntPolynomial
@@ -53,14 +50,12 @@ def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
     return EquivariantTotalClass(kind, graph, tuple(comps))
 
 
-@dataclass
-class CharClassReport:
+class CharClassReport(Record):
     """Per-degree coordinates of one descended characteristic class, with
-    an optional rendering in user generators."""
+    an optional rendering in user generators. `degrees` is a list of dicts:
+    degree, coords, poly (str or None)."""
 
-    kind: str
-    degrees: list  # of dicts: degree, coords, poly (str or None)
-    generator_names: list
+    __slots__ = _fields = ("kind", "degrees", "generator_names")
 
     def entry(self, degree):
         for e in self.degrees:

@@ -4,13 +4,12 @@ Each verb computes its result once, as one JSON-ready payload, and returns
 it with the text lines rendered from that payload's values (plus, for verbs
 on one graph, a header line of graph metadata) and its exit code. `main` is
 the only place that prints: the payload with `--format json`, the lines
-otherwise.
+otherwise. Each verb imports the modules past `gkm` that it runs, so that
+validate, xray, iso and example load no cohomology.
 
 Exit codes: 0 success, 1 computation or validation error, 2 usage error,
 3 inconclusive diffeomorphism verdict.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -18,12 +17,8 @@ import re
 import sys
 
 from . import gkm
-from .charclasses import KINDS, descend, equivariant_char_class, localize_integral
-from .cohomology import FixedPointClass, GeneratorBasis, evaluate_class_polynomial, ring_of
-from .errors import GkmError, SchemaError
+from .errors import MAX_BOUND, GkmError, SchemaError, int_digit_limit
 from .gkm import GKMGraph, XRay, builtin, find_isomorphisms, graph_from_xray, load_input
-from .polyring import exceeds_digit_limit, int_digit_limit, parse_polynomial
-from .wjz import MAX_BOUND, diffeo_verdict, invariant_system
 
 
 class UsageError(GkmError):
@@ -74,6 +69,7 @@ def _write_or_dump(doc, path):
 
 def _generator_basis(args, graph, ring):
     """GeneratorBasis from --gens / --gens-file, or None."""
+    from .cohomology import FixedPointClass, GeneratorBasis
     if args.gens_file:
         data = gkm.read_json(args.gens_file)
         if not isinstance(data, dict):
@@ -185,6 +181,7 @@ def _write_svg(xray: XRay, path):
 
 
 def _cmd_cohomology(args):
+    from .cohomology import ring_of
     [g] = _resolve_inputs(args, 1)
     ring = ring_of(g)
     top = args.max_degree if args.max_degree is not None else ring.dim
@@ -220,6 +217,8 @@ def _class_key(kind, degree):
 
 
 def _cmd_classes(args):
+    from .charclasses import KINDS, descend, equivariant_char_class
+    from .cohomology import ring_of
     [g] = _resolve_inputs(args, 1)
     ring = ring_of(g)
     gens = _generator_basis(args, g, ring)
@@ -248,6 +247,9 @@ def _cmd_classes(args):
 
 
 def _cmd_integrate(args):
+    from .charclasses import equivariant_char_class, localize_integral
+    from .cohomology import evaluate_class_polynomial, ring_of
+    from .polyring import exceeds_digit_limit, parse_polynomial
     [g] = _resolve_inputs(args, 1)
     ring = ring_of(g)
     gens = _generator_basis(args, g, ring)
@@ -286,6 +288,8 @@ def _cmd_integrate(args):
 
 
 def _cmd_invariants(args):
+    from .cohomology import ring_of
+    from .wjz import invariant_system
     [g] = _resolve_inputs(args, 1)
     gens = _generator_basis(args, g, ring_of(g))
     payload = {"command": "invariants", "graph": g.name, "system": invariant_system(g, gens=gens).to_json()}
@@ -325,6 +329,7 @@ def _cmd_iso(args):
 
 
 def _cmd_diffeo(args):
+    from .wjz import diffeo_verdict
     if not 0 <= args.bound <= MAX_BOUND:
         raise UsageError("--bound must lie in 0..%d, got %d" % (MAX_BOUND, args.bound))
     g1, g2 = _resolve_inputs(args, 2)

@@ -56,13 +56,10 @@ at xi is formed over L = lcm_p e_p(xi), not the product. A graph with no
 connection keeps the symbolic sum, `charclasses.localize_integral`.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 
@@ -71,17 +68,12 @@ from .errors import (
     GeneratorsDoNotSpan,
     NonIntegralLocalizationSum,
     NotInSubalgebra,
+    Record,
     SchemaError,
     TorsionInQuotient,
 )
 from .gkm import GKMGraph, all_labels_primitive
-from .intlinalg import (
-    IntMatrix,
-    kernel_saturated,
-    saturated,
-    smith_normal_form,
-    solve_with_snf,
-)
+from .intlinalg import IntMatrix, _adjugate, kernel_saturated, saturated, smith_normal_form, solve_with_snf
 from .polyring import (
     IntPolynomial,
     default_names,
@@ -205,16 +197,13 @@ def is_gkm_class(c: FixedPointClass) -> bool:
     return True
 
 
-@dataclass
-class RingElement:
+class RingElement(Record):
     """Integer coordinates in the chosen basis of (A/mA)_degree."""
 
-    degree: int
-    coords: tuple
+    __slots__ = _fields = ("degree", "coords")
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(Record):
     """Everything the ring knows about one even degree d. A_d holds y^m * 1
     for every degree-d monomial m, so it is never 0. Its basis matrix
     `basis` has one column of monomial coefficients (vertex-major, in
@@ -222,9 +211,10 @@ class GradedBasis:
     coordinates in those columns to (A/mA)_d. Both are built by `matrices`,
     once, when first read; the Betti number b_d is len(quotient_reps)."""
 
-    quotient_reps: list  # classes projecting to a basis of (A/mA)_degree
-    rank: int  # rank A_degree, the number of columns of `basis`
-    matrices: object  # () -> (the A_degree basis matrix, the b_d x rank A_degree projection)
+    # quotient_reps: classes projecting to a basis of (A/mA)_degree
+    # rank: rank A_degree, the number of columns of `basis`
+    # matrices: () -> (the A_degree basis matrix, the b_d x rank A_degree projection)
+    _fields = ("quotient_reps", "rank", "matrices")
 
     @cached_property
     def _built(self):
@@ -322,11 +312,13 @@ def _completion(w):
     """Z[y]/(alpha) = Z[t_1..t_(k-1)] for a primitive alpha = <w, y>, as
     (restriction, lift) images of the variables for `substitute`: the V of
     one 1 x k Smith form has w*V = +-e_1, so y -> V*(0, t) restricts, and
-    t -> rows 2..k of V^-1 * y lifts."""
+    t -> rows 2..k of V^-1 * y lifts. det V = +-1, so V^-1 = det V * adj V,
+    and det V is entry (1, 1) of adj V * V."""
     v = smith_normal_form(IntMatrix._of(1, len(w), w), with_u=False).V
-    vinv = v.inverse_unimodular()
+    adj = _adjugate(v.to_rows())
+    det = sum(map(operator.mul, adj[0], v.column(0)))
     return ([IntPolynomial.linear_form(v.row(i)[1:]) for i in range(v.rows)],
-            [IntPolynomial.linear_form(vinv.row(j)) for j in range(1, v.rows)])
+            [IntPolynomial.linear_form([det * x for x in adj[j]]) for j in range(1, v.rows)])
 
 
 def _flow_up(g):

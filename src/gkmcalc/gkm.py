@@ -9,35 +9,21 @@ signs and must satisfy weight_at_v == -weight_at_u; unsigned graphs store
 the canonical representative (first nonzero entry positive) at both ends.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    DimensionMismatch,
-    InvalidGraph,
-    SchemaError,
-    UnknownExample,
-    XRayError,
-)
-from .intlinalg import IntMatrix, canonical_sign, primitive_part
-from .polyring import int_digit_limit
+from .errors import DimensionMismatch, InvalidGraph, Record, SchemaError, UnknownExample, XRayError, int_digit_limit
+from .intlinalg import IntMatrix, _adjugate, canonical_sign, primitive_part
 
 GRAPH_FORMAT = "gkmg/1"
 XRAY_FORMAT = "xray/1"
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    u: str
-    v: str
-    weight_at_u: tuple
-    weight_at_v: tuple
+class GraphEdge(Record):
+    __slots__ = _fields = ("u", "v", "weight_at_u", "weight_at_v")
 
     def weight_at(self, vertex):
         if vertex == self.u:
@@ -54,18 +40,15 @@ class GraphEdge:
         raise KeyError(vertex)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(Record):
+    __slots__ = _fields = ("code", "message")
 
     def __str__(self):
         return "%s: %s" % (self.code, self.message)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    violations: tuple
+class ValidityReport(Record):
+    __slots__ = _fields = ("violations",)
 
     @property
     def valid(self):
@@ -367,14 +350,13 @@ def graph_from_xray(xray: XRay) -> GKMGraph:
 # isomorphism search
 
 
-@dataclass(frozen=True)
-class GraphIso:
+class GraphIso(Record):
     """Vertex bijection together with the torus automorphism matrix psi;
     psi applied to the weight of e at i(e) gives the weight of the image
-    edge at the image vertex (up to sign for unsigned graphs)."""
+    edge at the image vertex (up to sign for unsigned graphs). vertex_map
+    is the sorted tuple of (vertex in G1, vertex in G2)."""
 
-    vertex_map: tuple  # sorted tuple of (vertex in G1, vertex in G2)
-    psi: IntMatrix
+    __slots__ = _fields = ("vertex_map", "psi")
 
     def mapping(self):
         return dict(self.vertex_map)
@@ -389,13 +371,6 @@ def _independent_base_edges(g: GKMGraph):
             if det:
                 return v, combo, det
     return None
-
-
-def _adjugate(rows):
-    """adj(B) of the square matrix B with these rows: adj(B) * B = det(B) * I."""
-    def minor(i, j):  # det of B without row i and column j
-        return IntMatrix.from_rows([r[:j] + r[j + 1:] for h, r in enumerate(rows) if h != i]).det()
-    return [[(-1) ** (i + j) * minor(j, i) for j in range(len(rows))] for i in range(len(rows))]
 
 
 def _solve_psi(adj, det, target_weights):

@@ -11,8 +11,9 @@ integer solves and kernels come from solve_with_snf and the V-columns, and
 since U and V stay invertible mod 2, mod-2 solves read off the same
 transforms. Only det keeps its own (Bareiss) elimination, since a
 determinant needs no transforms: it picks the isomorphism search's base
-weights and builds their adjugate, and it is the is_unimodular test. The
-isomorphism search uses no Smith form at all.
+weights, and it is the is_unimodular test. The adjugate that solves for
+psi and inverts the flow-up completions is a fraction-free Gauss-Jordan
+elimination. The isomorphism search uses no Smith form at all.
 
 Empty matrices (0xn, mx0) have an ordinary Smith form: the loop finds no
 pivot, so U and V are identities and S has no diagonal. Their rank is 0,
@@ -30,13 +31,10 @@ coordinates, few classes) thus costs two thin products in place of one
 square one.
 """
 
-from __future__ import annotations
-
 import operator
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import DimensionMismatch, SchemaError, ZeroVector
+from .errors import DimensionMismatch, Record, SchemaError, ZeroVector
 
 
 class IntMatrix:
@@ -173,15 +171,29 @@ class IntMatrix:
         return dec.V * dec.U
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+def _adjugate(rows):
+    """adj(B) of the nonsingular square matrix B with these rows: adj(B) * B
+    = det(B) * I. Fraction-free Gauss-Jordan elimination takes [B | I] to
+    [d*I | d*B^-1] with d = +-det(B), dividing exactly at every step."""
+    n, sign, prev = len(rows), 1, 1
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for t in range(n):
+        p = next(i for i in range(t, n) if m[i][t])
+        if p != t:
+            m[t], m[p], sign = m[p], m[t], -sign
+        pivot, row = m[t][t], m[t]
+        for i in range(n):
+            if i != t:
+                m[i] = [(pivot * x - m[i][t] * y) // prev for x, y in zip(m[i], row)]
+        prev = pivot
+    return [[sign * x for x in r[n:]] for r in m]
+
+
+class SNFDecomposition(Record):
     """U*A*V = S with U, V unimodular, S diagonal with nonnegative entries
     each dividing the next. U is None when it was not asked for."""
 
-    U: IntMatrix | None
-    S: IntMatrix
-    V: IntMatrix
-    A: IntMatrix
+    __slots__ = _fields = ("U", "S", "V", "A")
 
     def diagonal(self):
         n = min(self.S.rows, self.S.cols)

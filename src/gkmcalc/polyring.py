@@ -8,14 +8,11 @@ Stiefel-Whitney class, is carried as its integer lift with coefficients 0
 and 1 (`IntPolynomial.mod2`).
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
-import sys
 
-from .errors import DimensionMismatch, GkmError, SchemaError
+from .errors import DimensionMismatch, GkmError, SchemaError, int_digit_limit
 
 
 def monomials(k, degree):
@@ -326,13 +323,6 @@ MAX_NESTING = 100
 
 class PolynomialSyntaxError(GkmError, ValueError):
     pass
-
-
-def int_digit_limit():
-    """The most decimal digits an int may have and still be converted to a
-    string: Python's int-to-str limit (missing before Python 3.10.7, off
-    when 0; 4300 is its default)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def exceeds_digit_limit(n):

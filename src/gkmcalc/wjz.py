@@ -10,22 +10,15 @@ orientation-preserving diffeomorphism; both hypotheses are beyond what the
 graph can certify, so the oracle demands explicit assumption flags.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from .charclasses import localize_integral, stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, _dot, ring_of
-from .errors import LocalizationRequiresSignedGraph, Not6Dimensional, SchemaError
+from .errors import MAX_BOUND, LocalizationRequiresSignedGraph, Not6Dimensional, Record, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
 from .intlinalg import IntMatrix, gcd_of, primitive_part, saturated
 from .polyring import IntPolynomial, monomials
-
-
-# the largest search bound; at rank 2 its box takes about 2 s
-MAX_BOUND = 1000
 
 
 def _check_bound(bound):
@@ -33,14 +26,10 @@ def _check_bound(bound):
         raise SchemaError("bound must be an integer in 0..%d, got %r" % (MAX_BOUND, bound))
 
 
-@dataclass
-class InvariantSystem:
-    rank: int
-    mu: tuple  # rank x rank x rank nested tuples, fully symmetric
-    w: tuple  # length rank, entries 0/1
-    p: tuple  # length rank
-    basis_label: str = ""
-    warnings: tuple = ()
+class InvariantSystem(Record):
+    # mu: rank x rank x rank nested tuples, fully symmetric; w (entries 0/1), p: length rank
+    _fields = ("rank", "mu", "w", "p", "basis_label", "warnings")
+    basis_label, warnings = "", ()
 
     def reversed_orientation(self):
         neg = tuple(
@@ -67,19 +56,16 @@ class InvariantSystem:
         )
 
 
-@dataclass
-class Equivalence:
-    phi: IntMatrix
+class Equivalence(Record):
+    __slots__ = _fields = ("phi",)
 
 
-@dataclass
-class ProvablyDistinct:
-    reason: str
+class ProvablyDistinct(Record):
+    __slots__ = _fields = ("reason",)
 
 
-@dataclass
-class NotFoundWithinBound:
-    bound: int
+class NotFoundWithinBound(Record):
+    __slots__ = _fields = ("bound",)
 
 
 def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: CohomologyRing = None) -> InvariantSystem:
@@ -269,15 +255,10 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     return NotFoundWithinBound(bound) if phi is None else Equivalence(phi)
 
 
-@dataclass
-class DiffeoVerdict:
-    status: str  # "diffeomorphic" | "provably_distinct" | "inconclusive"
-    assumptions: tuple
-    reason: str = ""
-    graph_iso: object = None
-    phi: IntMatrix = None
-    reversed_orientation_note: str = ""
-    systems: tuple = field(default=())
+class DiffeoVerdict(Record):
+    # status: "diffeomorphic" | "provably_distinct" | "inconclusive"
+    _fields = ("status", "assumptions", "reason", "graph_iso", "phi", "reversed_orientation_note", "systems")
+    reason, graph_iso, phi, reversed_orientation_note, systems = "", None, None, "", ()
 
 
 def phi_from_graph_iso(g1, g2, iso):

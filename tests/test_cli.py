@@ -4,7 +4,8 @@ import os
 import pytest
 
 from gkmcalc.cli import main
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
+from gkmcalc.errors import InvalidGraph
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
 from helpers import torsion_graph
 
 
@@ -305,6 +306,78 @@ def gkm_process(*argv, timeout=10):
         [sys.executable, "-m", "gkmcalc.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+_VERB_ARGVS = {
+    "validate": ["validate", "--example", "eschenburg"],
+    "xray": ["xray", "--example", "tolman"],
+    "cohomology": ["cohomology", "--example", "eschenburg"],
+    "classes": ["classes", "--example", "eschenburg", "--gens", "X1,X2"],
+    "integrate": ["integrate", "--example", "woodward", "--class", "p1*c1"],
+    "invariants": ["invariants", "--example", "eschenburg"],
+    "iso": ["iso", "--signed", "--example", "tolman", "--example", "eschenburg"],
+    "diffeo": ["diffeo", "--example", "tolman", "--example", "eschenburg",
+               "--assume-simply-connected", "--assume-h-odd-zero"],
+    "example": ["example", "eschenburg"],
+}
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+{run}
+print(json.dumps(sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("gkmcalc."))))
+"""
+_MAIN = """
+from gkmcalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+"""
+
+
+def modules_after(run, *argv):
+    """The gkmcalc submodules, and dataclasses if loaded, in a fresh
+    interpreter after the Python code `run` with these arguments."""
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gkmcalc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER.format(run=run), *argv],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert modules_after("import gkmcalc") == set()
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
+def test_each_verb_imports_only_what_it_runs(verb):
+    loaded = modules_after(_MAIN, *_VERB_ARGVS[verb])
+    assert "dataclasses" not in loaded
+    assert {"gkmcalc.cli", "gkmcalc.errors", "gkmcalc.gkm", "gkmcalc.intlinalg"} <= loaded
+    heavy = {"gkmcalc.cohomology", "gkmcalc.charclasses", "gkmcalc.wjz", "gkmcalc.polyring"}
+    if verb in ("validate", "xray", "iso", "example"):
+        assert not loaded & heavy
+    else:
+        assert "gkmcalc.cohomology" in loaded
+
+
+@pytest.mark.parametrize("graph, messages", [
+    (builtin("cp1xcp2"), ["DependentWeightsAt: a0 carries linearly dependent weights (-1, 0) and (-1, 0)",
+                          "DependentWeightsAt: a2 carries linearly dependent weights (1, 0) and (-1, 0)",
+                          "DependentWeightsAt: b0 carries linearly dependent weights (-1, 0) and (1, 0)",
+                          "DependentWeightsAt: b2 carries linearly dependent weights (1, 0) and (1, 0)"]),
+    (GKMGraph(2, [], [], signed=True), ["Empty: the graph has no vertices"]),
+], ids=["cp1xcp2", "empty"])
+def test_invalid_graph_message_lists_each_violation(tmp_path, graph, messages):
+    want = "graph fails GKM conditions (%s)" % "; ".join(messages)
+    with pytest.raises(InvalidGraph) as info:
+        graph.require_valid()
+    assert str(info.value) == want
+    path = tmp_path / "invalid.gkmg"
+    path.write_text(json.dumps(graph.to_json()))
+    proc = gkm_process("cohomology", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: %s\n" % want)
 
 
 def test_malformed_weight_is_an_error_not_a_traceback(tmp_path):

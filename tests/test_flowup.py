@@ -12,7 +12,7 @@ from gkmcalc.charclasses import equivariant_char_class
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, is_gkm_class
 from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import GKMGraph, all_labels_primitive, builtin, graph_from_json
-from gkmcalc.intlinalg import IntMatrix
+from gkmcalc.intlinalg import IntMatrix, primitive_part
 from gkmcalc.polyring import IntPolynomial, monomials
 from helpers import UNCERTIFIED_K4, _load_families, index_betti, mutated_eschenburg, product_of_spheres
 
@@ -160,6 +160,28 @@ def test_flow_up_classes_by_exact_division(monkeypatch):
         assert betti == families.oracle(family, param)["betti"]
         assert len(set(completions)) == len(completions) <= len({w for v in g.vertices for w in g.weights_at(v)})
         assert shapes == [(1, g.torus_rank)] * len(completions)
+
+
+def test_completion_lifts_by_the_adjugate(monkeypatch):
+    """The lift rows of V^-1 come from adj V, not from a second Smith form:
+    for seeded primitive w with k = 1..6, `_completion(w)` equals the
+    reference through `inverse_unimodular`, and a fresh flow-up ring makes
+    no `inverse_unimodular` call."""
+    rng = random.Random(2023)
+    for k in range(1, 7):
+        for _ in range(12):
+            last = rng.choice((1, -1)) * rng.randint(1, 40)  # w is never 0
+            w = primitive_part([rng.randint(-40, 40) for _ in range(k - 1)] + [last])
+            v = cohomology.smith_normal_form(IntMatrix(1, k, w), with_u=False).V
+            vinv = v.inverse_unimodular()
+            want = ([IntPolynomial.linear_form(v.row(i)[1:]) for i in range(k)],
+                    [IntPolynomial.linear_form(vinv.row(j)) for j in range(1, k)])
+            assert cohomology._completion(w) == want, w
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", lambda self: pytest.fail("a second Smith form ran"))
+    for g in [builtin(name) for name in SIGNED] + [families.build(*p) for p in (("cp", 5), ("cp1^", 4), ("surface", 6))]:
+        ring = CohomologyRing(g)
+        assert ring.path == "flow-up"
+        assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == index_betti(g)
 
 
 def test_each_vertex_restricts_its_earlier_down_weights_once(monkeypatch):

@@ -236,6 +236,23 @@ def test_inverse_unimodular():
         assert M * inv == IntMatrix.identity(n)
 
 
+def test_adjugate_times_the_matrix_is_det_times_identity():
+    """The Gauss-Jordan adjugate against its definition, on seeded
+    nonsingular matrices with many zero entries, so pivots are swapped."""
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        B = IntMatrix(n, n, [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n * n)])
+        det = B.det()
+        if det == 0:
+            continue
+        adj = IntMatrix.from_rows(intlinalg._adjugate(B.to_rows())) if n else IntMatrix(0, 0, [])
+        assert adj * B == B * adj == IntMatrix(n, n, [det * int(i == j) for i in range(n) for j in range(n)])
+        checked += 1
+    assert checked > 200
+
+
 @pytest.mark.parametrize(
     "rows",
     [
