@@ -73,7 +73,7 @@ from .errors import (
     TorsionInQuotient,
 )
 from .gkm import GKMGraph, all_labels_primitive
-from .intlinalg import IntMatrix, _adjugate, kernel_saturated, saturated, smith_normal_form, solve_with_snf
+from .intlinalg import IntMatrix, kernel_saturated, saturated, smith_normal_form, solve_with_snf
 from .polyring import (
     IntPolynomial,
     default_names,
@@ -312,13 +312,11 @@ def _completion(w):
     """Z[y]/(alpha) = Z[t_1..t_(k-1)] for a primitive alpha = <w, y>, as
     (restriction, lift) images of the variables for `substitute`: the V of
     one 1 x k Smith form has w*V = +-e_1, so y -> V*(0, t) restricts, and
-    t -> rows 2..k of V^-1 * y lifts. det V = +-1, so V^-1 = det V * adj V,
-    and det V is entry (1, 1) of adj V * V."""
+    t -> rows 2..k of V^-1 * y lifts."""
     v = smith_normal_form(IntMatrix._of(1, len(w), w), with_u=False).V
-    adj = _adjugate(v.to_rows())
-    det = sum(map(operator.mul, adj[0], v.column(0)))
+    inverse = v.inverse_unimodular()
     return ([IntPolynomial.linear_form(v.row(i)[1:]) for i in range(v.rows)],
-            [IntPolynomial.linear_form([det * x for x in adj[j]]) for j in range(1, v.rows)])
+            [IntPolynomial.linear_form(inverse.row(j)) for j in range(1, v.rows)])
 
 
 def _flow_up(g):
@@ -694,8 +692,9 @@ class GeneratorBasis:
         self._cache = {}
 
     def _data(self, d):
-        """(chosen basis monomials, their coordinate columns, SNF of the
-        basis matrix) in degree d."""
+        """(chosen basis monomials, the inverse of the matrix of their
+        coordinate columns) in degree d. The columns are saturated and
+        square, so that matrix is unimodular."""
         if d in self._cache:
             return self._cache[d]
         # names that span hold a basis of H^2; the rest are integer
@@ -717,8 +716,7 @@ class GeneratorBasis:
             raise GeneratorsDoNotSpan(
                 "generators do not span the degree-%d ordinary cohomology over Z" % d
             )
-        dec = smith_normal_form(IntMatrix.from_columns(chosen_cols))
-        self._cache[d] = (chosen, chosen_cols, dec)
+        self._cache[d] = (chosen, IntMatrix.from_columns(chosen_cols).inverse_unimodular())
         return self._cache[d]
 
     def basis_monomials(self, d):
@@ -727,11 +725,8 @@ class GeneratorBasis:
     def to_poly(self, elem: RingElement) -> IntPolynomial:
         """Re-express quotient coordinates as a polynomial in the chosen
         generator monomials."""
-        chosen, _cols, dec = self._data(elem.degree)
-        x = solve_with_snf(dec, list(elem.coords))
-        if x is None:
-            raise GeneratorsDoNotSpan("class not an integer combination of generator monomials")
-        return IntPolynomial(len(self.names), {m: c for m, c in zip(chosen, x)})
+        chosen, inverse = self._data(elem.degree)
+        return IntPolynomial(len(self.names), dict(zip(chosen, inverse.apply(elem.coords))))
 
     def render(self, elem: RingElement) -> str:
         return self.to_poly(elem).render(self.names)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, InvalidGraph, Record, SchemaError, UnknownExample, XRayError, int_digit_limit
-from .intlinalg import IntMatrix, _adjugate, canonical_sign, primitive_part
+from .intlinalg import IntMatrix, canonical_sign, det_adjugate, primitive_part
 
 GRAPH_FORMAT = "gkmg/1"
 XRAY_FORMAT = "xray/1"
@@ -364,12 +364,13 @@ class GraphIso(Record):
 
 def _independent_base_edges(g: GKMGraph):
     """The least-named vertex that carries k independent weights, the first
-    k of its edges whose weights B span Q^k, and det B, which is nonzero."""
+    k of its edges whose weights B span Q^k, det B, which is nonzero, and
+    adj B."""
     for v in sorted(g.vertices):
         for combo in itertools.combinations(g.incident(v), g.torus_rank):
-            det = IntMatrix.from_rows([e.weight_at(v) for e in combo]).det()
+            det, adj = det_adjugate([e.weight_at(v) for e in combo])
             if det:
-                return v, combo, det
+                return v, combo, det, adj
     return None
 
 
@@ -452,8 +453,7 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
     base = _independent_base_edges(g1)
     if base is None:
         raise InvalidGraph("no vertex carries %d independent weights; automorphism underdetermined" % g1.torus_rank)
-    v0, base_edges, det = base
-    adj = _adjugate([e.weight_at(v0) for e in base_edges])
+    v0, base_edges, det, adj = base
     k = g1.torus_rank
     sign_choices = [(1,) * k] if signed else list(itertools.product((1, -1), repeat=k))
     lab = tuple if signed else canonical_sign

@@ -1,34 +1,36 @@
 """Exact integer linear algebra: Smith normal form with transforms,
-saturated kernels, integer linear solves, and primitive vectors.
+saturated kernels, integer solves, determinants, adjugates, inverses and
+primitive vectors.
 
 All arithmetic is on arbitrary-precision Python ints; intermediate entries
 in a Smith reduction can grow far beyond the input size, so fixed-width
 types are never used.
 
-The Smith normal form U*A*V = S is the one elimination engine: the rank is
-the number of nonzero diagonal entries, a unimodular inverse is V*U,
-integer solves and kernels come from solve_with_snf and the V-columns, and
-since U and V stay invertible mod 2, mod-2 solves read off the same
-transforms. Only det keeps its own (Bareiss) elimination, since a
-determinant needs no transforms: it picks the isomorphism search's base
-weights, and it is the is_unimodular test. The adjugate that solves for
-psi and inverts the flow-up completions is a fraction-free Gauss-Jordan
-elimination. The isomorphism search uses no Smith form at all.
+There are two eliminations. The Smith normal form U*A*V = S does lattice
+work: the rank is the number of nonzero diagonal entries, integer solves
+and kernels come from solve_with_snf and the V-columns, the saturation
+test reads the diagonal, and since U and V stay invertible mod 2, mod-2
+solves read off the same transforms. Square matrices take one
+fraction-free Gauss-Jordan elimination (`_eliminate`): handed B it gives
+det B, and handed [B | I] it also gives adj B. The determinant picks the
+isomorphism search's base weights and is the is_unimodular test, the
+adjugate of the base solves for psi, and every unimodular inverse is
+det * adj: the flow-up completions, the kernel path's quotient reps and
+the GeneratorBasis coordinates. None of these runs a Smith form.
 
 Empty matrices (0xn, mx0) have an ordinary Smith form: the loop finds no
 pivot, so U and V are identities and S has no diagonal. Their rank is 0,
 the kernel of a 0xn matrix is all of Z^n, and no caller special-cases them.
 
-The engine builds only what its caller reads. Kernels, ranks and the
+The Smith form builds only what its caller reads. Kernels, ranks and the
 saturation test read V or S alone, so they ask for no U (`with_u=False`).
 Solves (`solve_with_snf` here, `CohomologyRing.express_mod2` mod 2) and
-the quotient's projection and its representatives (through
-`inverse_unimodular`) read U. A solve needs only the first rank(S) rows of
-U*b: the rows past the rank ask that U*b vanish there, and since U is
-invertible that holds exactly when the candidate x = V*y solves A*x = b,
-which is checked on A instead. A tall basis matrix (many monomial
-coordinates, few classes) thus costs two thin products in place of one
-square one.
+the quotient's projection read U, and the quotient reps its inverse. A
+solve needs only the first rank(S) rows of U*b: the rows past the rank ask
+that U*b vanish there, and since U is invertible that holds exactly when
+the candidate x = V*y solves A*x = b, which is checked on A instead. A
+tall basis matrix (many monomial coordinates, few classes) thus costs two
+thin products in place of one square one.
 """
 
 import operator
@@ -133,60 +135,57 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.to_rows(),)
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by the fraction-free elimination `_eliminate`."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a nonsquare matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if m[t][t] == 0:
-                for i in range(t + 1, n):
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-            prev = m[t][t]
-        return sign * m[n - 1][n - 1]
+        return _eliminate(self.to_rows())
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self):
-        """Exact inverse of a matrix with determinant +-1: the Smith form
-        U*A*V is then the identity, so A^-1 = V*U."""
+        """Exact inverse of a matrix with determinant +-1: det * adj."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a nonsquare matrix")
-        dec = smith_normal_form(self)
-        if any(d != 1 for d in dec.diagonal()):
+        det, adj = det_adjugate(self.to_rows())
+        if det not in (1, -1):
             raise DimensionMismatch("matrix is not unimodular")
-        return dec.V * dec.U
+        return IntMatrix._of(self.rows, self.rows, [det * x for r in adj for x in r])
 
 
-def _adjugate(rows):
-    """adj(B) of the nonsingular square matrix B with these rows: adj(B) * B
-    = det(B) * I. Fraction-free Gauss-Jordan elimination takes [B | I] to
-    [d*I | d*B^-1] with d = +-det(B), dividing exactly at every step."""
-    n, sign, prev = len(rows), 1, 1
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for t in range(n):
-        p = next(i for i in range(t, n) if m[i][t])
-        if p != t:
-            m[t], m[p], sign = m[p], m[t], -sign
-        pivot, row = m[t][t], m[t]
-        for i in range(n):
-            if i != t:
-                m[i] = [(pivot * x - m[i][t] * y) // prev for x, y in zip(m[i], row)]
+def _eliminate(m):
+    """det B for the rows m of [B | C] with B square, by fraction-free
+    Gauss-Jordan elimination in place (each step divides exactly by the
+    previous pivot); when det B != 0, C ends as adj(B) * C. A row swap
+    negates one of the two rows, which keeps the determinant. A row with a
+    zero under a pivot equal to the previous one is unchanged, so it is
+    skipped, and only the columns right of each pivot are formed."""
+    prev = 1
+    for t in range(len(m)):
+        if not m[t][t]:
+            p = next((i for i in range(t + 1, len(m)) if m[i][t]), None)
+            if p is None:
+                return 0
+            m[t], m[p] = m[p], [-x for x in m[t]]
+        row = m[t]
+        pivot, cols = row[t], range(t + 1, len(row))
+        for i, r in enumerate(m):
+            c = r[t]
+            if i != t and (c or pivot != prev):
+                for j in cols:
+                    r[j] = (pivot * r[j] - c * row[j]) // prev
         prev = pivot
-    return [[sign * x for x in r[n:]] for r in m]
+    return prev
+
+
+def det_adjugate(rows):
+    """(det B, adj B) for the square matrix B with these rows, from one
+    elimination of [B | I]: adj(B) * B = B * adj(B) = det(B) * I. adj B is
+    a list of rows, or None when det B = 0."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    det = _eliminate(m)
+    return det, ([r[n:] for r in m] if det else None)
 
 
 class SNFDecomposition(Record):

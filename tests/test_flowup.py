@@ -8,11 +8,12 @@ import random
 import pytest
 
 import gkmcalc.cohomology as cohomology
+import gkmcalc.intlinalg as intlinalg
 from gkmcalc.charclasses import equivariant_char_class
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, is_gkm_class
 from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import GKMGraph, all_labels_primitive, builtin, graph_from_json
-from gkmcalc.intlinalg import IntMatrix, primitive_part
+from gkmcalc.intlinalg import IntMatrix, primitive_part, smith_normal_form
 from gkmcalc.polyring import IntPolynomial, monomials
 from helpers import UNCERTIFIED_K4, _load_families, index_betti, mutated_eschenburg, product_of_spheres
 
@@ -163,22 +164,31 @@ def test_flow_up_classes_by_exact_division(monkeypatch):
 
 
 def test_completion_lifts_by_the_adjugate(monkeypatch):
-    """The lift rows of V^-1 come from adj V, not from a second Smith form:
-    for seeded primitive w with k = 1..6, `_completion(w)` equals the
-    reference through `inverse_unimodular`, and a fresh flow-up ring makes
-    no `inverse_unimodular` call."""
+    """The lift rows of V^-1 come from one elimination of [V | I], not from
+    a second Smith form: for seeded primitive w with k = 1..6,
+    `_completion(w)` equals the reference V^-1 = V' * U' from the Smith
+    form U' * V * V' = I, and a fresh flow-up ring runs no Smith form but
+    the 1 x k ones of its completions."""
     rng = random.Random(2023)
     for k in range(1, 7):
         for _ in range(12):
             last = rng.choice((1, -1)) * rng.randint(1, 40)  # w is never 0
             w = primitive_part([rng.randint(-40, 40) for _ in range(k - 1)] + [last])
             v = cohomology.smith_normal_form(IntMatrix(1, k, w), with_u=False).V
-            vinv = v.inverse_unimodular()
+            dec = smith_normal_form(v)
+            assert dec.S == IntMatrix.identity(k)
+            vinv = dec.V * dec.U
             want = ([IntPolynomial.linear_form(v.row(i)[1:]) for i in range(k)],
                     [IntPolynomial.linear_form(vinv.row(j)) for j in range(1, k)])
             assert cohomology._completion(w) == want, w
-    monkeypatch.setattr(IntMatrix, "inverse_unimodular", lambda self: pytest.fail("a second Smith form ran"))
     for g in [builtin(name) for name in SIGNED] + [families.build(*p) for p in (("cp", 5), ("cp1^", 4), ("surface", 6))]:
+        def completions_only(a, **kw):
+            if (a.rows, a.cols) != (1, g.torus_rank):
+                pytest.fail("a %dx%d Smith form ran" % (a.rows, a.cols))
+            return smith_normal_form(a, **kw)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", completions_only)
+        monkeypatch.setattr(cohomology, "smith_normal_form", completions_only)
         ring = CohomologyRing(g)
         assert ring.path == "flow-up"
         assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == index_betti(g)

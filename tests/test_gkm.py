@@ -24,7 +24,7 @@ from gkmcalc.gkm import (
     read_json,
     xray_from_json,
 )
-from gkmcalc.intlinalg import IntMatrix, canonical_sign, smith_normal_form, solve_with_snf
+from gkmcalc.intlinalg import IntMatrix, canonical_sign, det_adjugate, smith_normal_form, solve_with_snf
 from gkmcalc.polyring import int_digit_limit
 from helpers import UNCERTIFIED_K4, _load_families, mutated_eschenburg, random_unimodular, scanned_verify
 
@@ -493,7 +493,8 @@ def test_adjugate_psi_matches_the_smith_solve():
         want = None if None in xs else IntMatrix.from_rows(xs)
         if want is not None and not want.is_unimodular():
             want = None
-        assert gkm._solve_psi(gkm._adjugate(rows), B.det(), targets) == want
+        det, adj = det_adjugate(rows)
+        assert gkm._solve_psi(adj, det, targets) == want
         seen.add("insoluble" if None in xs else "not unimodular" if want is None else "psi")
     assert seen == {"insoluble", "not unimodular", "psi"}
 

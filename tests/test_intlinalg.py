@@ -5,20 +5,21 @@ from math import gcd
 import pytest
 
 from gkmcalc import intlinalg
-from gkmcalc.cohomology import CohomologyRing
+from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement
 from gkmcalc.charclasses import equivariant_char_class
 from gkmcalc.errors import DimensionMismatch, NotInSubalgebra, SchemaError, ZeroVector
-from gkmcalc.gkm import builtin
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, builtin
 from gkmcalc.polyring import IntPolynomial
 from gkmcalc.intlinalg import (
     IntMatrix,
     canonical_sign,
+    det_adjugate,
     kernel_saturated,
     primitive_part,
     smith_normal_form,
     solve_with_snf,
 )
-from helpers import product_of_spheres
+from helpers import _load_families, product_of_spheres, random_unimodular
 
 
 @pytest.mark.parametrize("entry", [1.7, "3", True, None], ids=["float", "string", "bool", "null"])
@@ -237,17 +238,18 @@ def test_inverse_unimodular():
 
 
 def test_adjugate_times_the_matrix_is_det_times_identity():
-    """The Gauss-Jordan adjugate against its definition, on seeded
+    """The fraction-free adjugate against its definition, on seeded
     nonsingular matrices with many zero entries, so pivots are swapped."""
     rng = random.Random(2024)
     checked = 0
     for _ in range(600):
         n = rng.randint(0, 6)
         B = IntMatrix(n, n, [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n * n)])
-        det = B.det()
+        det, adj = det_adjugate(B.to_rows())
+        assert det == B.det()
         if det == 0:
             continue
-        adj = IntMatrix.from_rows(intlinalg._adjugate(B.to_rows())) if n else IntMatrix(0, 0, [])
+        adj = IntMatrix(n, n, [x for r in adj for x in r])
         assert adj * B == B * adj == IntMatrix(n, n, [det * int(i == j) for i in range(n) for j in range(n)])
         checked += 1
     assert checked > 200
@@ -264,6 +266,81 @@ def test_adjugate_times_the_matrix_is_det_times_identity():
 def test_inverse_unimodular_rejects(rows):
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows(rows).inverse_unimodular()
+
+
+def cofactor_det(rows):
+    """The determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def test_det_matches_cofactor_expansion():
+    """Seeded matrices with many zero entries, so rows are swapped and many
+    are singular, from 0 x 0 up to 5 x 5."""
+    rng = random.Random(424)
+    dets = []
+    for _ in range(800):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        dets.append((n, IntMatrix(n, n, [x for r in rows for x in r]).det()))
+        assert dets[-1][1] == cofactor_det(rows), rows
+    assert {n for n, d in dets if d == 0} >= {1, 2, 3, 4, 5}
+    assert {n for n, d in dets if d} == {0, 1, 2, 3, 4, 5}
+    assert IntMatrix(0, 0, []).det() == 1 and IntMatrix(1, 1, [-7]).det() == -7
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(1, 2, [1, 0]).det()
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 2, 0], [1, 0, 0]], [[1, 1, 1], [1, 1, 1], [0, 0, 0]]])
+def test_singular_matrix_has_det_zero_and_no_adjugate(rows):
+    assert det_adjugate(rows) == (0, None)
+    assert IntMatrix.from_rows(rows).det() == 0
+
+
+@pytest.mark.parametrize("family, param", [("cp", 4), ("cp1^", 3), ("surface", 8)])
+def test_inverse_unimodular_matches_the_smith_inverse(monkeypatch, family, param):
+    """On each quotient U that the kernel path inverts for an unsigned
+    graph, the inverse is V * U from U's own Smith form, and forming it runs
+    no Smith form. These U are sparse with +-1 pivots, so the elimination
+    skips most rows at most steps."""
+    seen, inverse = [], IntMatrix.inverse_unimodular
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMatrix, "inverse_unimodular", lambda self: seen.append((self, inverse(self))) or seen[-1][1])
+        families = _load_families()
+        ring = CohomologyRing(families.build(family, param).unsigned())
+        assert ring.path == "kernel"
+        assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == families.oracle(family, param)["betti"]
+    assert len(seen) == ring.dim // 2 + 1 and max(u.rows for u, _ in seen) >= 38
+    for u, inv in seen:
+        dec = smith_normal_form(u)
+        assert dec.S == IntMatrix.identity(u.rows)
+        assert inv == dec.V * dec.U
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda *a, **kw: pytest.fail("a Smith form ran"))
+    assert all(u.inverse_unimodular() == inv for u, inv in seen)
+
+
+def test_det_and_inverse_run_no_smith_form(monkeypatch):
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda *a, **kw: pytest.fail("a Smith form ran"))
+    rng = random.Random(99)
+    for n in range(5):
+        m = random_unimodular(rng, n) if n else IntMatrix(0, 0, [])
+        assert m.is_unimodular() and m.det() in (1, -1)
+        assert m * m.inverse_unimodular() == IntMatrix.identity(n)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[2, 1], [0, 1]]).inverse_unimodular()
+
+
+def test_generator_basis_rejects_coordinates_of_the_wrong_length():
+    esc = builtin("eschenburg")
+    ring = CohomologyRing(esc)
+    classes = [FixedPointClass.from_strings(esc, ESCHENBURG_GENERATORS[n]) for n in ("X1", "X2")]
+    gens = GeneratorBasis(ring, ["X1", "X2"], classes)
+    assert gens.to_poly(ring.express(classes[1], 2)) == IntPolynomial.variable(2, 1)
+    for coords in [(1,), (1, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            gens.to_poly(RingElement(2, coords))
 
 
 def test_rank_of_empty_and_zero_matrices():

@@ -10,6 +10,11 @@ and the graph families from `perfbench/families.py`. The case set is fixed:
 - the four signed built-ins;
 - CP^2..CP^4, (CP^1)^2..(CP^1)^3 and surface_4..8 x CP^1, each with two
   seeded `families.disguise` copies;
+- unsigned copies of eschenburg, tolman, CP^2, CP^3, (CP^1)^2, (CP^1)^3
+  and surface_4 x CP^1 (`unsigned-<name>`), which take the kernel path:
+  its quotient reps through the inverse of U, and its mod-2 solves for
+  Stiefel-Whitney coordinates; they have no invariant system, so they run
+  no `diffeo`;
 - four products of three 2-spheres (`s2cubed1..4`, weights in
   `SPHERE_WEIGHTS`), one with the imprimitive weight (2,0);
 - the one-vertex graph and the empty graph;
@@ -74,6 +79,8 @@ DIFFEO_FULL_RANK = 4
 SPHERE_WEIGHTS = ([(1, 0), (0, 1), (1, 1)], [(2, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, -1)],
                   [(1, 0), (1, 2), (1, -1)])
 FAMILIES = [("cp", n) for n in (2, 3, 4)] + [("cp1^", n) for n in (2, 3)] + [("surface", m) for m in range(4, 9)]
+UNSIGNED = [("builtin", "eschenburg"), ("builtin", "tolman"), ("cp", 2), ("cp", 3), ("cp1^", 2), ("cp1^", 3),
+            ("surface", 4)]
 UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
                   ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
 
@@ -107,6 +114,9 @@ def cases():
         rng = random.Random("sweep-" + label)
         for copy in (1, 2):
             out.append(("%s~%d" % (label, copy), graph_from_json(families.disguise(graph, rng)), graph, None))
+    for family, param in UNSIGNED:
+        graph = families.build(family, param)
+        out.append(("unsigned-" + graph.name, graph.unsigned(), None, None))
     spheres = [product_of_spheres(w) for w in SPHERE_WEIGHTS]
     for i, g in enumerate(spheres, 1):
         out.append(("s2cubed%d" % i, g, spheres[0], None))
