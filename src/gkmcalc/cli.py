@@ -140,6 +140,8 @@ def _cmd_xray(args):
     xray = builtin(args.example[0], kind="xray") if args.example else load_input(args.inputs[0])
     if isinstance(xray, GKMGraph):
         raise SchemaError("xray expects an x-ray file, got a graph file")
+    if args.svg and xray.torus_rank < 2:
+        raise UsageError("--svg draws the first two coordinates, but the torus rank is %d" % xray.torus_rank)
     g = graph_from_xray(xray)
     payload = {"command": "xray", "graph": g.to_json()}
     lines = _write_or_dump(payload["graph"], args.output)

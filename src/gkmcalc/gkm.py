@@ -80,12 +80,6 @@ def _optional_name(name, what):
     return name if name is None else _check_name(name, what)
 
 
-def _check_signed(signed):
-    if not isinstance(signed, bool):
-        raise SchemaError("signed must be true or false, got %r" % (signed,))
-    return signed
-
-
 def _check_coordinates(coords, k, vertex):
     if not isinstance(coords, (list, tuple)) or not all(
         _is_int(c) or isinstance(c, Fraction) for c in coords
@@ -119,7 +113,9 @@ class GKMGraph:
 
     def __init__(self, torus_rank, vertices, edges, signed, name=None):
         self.torus_rank = _check_torus_rank(torus_rank)
-        self.signed = _check_signed(signed)
+        if not isinstance(signed, bool):
+            raise SchemaError("signed must be true or false, got %r" % (signed,))
+        self.signed = signed
         self.name = _optional_name(name, "graph name")
         if not isinstance(vertices, (list, tuple)):
             raise SchemaError("vertices must be a list or tuple, got %r" % (vertices,))
@@ -235,22 +231,15 @@ def _validate(g: GKMGraph) -> ValidityReport:
                     "%s carries linearly dependent weights %r and %r" % (v, dep[0], dep[1]),
                 )
             )
+    # a signed graph expects the negative of weight_at_u at v, an unsigned one the same label
+    mismatch = "has weights %r / %r (not negatives)" if g.signed else "has mismatched unsigned labels %r / %r"
     for e in g.edges:
-        if g.signed:
-            if e.weight_at_v != tuple(-x for x in e.weight_at_u):
-                violations.append(
-                    Violation(
-                        "SignInconsistency",
-                        "edge %s-%s has weights %r / %r (not negatives)"
-                        % (e.u, e.v, e.weight_at_u, e.weight_at_v),
-                    )
-                )
-        elif e.weight_at_v != e.weight_at_u:
+        mate = tuple(-x for x in e.weight_at_u) if g.signed else e.weight_at_u
+        if e.weight_at_v != mate:
             violations.append(
                 Violation(
                     "SignInconsistency",
-                    "edge %s-%s has mismatched unsigned labels %r / %r"
-                    % (e.u, e.v, e.weight_at_u, e.weight_at_v),
+                    "edge %s-%s " % (e.u, e.v) + mismatch % (e.weight_at_u, e.weight_at_v),
                 )
             )
     if not g.vertices:
@@ -289,14 +278,14 @@ class XRay:
             for v, coords in vertices.items()
         }
         self.edges = []
-        for entry in edges:
+        for idx, entry in enumerate(edges):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise SchemaError("x-ray edge %r must be a (from, to) pair" % (entry,))
+                raise SchemaError("x-ray edge #%d %r must be a (from, to) pair" % (idx, entry))
             u, v = entry
-            _check_name(u, "x-ray edge endpoint")
-            _check_name(v, "x-ray edge endpoint")
+            _check_name(u, "x-ray edge #%d endpoint" % idx)
+            _check_name(v, "x-ray edge #%d endpoint" % idx)
             if u not in self.vertices or v not in self.vertices:
-                raise SchemaError("x-ray edge %s-%s references an unknown vertex" % (u, v))
+                raise SchemaError("x-ray edge #%d %s-%s references an unknown vertex" % (idx, u, v))
             self.edges.append((u, v))
 
     def validate(self):
@@ -477,34 +466,42 @@ def find_isomorphisms(g1: GKMGraph, g2: GKMGraph, signed: bool, least=False):
 # ---------------------------------------------------------------------------
 # built-in examples
 
-_ESCHENBURG_COORDS = {
-    "p1": (-2, 1),
-    "p2": (1, -1),
-    "p3": (2, 0),
-    "p4": (2, -3),
-    "p5": (0, 0),
-    "p6": (1, 1),
+# name -> (vertex coordinates, edges) of each built-in x-ray; Woodward's
+# example has Tolman's x-ray.
+_XRAYS = {
+    "eschenburg": (
+        {
+            "p1": (-2, 1),
+            "p2": (1, -1),
+            "p3": (2, 0),
+            "p4": (2, -3),
+            "p5": (0, 0),
+            "p6": (1, 1),
+        },
+        [
+            ("p1", "p4"), ("p1", "p5"), ("p1", "p6"),
+            ("p2", "p4"), ("p2", "p5"), ("p2", "p6"),
+            ("p3", "p4"), ("p3", "p5"), ("p3", "p6"),
+        ],
+    ),
+    "tolman": (
+        {
+            "t1": (-2, 0),
+            "t2": (-1, 0),
+            "t3": (-2, -3),
+            "t4": (0, -2),
+            "t5": (2, -3),
+            "t6": (-1, -2),
+        },
+        [
+            ("t1", "t2"), ("t1", "t3"), ("t1", "t4"),
+            ("t2", "t5"), ("t2", "t6"),
+            ("t3", "t5"), ("t3", "t6"),
+            ("t4", "t5"), ("t4", "t6"),
+        ],
+    ),
 }
-_ESCHENBURG_EDGES = [
-    ("p1", "p4"), ("p1", "p5"), ("p1", "p6"),
-    ("p2", "p4"), ("p2", "p5"), ("p2", "p6"),
-    ("p3", "p4"), ("p3", "p5"), ("p3", "p6"),
-]
-
-_TOLMAN_COORDS = {
-    "t1": (-2, 0),
-    "t2": (-1, 0),
-    "t3": (-2, -3),
-    "t4": (0, -2),
-    "t5": (2, -3),
-    "t6": (-1, -2),
-}
-_TOLMAN_EDGES = [
-    ("t1", "t2"), ("t1", "t3"), ("t1", "t4"),
-    ("t2", "t5"), ("t2", "t6"),
-    ("t3", "t5"), ("t3", "t6"),
-    ("t4", "t5"), ("t4", "t6"),
-]
+_XRAYS["woodward"] = _XRAYS["tolman"]
 
 # CP1 x CP2 with the rank-2 subaction (s,t).([x0:x1],[y0:y1:y2]) =
 # ([s x0 : x1], [s y0 : t y1 : y2]); a* vertices have x = [1:0], b* have
@@ -519,26 +516,17 @@ _CP1XCP2_EDGES = [
 
 _SWAP = {"p1": "p5", "p5": "p1", "p2": "p4", "p4": "p2", "p3": "p6", "p6": "p3"}
 
-BUILTIN_NAMES = ("eschenburg", "tolman", "woodward", "eschenburg-swapped", "cp1xcp2")
-
-
-def _eschenburg_xray():
-    return XRay(2, _ESCHENBURG_COORDS, _ESCHENBURG_EDGES, name="eschenburg")
-
-
-def _tolman_xray(name="tolman"):
-    return XRay(2, _TOLMAN_COORDS, _TOLMAN_EDGES, name=name)
+BUILTIN_NAMES = (*_XRAYS, "eschenburg-swapped", "cp1xcp2")
 
 
 def _eschenburg_swapped():
-    esc = graph_from_xray(_eschenburg_xray())
+    esc = builtin("eschenburg")
+    by_ends = {frozenset((e.u, e.v)): e for e in esc.edges}
     edges = []
     for e in esc.edges:
         # weight data at v comes from the swapped vertex, edge set is
         # invariant under the swap
-        src = next(
-            f for f in esc.edges if {f.u, f.v} == {_SWAP[e.u], _SWAP[e.v]}
-        )
+        src = by_ends[frozenset((_SWAP[e.u], _SWAP[e.v]))]
         edges.append((e.u, e.v, src.weight_at(_SWAP[e.u]), src.weight_at(_SWAP[e.v])))
     return GKMGraph(2, esc.vertices, edges, signed=True, name="eschenburg-swapped")
 
@@ -553,16 +541,12 @@ def builtin(name, kind="graph"):
     if name not in BUILTIN_NAMES:
         raise UnknownExample("unknown example %r (known: %s)" % (name, ", ".join(BUILTIN_NAMES)))
     if kind == "xray":
-        if name == "eschenburg":
-            return _eschenburg_xray()
-        if name == "tolman":
-            return _tolman_xray()
-        if name == "woodward":
-            return _tolman_xray(name="woodward")
-        raise UnknownExample("example %r has no x-ray form" % name)
+        if name not in _XRAYS:
+            raise UnknownExample("example %r has no x-ray form" % name)
+        return XRay(2, *_XRAYS[name], name=name)
     if kind != "graph":
         raise UnknownExample("unknown example kind %r" % kind)
-    if name in ("eschenburg", "tolman", "woodward"):
+    if name in _XRAYS:
         return graph_from_xray(builtin(name, "xray"))
     if name == "eschenburg-swapped":
         return _eschenburg_swapped()
@@ -593,7 +577,7 @@ ESCHENBURG_GENERATORS = {
 
 def builtin_generators(graph: GKMGraph):
     """Generator bindings for --gens on the Eschenburg-family graphs."""
-    if set(graph.vertices) == set(_ESCHENBURG_COORDS):
+    if set(graph.vertices) == set(_XRAYS["eschenburg"][0]):
         return ESCHENBURG_GENERATORS
     return None
 
@@ -605,7 +589,8 @@ def all_labels_primitive(graph: GKMGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O
+# JSON I/O: the loaders translate the file formats, and the GKMGraph and
+# XRay constructors alone check what they are given
 
 
 def _require(d, key, context):
@@ -620,15 +605,17 @@ def graph_from_json(data) -> GKMGraph:
     fmt = _require(data, "format", "graph document")
     if fmt != GRAPH_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, GRAPH_FORMAT))
-    k = _check_torus_rank(_require(data, "torus_rank", "graph document"))
+    k = _require(data, "torus_rank", "graph document")
     signed = _require(data, "signed", "graph document")
     vertices = _require(data, "vertices", "graph document")
-    if not isinstance(vertices, list):
-        raise SchemaError("vertices must be a list of names")
     raw_edges = _require(data, "edges", "graph document")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list")
-    entries = []
+    # the same geometric edge may appear once per orientation; the second
+    # occurrence becomes weight_at_v of the first, so sign inconsistencies
+    # surface in validate() rather than duplicating the edge
+    merged = []
+    open_by_pair = {}
     for idx, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError("edge #%d must be an object" % idx)
@@ -637,22 +624,13 @@ def graph_from_json(data) -> GKMGraph:
         w = _require(e, "weight_at_from", "edge %s-%s" % (u, v))
         if not (isinstance(w, list) and all(_is_int(x) for x in w)):
             raise SchemaError("weight_at_from on edge %s-%s must be a list of integers, got %r" % (u, v, w))
-        entries.append((u, v, tuple(w)))
-    # the same geometric edge may appear once per orientation; fold the
-    # second occurrence into weight_at_v so sign inconsistencies surface in
-    # validate() rather than duplicating the edge
-    merged = []
-    open_by_pair = {}
-    for u, v, w in entries:
         mate = open_by_pair.get((v, u))
         if mate:
-            slot = mate.pop(0)
-            merged[slot] = merged[slot][:3] + (w,)
-            if not mate:
-                del open_by_pair[(v, u)]
-            continue
-        open_by_pair.setdefault((u, v), []).append(len(merged))
-        merged.append((u, v, w))
+            mate.pop(0).append(w)
+        else:
+            entry = [u, v, w]
+            open_by_pair.setdefault((u, v), []).append(entry)
+            merged.append(entry)
     return GKMGraph(k, vertices, merged, signed, name=data.get("name"))
 
 
@@ -662,13 +640,11 @@ def xray_from_json(data) -> XRay:
     fmt = _require(data, "format", "x-ray document")
     if fmt != XRAY_FORMAT:
         raise SchemaError("unknown format version %r (expected %r)" % (fmt, XRAY_FORMAT))
-    k = _check_torus_rank(_require(data, "torus_rank", "x-ray document"))
+    k = _require(data, "torus_rank", "x-ray document")
     raw_vertices = _require(data, "vertices", "x-ray document")
     if not isinstance(raw_vertices, dict):
         raise SchemaError("x-ray vertices must be an object of coordinate lists")
-    raw_edges = _require(data, "edges", "x-ray document")
-    if not isinstance(raw_edges, list):
-        raise SchemaError("x-ray edges must be a list")
+    edges = _require(data, "edges", "x-ray document")
 
     def coord(c, vertex):
         if _is_int(c):
@@ -684,11 +660,6 @@ def xray_from_json(data) -> XRay:
         if not isinstance(cs, list):
             raise SchemaError("coordinates of vertex %s must be a list" % v)
         vertices[v] = [coord(c, v) for c in cs]
-    edges = []
-    for idx, e in enumerate(raw_edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
-            raise SchemaError("x-ray edge #%d must be a [from, to] pair of names" % idx)
-        edges.append((e[0], e[1]))
     return XRay(k, vertices, edges, name=data.get("name"))
 
 

@@ -182,6 +182,22 @@ def test_example_and_xray_pipeline(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("rank, code", [(1, 2), (2, 0), (3, 0)])
+def test_xray_svg_needs_two_coordinates(tmp_path, capsys, rank, code):
+    xpath, gpath, svg = tmp_path / "seg.xray.json", tmp_path / "seg.gkmg.json", tmp_path / "seg.svg"
+    doc = {"format": "xray/1", "torus_rank": rank, "vertices": {"a": [0] * rank, "b": list(range(1, rank + 1))},
+           "edges": [["a", "b"]]}
+    xpath.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "xray", str(xpath), "-o", str(gpath), "--svg", str(svg))
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("usage error: --svg draws the first two coordinates")
+        assert not gpath.exists() and not svg.exists()
+    else:
+        assert json.loads(gpath.read_text())["torus_rank"] == rank
+        assert svg.read_text().startswith("<svg")
+
+
 def test_example_unknown(capsys):
     code, _, err = run(capsys, "example", "no-such-example")
     assert code == 1

@@ -675,9 +675,13 @@ def _edited_graph_doc(edit):
         lambda d: d.update(vertices="abc", edges=[{"from": "a", "to": "b", "weight_at_from": [1, 0]}]),
         lambda d: d.update(name=[1, 2]),
         lambda d: d.update(name=7),
+        lambda d: d.update(vertices={v: [] for v in d["vertices"]}),
+        lambda d: (d.update(torus_rank=0), d["edges"][0].update(to="zz")),
+        lambda d: (d.update(torus_rank="2"), d["edges"].__setitem__(0, 5)),
     ],
     ids=["weight-null", "weight-true", "weight-int", "weight-floats", "rank-string",
-         "rank-float", "signed-string", "vertices-string", "name-list", "name-int"],
+         "rank-float", "signed-string", "vertices-string", "name-list", "name-int",
+         "vertices-object", "rank-zero-unknown-vertex", "rank-string-edge-int"],
 )
 def test_graph_from_json_rejects_malformed(edit):
     with pytest.raises(SchemaError):
@@ -706,14 +710,61 @@ def test_graph_from_json_names_the_fault(edit, message):
         lambda d: d.update(vertices="abc"),
         lambda d: d["vertices"].update(p1=[True, 1]),
         lambda d: d.update(name=[1, 2]),
+        lambda d: d.update(edges={"p1": "p4"}),
+        lambda d: d["edges"][0].append("p2"),
+        lambda d: d["edges"][0].__setitem__(0, 1),
+        lambda d: d["edges"][0].__setitem__(1, ["p4"]),
+        lambda d: d.update(torus_rank=0, edges=[["p1"]]),
+        lambda d: d.update(torus_rank="2", edges=[["p1", "zz"]]),
     ],
-    ids=["rank-string", "rank-float", "vertices-string", "coordinate-bool", "name-list"],
+    ids=["rank-string", "rank-float", "vertices-string", "coordinate-bool", "name-list", "edges-object",
+         "edge-three-names", "endpoint-int", "endpoint-list", "rank-zero-short-edge", "rank-string-unknown-vertex"],
 )
 def test_xray_from_json_rejects_malformed(edit):
     doc = builtin("eschenburg", kind="xray").to_json()
     edit(doc)
     with pytest.raises(SchemaError):
         xray_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [(["p1", "zz"], "x-ray edge #2 p1-zz references an unknown vertex"),
+     (["p1", "p4", "p2"], "x-ray edge #2 ['p1', 'p4', 'p2'] must be a (from, to) pair"),
+     (["p1", 4], "x-ray edge #2 endpoint must be a string, got 4")],
+    ids=["unknown-vertex", "three-names", "endpoint-int"],
+)
+def test_xray_edge_message_names_the_entry(edge, message):
+    x = builtin("eschenburg", kind="xray")
+    doc = x.to_json()
+    doc["edges"][2] = edge
+    for make in (lambda: XRay(2, x.vertices, x.edges[:2] + [edge]), lambda: xray_from_json(doc)):
+        with pytest.raises(SchemaError) as err:
+            make()
+        assert str(err.value) == message
+
+
+ESCHENBURG_XRAY = {
+    "format": "xray/1", "torus_rank": 2, "name": "eschenburg",
+    "vertices": {"p1": [-2, 1], "p2": [1, -1], "p3": [2, 0], "p4": [2, -3], "p5": [0, 0], "p6": [1, 1]},
+    "edges": [["p1", "p4"], ["p1", "p5"], ["p1", "p6"], ["p2", "p4"], ["p2", "p5"], ["p2", "p6"],
+              ["p3", "p4"], ["p3", "p5"], ["p3", "p6"]],
+}
+TOLMAN_XRAY = {
+    "format": "xray/1", "torus_rank": 2, "name": "tolman",
+    "vertices": {"t1": [-2, 0], "t2": [-1, 0], "t3": [-2, -3], "t4": [0, -2], "t5": [2, -3], "t6": [-1, -2]},
+    "edges": [["t1", "t2"], ["t1", "t3"], ["t1", "t4"], ["t2", "t5"], ["t2", "t6"], ["t3", "t5"], ["t3", "t6"],
+              ["t4", "t5"], ["t4", "t6"]],
+}
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [("eschenburg", ESCHENBURG_XRAY), ("tolman", TOLMAN_XRAY), ("woodward", {**TOLMAN_XRAY, "name": "woodward"})],
+)
+def test_builtin_xray_documents(name, doc):
+    got = builtin(name, kind="xray").to_json()
+    assert got == doc and list(got) == list(doc) and list(got["vertices"]) == list(doc["vertices"])
 
 
 @pytest.mark.parametrize("name", ["esc", None, "absent"])

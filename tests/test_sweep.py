@@ -116,3 +116,22 @@ def test_sweep_compare_prints_every_difference(sweep, tmp_path, capsys):
 def test_sweep_rejects_unknown_case(sweep, tmp_path):
     with pytest.raises(SystemExit):
         sweep.main(["--out", str(tmp_path / "x.json"), "--cases", "no-such-graph"])
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read sweep file"), ("{", "cannot read sweep file"), ("[1]", "is not a sweep file"),
+     ('{"format": "gkmcalc-sweep/1"}', "is not a sweep file"), ('{"records": []}', "is not a sweep file")],
+    ids=["missing", "bad-json", "list", "no-records", "records-list"],
+)
+def test_sweep_compare_rejects_a_file_that_is_not_a_sweep(sweep, tmp_path, capsys, content, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"format": "gkmcalc-sweep/1", "records": {}}')
+    if content is not None:
+        bad.write_text(content)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--compare", *map(str, pair)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err

@@ -543,8 +543,14 @@ def main(argv=None):
     if args.compare:
         loaded = []
         for path in args.compare:
-            with open(path) as fh:
-                loaded.append(json.load(fh)["records"])
+            try:
+                with open(path) as fh:
+                    doc = json.load(fh)
+            except (OSError, ValueError) as exc:
+                parser.error("cannot read sweep file %s: %s" % (path, exc))
+            if not (isinstance(doc, dict) and isinstance(doc.get("records"), dict)):
+                parser.error("%s is not a sweep file: it has no \"records\" object" % path)
+            loaded.append(doc["records"])
         return compare(*loaded)
     selected = set(args.cases.split(",")) if args.cases else None
     unknown = (selected or set()) - {label for label, *_ in cases()} - {"cli"}
