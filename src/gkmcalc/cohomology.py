@@ -9,18 +9,17 @@ of A_d in monomial coordinates, and the projection; on the flow-up path
 the matrices are built when first read. It builds them on one of two
 paths, chosen once per ring from the graph alone (`ring.path`).
 
-Flow-up path (Guillemin-Zara 2001, Goldin-Tolman 2009). A generic xi
-orients every edge by the sign of <w, xi> at one end; when the orientation
-is acyclic, the vertices are sorted topologically and lambda_p counts the
-down-edges at p. The flow-up class tau_p vanishes before p, is e_p^- (the
-product of p's down-weights) at p, and at each later vertex q solves
+Flow-up path (Guillemin-Zara 2001, Goldin-Tolman 2009, Tymoczko 2005).
+Order the vertices; the down-edges at p go to earlier vertices, and
+lambda_p counts them. The flow-up class tau_p vanishes before p, is e_p^-
+(the product of p's down-weights) at p, and at each later vertex q solves
 f = tau_p(r_j) mod alpha_j over q's down-edges q-r_j by Chinese
 remaindering: f starts as tau_p(r_1), and step j adds P * lift(h), with
 P = alpha_1 ... alpha_(j-1) and h = tau_p(r_j) - f in Z[y]/(alpha_j) =
 Z[t_1..t_(k-1)] divided exactly by the image of P. Primitive, pairwise
 independent linear forms are coprime primes of Z[y], so P divides f* - f
 for any integral answer f*, and h exists exactly when f* does. Every edge
-is checked once, at its upper end, so each tau_p is a GKM class. The
+is checked once, at its later end, so each tau_p is a GKM class. The
 certificate that the tau_p are a Z[y]-basis of A: for x in A, let p be
 its first nonzero vertex; x vanishes at p's lower neighbours, so each
 down-weight divides x(p), by coprimality e_p^- divides x(p), and
@@ -29,12 +28,14 @@ y^m tau_p (2 lambda_p <= d), so rank A_d is the sum of
 C(d/2 - lambda_p + k - 1, k - 1) over those p, b_d = #{p : 2 lambda_p = d},
 the quotient reps are the tau_p of index d/2, and `express` peels by the
 same exact division. Modulo 2 a primitive weight stays nonzero, so
-`express_mod2` peels the same way over F_2.
+`express_mod2` peels the same way over F_2. Any order along which every
+tau_p(q) is integral certifies, signed or not: `_flow_up` finds one by a
+depth-first search with a node budget, whose first branch is Kahn's
+topological order when a generic xi orients a signed graph acyclically.
 
-Kernel path, for every graph the flow-up path does not cover (unsigned
-graphs, an imprimitive weight, no generic acyclic xi on the fixed list, or
-a flow-up class without an integral value): divisibility along an edge is
-encoded with auxiliary quotient unknowns and the solution lattice
+Kernel path, for every graph the flow-up path does not cover (an
+imprimitive weight, or no order within the budget): divisibility along an
+edge is encoded with auxiliary quotient unknowns and the solution lattice
 extracted as a saturated kernel. The ideal generators y_i * b are the
 columns of the degree d-2 basis matrix with their monomials shifted by
 y_i, and torsion in the quotient is a hard error (it violates the
@@ -224,66 +225,34 @@ class GradedBasis(Record):
     projection = property(lambda self: self._built[1])
 
 
-# xi on a fixed list: the prefix of _XI of torus-rank length, then the
-# powers of 1009, which pair to nonzero with every weight whose entries
-# all lie below 504 in absolute value
 _XI = (1, 7, 53, 379, 2719)
-
-
-def _directions(k):
-    return ([_XI[:k]] if k <= len(_XI) else []) + [tuple(1009**i for i in range(k))]
+_NODES_PER_VERTEX = 200  # the order search's node budget: one node per vertex tried
 
 
 def _dot(x, y):
     return sum(map(operator.mul, x, y))
 
 
-def _orient(g, xi):
-    """(topological order, down-edges) of the orientation of g by the sign
-    of <w, xi>, by vertex index, or None when xi is orthogonal to a weight
-    or the orientation has a cycle. An edge is a down-edge at the end where
-    <w, xi> < 0; down[p] lists (lower neighbour, weight at p) in edge
-    order, and Kahn's algorithm breaks ties by vertex index."""
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    down = [[] for _ in range(n)]
-    up = [[] for _ in range(n)]
-    for e in g.edges:
-        s = _dot(e.weight_at_u, xi)
-        if not s:
-            return None
-        u, v = vidx[e.u], vidx[e.v]
-        hi, lo, w = (u, v, e.weight_at_u) if s < 0 else (v, u, e.weight_at_v)
-        down[hi].append((lo, w))
-        up[lo].append(hi)
-    waiting = [len(d) for d in down]
-    ready = [p for p in range(n) if not waiting[p]]
-    order = []
-    while ready:
-        p = min(ready)
-        ready.remove(p)
-        order.append(p)
-        for q in up[p]:
-            waiting[q] -= 1
-            if not waiting[q]:
-                ready.append(q)
-    return (order, down) if len(order) == n else None
+def _xi(g):
+    """The first xi on a fixed list that pairs to nonzero with every weight,
+    or None: the prefix of _XI of torus-rank length, then the powers of
+    1009, nonzero on every weight with entries below 504 in absolute value."""
+    k = g.torus_rank
+    directions = ([_XI[:k]] if k <= len(_XI) else []) + [tuple(1009**i for i in range(k))]
+    return next((xi for xi in directions if all(_dot(e.weight_at_u, xi) for e in g.edges)), None)
 
 
-class _FlowUp:
-    """Flow-up classes under one acyclic orientation, by vertex index: the
-    topological order, each vertex's down-edges as (lower neighbour,
-    weight at the vertex), so lambda_p = len(down[p]), and
-    tau[p] = {q: tau_p(q)} over the support of tau_p."""
+class _FlowUp(Record):
+    """Flow-up classes along one vertex order, by vertex index: the order,
+    each vertex's down-edges as (lower neighbour, weight at the vertex), so
+    lambda_p = len(down[p]), and tau[p] = {q: tau_p(q)} over the support
+    of tau_p."""
 
-    __slots__ = ("k", "order", "down", "tau")
-
-    def __init__(self, k, order, down, tau):
-        self.k, self.order, self.down, self.tau = k, order, down, tau
+    __slots__ = _fields = ("k", "order", "down", "tau")
 
     def matrices(self, d):
-        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in topological
-        order and m in `monomials` order, and the projection that selects
+        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in the vertex order
+        and m in `monomials` order, and the projection that selects
         the coefficients of the tau_p with 2 lambda_p = d."""
         nv = len(self.order)
         monos = monomials(self.k, d)
@@ -320,50 +289,81 @@ def _completion(w):
 
 
 def _flow_up(g):
-    """The flow-up classes of g, or None when the flow-up path does not
-    apply (see the module docstring)."""
-    k = g.torus_rank
-    if not g.signed or not all_labels_primitive(g):
+    """The flow-up classes of g along the first vertex order a depth-first
+    search finds, or None (see the module docstring). A vertex waits for its
+    neighbour across an edge unless <w, xi> is positive at the vertex and
+    negative at the neighbour, and the search tries the vertices by how many
+    unplaced neighbours they wait for, then by index."""
+    k, n, xi = g.torus_rank, len(g.vertices), _xi(g)
+    if not all_labels_primitive(g):
         return None
-    for xi in _directions(k):
-        if (oriented := _orient(g, xi)) is not None:
-            break
-    else:
-        return None
-    order, down = oriented
-    completion, plans = cache(_completion), {}  # one per distinct down-weight; one per vertex
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    edges = [[] for _ in range(n)]  # (neighbour, weight at the vertex), in edge order
+    waiting, up = [0] * n, [[] for _ in range(n)]  # unplaced neighbours each vertex waits for; those it holds back
+    for e in g.edges:
+        u, v = vidx[e.u], vidx[e.v]
+        su, sv = (_dot(e.weight_at_u, xi), _dot(e.weight_at_v, xi)) if xi else (0, 0)
+        for a, b, w, lower in ((u, v, e.weight_at_u, su > 0 > sv), (v, u, e.weight_at_v, sv > 0 > su)):
+            edges[a].append((b, w))
+            if not lower:
+                waiting[a] += 1
+                up[b].append(a)
+    completion = cache(_completion)  # one per distinct down-weight
+    zero, one = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    order, down, tau = [], [None] * n, {}  # down[q] is None until q is placed
 
-    def remainder(q, values):
-        """Some f with f = values[j] mod alpha_j over q's down-edges, or None; q's steps
-        (P_j, restriction, alpha_1..alpha_(j-1) restricted, lift) are planned when first reached."""
-        if q not in plans:
-            plans[q], prod = [], IntPolynomial.constant(k, 1)
-            for j in range(1, len(down[q])):
-                prod = prod * IntPolynomial.linear_form(down[q][j - 1][1])
-                restrict, lift = completion(down[q][j][1])
-                plans[q].append((prod, restrict, [IntPolynomial.linear_form(a).substitute(restrict) for _, a in down[q][:j]], lift))
-        f = values[0]
-        for value, (prod, restrict, divisors, lift) in zip(values[1:], plans[q]):
-            if h := (value - f).substitute(restrict):
-                for a in divisors:
-                    if (h := divide_by_linear(h, a)) is None:
-                        return None  # no integral tau_p(q) exists
-                f = f + prod * h.substitute(lift)
-        return f
-
-    zero = IntPolynomial.zero(k)
-    tau = {}
-    for i, p in enumerate(order):
-        cls = {p: math.prod((IntPolynomial.linear_form(w) for _, w in down[p]), start=IntPolynomial.constant(k, 1))}
-        for q in order[i + 1 :]:
-            values = [cls.get(r, zero) for r, _ in down[q]]
+    def extend(q, below):
+        """Extend every placed class to q by q's steps (P_j, restriction, alpha_1..alpha_(j-1)
+        restricted, lift), planned once here; False, changing none, when a value is not integral."""
+        steps, prod, grown = [], one, []
+        for j in range(1, len(below)):
+            prod = prod * IntPolynomial.linear_form(below[j - 1][1])
+            restrict, lift = completion(below[j][1])
+            steps.append((prod, restrict, [IntPolynomial.linear_form(a).substitute(restrict) for _, a in below[:j]], lift))
+        for cls in tau.values():
+            values = [cls.get(r, zero) for r, _ in below]
             if any(values):
-                f = remainder(q, values)
-                if f is None:
-                    return None
+                f = values[0]
+                for value, (prod, restrict, divisors, lift) in zip(values[1:], steps):
+                    if h := (value - f).substitute(restrict):
+                        for a in divisors:
+                            if (h := divide_by_linear(h, a)) is None:
+                                return False
+                        f = f + prod * h.substitute(lift)
                 if f:
-                    cls[q] = f
-        tau[p] = cls
+                    grown.append((cls, f))
+        for cls, f in grown:
+            cls[q] = f
+        return True
+
+    def candidates():
+        yield from (q for q in range(n) if down[q] is None and not waiting[q])
+        yield from sorted((q for q in range(n) if down[q] is None and waiting[q]), key=lambda q: (waiting[q], q))
+
+    stack, nodes = [], 0  # the candidates left at each depth
+    while len(order) < n:
+        if len(stack) == len(order):
+            stack.append(candidates())
+        q = next(stack[-1], None)
+        if q is None:  # no candidate extends every class: take back the last placement
+            stack.pop()
+            if not order:
+                return None
+            p = order.pop()
+            del tau[p]
+            for cls in tau.values():
+                cls.pop(p, None)
+            down[p] = None
+            for r in up[p]:
+                waiting[r] += 1
+        elif (nodes := nodes + 1) > _NODES_PER_VERTEX * n:
+            return None
+        elif extend(q, below := [(r, w) for r, w in edges[q] if down[r] is not None]):
+            tau[q] = {q: math.prod((IntPolynomial.linear_form(w) for _, w in below), start=one)}
+            order.append(q)
+            down[q] = below
+            for r in up[q]:
+                waiting[r] -= 1
     return _FlowUp(k, order, down, tau)
 
 
@@ -380,16 +380,13 @@ def _has_connection(g):
     return True
 
 
-class _PointEvaluation:
+class _PointEvaluation(Record):
     """The integral over M at one integer point xi: every edge weight pairs
     to nonzero with xi, euler = L = lcm_p e_p(xi) and weights[p] =
     L / e_p(xi), so a top-degree class x of A has
     <x, [M]> = sum_p x_p(xi) * weights[p] / L under a connection."""
 
-    __slots__ = ("xi", "weights", "euler")
-
-    def __init__(self, xi, weights, euler):
-        self.xi, self.weights, self.euler = xi, weights, euler
+    __slots__ = _fields = ("xi", "weights", "euler")
 
     def at(self, c: FixedPointClass):
         """The values x_p(xi), by vertex."""
@@ -427,12 +424,10 @@ class CohomologyRing:
     @cached_property
     def _point(self):
         """Point evaluation of the integral on A, certified by a connection
-        (see the module docstring), at the first xi on the fixed list that
-        pairs to nonzero with every weight. None for an unsigned graph, when
-        no xi qualifies or with no connection; callers then localize
+        (see the module docstring), at `_xi`. None for an unsigned graph,
+        when no xi qualifies or with no connection; callers then localize
         symbolically. It reads the graph alone and builds no record."""
-        g = self.graph
-        xi = next((xi for xi in _directions(self.k) if all(_dot(e.weight_at_u, xi) for e in g.edges)), None)
+        g, xi = self.graph, _xi(self.graph)
         if not g.signed or xi is None or not _has_connection(g):
             return None
         euler = [math.prod(_dot(w, xi) for w in g.weights_at(v)) for v in g.vertices]
@@ -477,7 +472,7 @@ class CohomologyRing:
         return self._gkm[d]
 
     def _flow_record(self, d):
-        """The reps are the tau_p with 2 lambda_p = d, in topological
+        """The reps are the tau_p with 2 lambda_p = d, in the vertex
         order; rank A_d counts the y^m * tau_p in closed form."""
         fu = self._flow
         zero = IntPolynomial.zero(self.k)

@@ -681,13 +681,15 @@ def read_json(path):
 
 
 def load_input(path):
-    """Parse a gkmg or xray JSON file, dispatching on its format field."""
+    """Parse a gkmg or xray JSON file, dispatching on its format field; every
+    SchemaError names the file."""
     data = read_json(path)
     if not isinstance(data, dict) or "format" not in data:
         raise SchemaError("%s: missing format field" % path)
     fmt = data["format"]
-    if fmt == GRAPH_FORMAT:
-        return graph_from_json(data)
-    if fmt == XRAY_FORMAT:
-        return xray_from_json(data)
-    raise SchemaError("%s: unknown format version %r" % (path, fmt))
+    if fmt not in (GRAPH_FORMAT, XRAY_FORMAT):
+        raise SchemaError("%s: unknown format version %r" % (path, fmt))
+    try:
+        return graph_from_json(data) if fmt == GRAPH_FORMAT else xray_from_json(data)
+    except SchemaError as exc:
+        raise SchemaError("%s: %s" % (path, exc)) from None

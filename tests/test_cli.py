@@ -396,6 +396,29 @@ def test_invalid_graph_message_lists_each_violation(tmp_path, graph, messages):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: %s\n" % want)
 
 
+def test_a_malformed_file_is_named_in_its_error(tmp_path, capsys):
+    """The loaders' and the constructors' SchemaErrors say which input is
+    malformed, in either argument position and for either format."""
+    doc = builtin("eschenburg").to_json()
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    doc["edges"][0] = 5
+    bad.write_text(json.dumps(doc))
+    for paths in ((good, bad), (bad, good)):
+        assert run(capsys, "iso", *map(str, paths)) == (1, "", "error: %s: edge #0 must be an object\n" % bad)
+    doc = builtin("eschenburg").to_json()
+    doc["torus_rank"] = 0
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(bad)) == (1, "", "error: %s: torus_rank must be a positive integer, got 0\n" % bad)
+    xray = builtin("eschenburg", kind="xray").to_json()
+    xray["edges"][0] = ["p1"]
+    path = tmp_path / "bad-xray.json"
+    path.write_text(json.dumps(xray))
+    want = "error: %s: x-ray edge #0 ['p1'] must be a (from, to) pair\n" % path
+    for argv in (["xray", str(path)], ["iso", str(good), str(path)]):
+        assert run(capsys, *argv) == (1, "", want)
+
+
 def test_malformed_weight_is_an_error_not_a_traceback(tmp_path):
     doc = builtin("eschenburg").to_json()
     doc["edges"][0]["weight_at_from"] = None

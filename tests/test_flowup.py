@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import GKMGraph, all_labels_primitive, builtin, graph_from_json
 from gkmcalc.intlinalg import IntMatrix, primitive_part, smith_normal_form
 from gkmcalc.polyring import IntPolynomial, monomials
-from helpers import UNCERTIFIED_K4, _load_families, index_betti, mutated_eschenburg, product_of_spheres
+from helpers import UNCERTIFIED_K4, _load_families, index_betti, kernel_ring, mutated_eschenburg, product_of_spheres
 
 families = _load_families()
 SIGNED = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -98,38 +99,43 @@ def test_flow_up_classes(family, param, copy, monkeypatch):
 
 
 def test_flow_up_needs_primitive_signed_weights():
-    assert CohomologyRing(product_of_spheres([(1, 0), (0, 1), (1, 1)])).path == "flow-up"
-    assert CohomologyRing(product_of_spheres([(2, 0), (0, 1), (1, 1)])).path == "kernel"
-    assert CohomologyRing(builtin("eschenburg").unsigned()).path == "kernel"
+    """Primitive labels suffice, signed or not; `kernel_ring` reaches the
+    kernel path on purpose."""
+    for weights, path in (([(1, 0), (0, 1), (1, 1)], "flow-up"), ([(2, 0), (0, 1), (1, 1)], "kernel")):
+        g = product_of_spheres(weights)
+        assert CohomologyRing(g).path == CohomologyRing(g.unsigned()).path == path
+    assert kernel_ring(builtin("eschenburg").unsigned()).path == "kernel"
 
 
 @pytest.mark.parametrize("name", SIGNED + ("cp3", "cp1^3"))
 def test_kernel_fallback_agrees(name):
     g = builtin(name) if name in SIGNED else families.build(name[:-1], int(name[-1]))
     gu = g.unsigned()
-    flow, kernel = CohomologyRing(g), CohomologyRing(gu)
-    assert (flow.path, kernel.path) == ("flow-up", "kernel")
+    flow, kernel, unsigned = CohomologyRing(g), kernel_ring(gu), CohomologyRing(gu)
+    assert (flow.path, kernel.path, unsigned.path) == ("flow-up", "kernel", "flow-up")
     degrees = range(0, flow.dim + 1, 2)
-    assert [flow.betti(d) for d in degrees] == [kernel.betti(d) for d in degrees]
+    assert [flow.betti(d) for d in degrees] == [kernel.betti(d) for d in degrees] == index_betti(g)
+    assert [unsigned.betti(d) for d in degrees] == index_betti(g)
 
     def on_unsigned(c):
         return FixedPointClass(gu, c.components)
 
-    # coords on the kernel path = T * coords on the flow-up path
-    t = {d: IntMatrix.from_columns([kernel.express(on_unsigned(rep), d).coords
-                                    for rep in flow.ordinary(d).quotient_reps]) for d in degrees}
-    assert all(m.is_unimodular() for m in t.values())
     chern = equivariant_char_class(g, "chern")
     c1, c2 = chern.homogeneous_component(2), chern.homogeneous_component(4)
     reps = flow.ordinary(2).quotient_reps
-    for c in [c1, c2, c1 * c1] + [a * b for a, b in itertools.combinations_with_replacement(reps, 2)]:
-        d = c.degree()
-        assert kernel.express(on_unsigned(c), d).coords == t[d].apply(flow.express(c, d).coords)
     sw = equivariant_char_class(g, "stiefel_whitney")
-    for d in (2, 4):
-        comps = sw.homogeneous_component(d).components
-        image = t[d].apply(flow.express_mod2(comps, d))
-        assert kernel.express_mod2(comps, d) == tuple(x % 2 for x in image)
+    # coords on the kernel path = T * coords on a flow-up path, signed or not
+    for ring, lift in ((flow, lambda c: c), (unsigned, on_unsigned)):
+        t = {d: IntMatrix.from_columns([kernel.express(on_unsigned(rep), d).coords
+                                        for rep in ring.ordinary(d).quotient_reps]) for d in degrees}
+        assert all(m.is_unimodular() for m in t.values())
+        for c in [c1, c2, c1 * c1] + [a * b for a, b in itertools.combinations_with_replacement(reps, 2)]:
+            d = c.degree()
+            assert kernel.express(on_unsigned(c), d).coords == t[d].apply(ring.express(lift(c), d).coords)
+        for d in (2, 4):
+            comps = sw.homogeneous_component(d).components
+            image = t[d].apply(ring.express_mod2(comps, d))
+            assert kernel.express_mod2(comps, d) == tuple(x % 2 for x in image)
 
     # one vertex moved by Y1 breaks the congruences on every edge there
     y1 = IntPolynomial.variable(g.torus_rank, 0)
@@ -223,16 +229,50 @@ def test_each_vertex_restricts_its_earlier_down_weights_once(monkeypatch):
     for g in (mutated_eschenburg(), GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)):
         del restrictions[:]
         assert CohomologyRing(g).path == "kernel"
-        assert len(restrictions) <= sum(math.comb(len(down_weights(g, v)), 2) for v in g.vertices)
+        # each try plans its vertex once, and the search stops within its budget
+        assert len(restrictions) <= cohomology._NODES_PER_VERTEX * len(g.vertices) * math.comb(g.valence, 2)
 
 
 @pytest.mark.parametrize("graph", [mutated_eschenburg, lambda: GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)],
                          ids=["mutated-eschenburg", "uncertified-k4"])
-def test_no_integral_flow_up_class_takes_the_kernel_path(graph):
-    # primitive weights and an acyclic orientation, but a division fails
+def test_no_integral_flow_up_class_takes_the_kernel_path(graph, monkeypatch):
+    # primitive weights, but along every order the search tries a division fails
     g = graph()
-    assert g.signed and all_labels_primitive(g) and cohomology._orient(g, XI[:2]) is not None
+    assert g.signed and all_labels_primitive(g)
     assert CohomologyRing(g).path == "kernel"
+    monkeypatch.setattr(cohomology, "_NODES_PER_VERTEX", 10**6)
+    assert cohomology._flow_up(g) is None
+
+
+@pytest.mark.parametrize("name", ["eschenburg", "unsigned-cp1^3"])
+def test_search_out_of_budget_takes_the_kernel_path(name, monkeypatch):
+    g = builtin(name) if name in SIGNED else families.build("cp1^", 3).unsigned()
+    flow = CohomologyRing(g)
+    degrees = range(0, flow.dim + 1, 2)
+    betti = [flow.betti(d) for d in degrees]
+    assert flow.path == "flow-up"
+    monkeypatch.setattr(cohomology, "_NODES_PER_VERTEX", Fraction(1, len(g.vertices)))  # a budget of one node
+    ring = CohomologyRing(g)
+    assert ring.path == "kernel"
+    assert [ring.betti(d) for d in degrees] == betti
+
+
+UNSIGNED = [("cp", 5), ("cp1^", 4), ("surface", 16)]
+
+
+@pytest.mark.parametrize("copy", [0, 1, 2], ids=["plain", "disguise1", "disguise2"])
+@pytest.mark.parametrize("family,param", UNSIGNED, ids=["%s%s" % g for g in UNSIGNED])
+def test_unsigned_graphs_take_the_flow_up_path(family, param, copy, monkeypatch):
+    """Their kernel rings take seconds, so only the path and the Betti
+    numbers are checked. The disguised copies list their vertices in a
+    shuffled order, which the search must not need."""
+    monkeypatch.setattr(cohomology, "kernel_saturated", no_kernel)
+    g = families.build(family, param)
+    if copy:
+        g = graph_from_json(families.disguise(g, random.Random("unsigned-%s%s-%d" % (family, param, copy))))
+    ring = CohomologyRing(g.unsigned())
+    assert ring.path == "flow-up"
+    assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == families.oracle(family, param)["betti"]
 
 
 def test_betti_numbers_build_no_basis_matrix(monkeypatch):
@@ -282,7 +322,7 @@ def test_rank_of_a_d_in_closed_form(name):
     ranks = [ring.ordinary(d).rank for d in range(0, ring.dim + 1, 2)]
     assert ranks == [ring.ordinary(d).basis.cols for d in range(0, ring.dim + 1, 2)]
     if g.valence == 3:  # the kernel path on the larger graphs takes seconds
-        kernel = CohomologyRing(g.unsigned())
+        kernel = kernel_ring(g.unsigned())
         assert kernel.path == "kernel"
         assert [kernel.ordinary(d).rank for d in range(0, 7, 2)] == ranks
         assert [kernel.ordinary(d).basis.cols for d in range(0, 7, 2)] == ranks

@@ -19,7 +19,7 @@ from gkmcalc.intlinalg import (
     smith_normal_form,
     solve_with_snf,
 )
-from helpers import _load_families, product_of_spheres, random_unimodular
+from helpers import _load_families, kernel_ring, product_of_spheres, random_unimodular
 
 
 @pytest.mark.parametrize("entry", [1.7, "3", True, None], ids=["float", "string", "bool", "null"])
@@ -309,7 +309,7 @@ def test_inverse_unimodular_matches_the_smith_inverse(monkeypatch, family, param
     with monkeypatch.context() as patch:
         patch.setattr(IntMatrix, "inverse_unimodular", lambda self: seen.append((self, inverse(self))) or seen[-1][1])
         families = _load_families()
-        ring = CohomologyRing(families.build(family, param).unsigned())
+        ring = kernel_ring(families.build(family, param).unsigned())
         assert ring.path == "kernel"
         assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == families.oracle(family, param)["betti"]
     assert len(seen) == ring.dim // 2 + 1 and max(u.rows for u, _ in seen) >= 38

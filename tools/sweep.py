@@ -4,19 +4,23 @@ as canonical JSON, and a comparison of two such files.
     python3 tools/sweep.py --out sweep.json [--cases eschenburg,cp2,cli]
     python3 tools/sweep.py --compare parent.json change.json
 
-Run from the root of a checkout; the library is imported from its `src/`
-and the graph families from `perfbench/families.py`. The case set is fixed:
+Run from the root of a checkout; the library is imported from its `src/`,
+the graph families from `perfbench/families.py` and the sphere products,
+`mutated_eschenburg` and `UNCERTIFIED_K4` from `tests/helpers.py`. The
+case set is fixed:
 
 - the four signed built-ins;
 - CP^2..CP^4, (CP^1)^2..(CP^1)^3 and surface_4..8 x CP^1, each with two
   seeded `families.disguise` copies;
 - unsigned copies of eschenburg, tolman, CP^2, CP^3, (CP^1)^2, (CP^1)^3
-  and surface_4 x CP^1 (`unsigned-<name>`), which take the kernel path:
-  its quotient reps through the inverse of U, and its mod-2 solves for
-  Stiefel-Whitney coordinates; they have no invariant system, so they run
-  no `diffeo`;
+  and surface_4 x CP^1 (`unsigned-<name>`), which take the flow-up path
+  along the order its search finds; they have no invariant system, so
+  they run no `diffeo`;
 - four products of three 2-spheres (`s2cubed1..4`, weights in
-  `SPHERE_WEIGHTS`), one with the imprimitive weight (2,0);
+  `SPHERE_WEIGHTS`), one with the imprimitive weight (2,0), and the
+  unsigned copy of that one (`unsigned-s2cubed2`); both take the kernel
+  path: its quotient reps through the inverse of U, and its mod-2 solves
+  for Stiefel-Whitney coordinates, which are ambiguous there;
 - the one-vertex graph and the empty graph;
 - two valid signed graphs with no connection, so `invariant_system`
   localizes symbolically and raises: `mutated-eschenburg` (eschenburg with
@@ -61,9 +65,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import families  # noqa: E402
+from helpers import UNCERTIFIED_K4, mutated_eschenburg, product_of_spheres  # noqa: E402
 from gkmcalc import cli, wjz  # noqa: E402
 from gkmcalc.charclasses import descend, equivariant_char_class, localize_integral  # noqa: E402
 from gkmcalc.cohomology import FixedPointClass, GeneratorBasis, ring_of  # noqa: E402
@@ -81,27 +86,6 @@ SPHERE_WEIGHTS = ([(1, 0), (0, 1), (1, 1)], [(2, 0), (0, 1), (1, 1)], [(1, 0), (
 FAMILIES = [("cp", n) for n in (2, 3, 4)] + [("cp1^", n) for n in (2, 3)] + [("surface", m) for m in range(4, 9)]
 UNSIGNED = [("builtin", "eschenburg"), ("builtin", "tolman"), ("cp", 2), ("cp", 3), ("cp1^", 2), ("cp1^", 3),
             ("surface", 4)]
-UNCERTIFIED_K4 = [("a", "b", (-1, -1)), ("a", "c", (3, -1)), ("a", "d", (-1, 0)),
-                  ("b", "c", (1, -1)), ("b", "d", (1, -2)), ("c", "d", (-3, 2))]
-
-
-def product_of_spheres(weights):
-    """(S^2)^3 under a 2-torus rotating the i-th sphere with weight w_i."""
-    verts = ["".join(s) for s in itertools.product("pm", repeat=3)]
-    edges = []
-    for i, w in enumerate(weights):
-        for eps in verts:
-            if eps[i] == "p":
-                edges.append((eps, eps[:i] + "m" + eps[i + 1:], tuple(-x for x in w)))
-    return GKMGraph(2, verts, edges, signed=True, name="s2cubed")
-
-
-def mutated_eschenburg():
-    """Eschenburg with the label of p1-p6 changed to (3, 1)."""
-    g = builtin("eschenburg")
-    edges = [(e.u, e.v, (3, 1)) if {e.u, e.v} == {"p1", "p6"} else (e.u, e.v, e.weight_at_u, e.weight_at_v)
-             for e in g.edges]
-    return GKMGraph(2, g.vertices, edges, signed=True, name="mutated")
 
 
 def cases():
@@ -120,6 +104,7 @@ def cases():
     spheres = [product_of_spheres(w) for w in SPHERE_WEIGHTS]
     for i, g in enumerate(spheres, 1):
         out.append(("s2cubed%d" % i, g, spheres[0], None))
+    out.append(("unsigned-s2cubed2", spheres[1].unsigned(), None, None))
     out.append(("one-vertex", GKMGraph(2, ["a"], [], signed=True), None, None))
     out.append(("empty", GKMGraph(2, [], [], signed=True), None, None))
     out.append(("eschenburg+gens", builtin("eschenburg"), None, ["X1", "X2"]))
