@@ -4,10 +4,9 @@ The subalgebra A of tuples over the fixed points satisfying the edge
 congruences (f_u - f_v divisible by the edge weight) is a free module over
 Z[y], and the ordinary cohomology is the quotient A/mA by the ideal the
 polynomial variables generate. CohomologyRing keeps one record per degree
-(GradedBasis): classes that project to a basis of (A/mA)_d, a basis matrix
-of A_d in monomial coordinates, and the projection; on the flow-up path
-the matrices are built when first read. It builds them on one of two
-paths, chosen once per ring from the graph alone (`ring.path`).
+(GradedBasis): classes that project to a basis of (A/mA)_d, and rank A_d.
+It builds them on one of two paths, chosen once per ring from the graph
+alone (`ring.path`); only the kernel path keeps matrices, per degree.
 
 Flow-up path (Guillemin-Zara 2001, Goldin-Tolman 2009, Tymoczko 2005).
 Order the vertices; the down-edges at p go to earlier vertices, and
@@ -36,10 +35,11 @@ topological order when a generic xi orients a signed graph acyclically.
 Kernel path, for every graph the flow-up path does not cover (an
 imprimitive weight, or no order within the budget): divisibility along an
 edge is encoded with auxiliary quotient unknowns and the solution lattice
-extracted as a saturated kernel. The ideal generators y_i * b are the
-columns of the degree d-2 basis matrix with their monomials shifted by
-y_i, and torsion in the quotient is a hard error (it violates the
-freeness hypothesis everything else rests on). Empty matrices have an
+extracted as a saturated kernel; the ring keeps, per degree, the Smith
+form of its basis matrix and the projection. The ideal generators y_i * b
+are the columns of the degree d-2 basis matrix with their monomials
+shifted by y_i, and torsion in the quotient is a hard error (it violates
+the freeness hypothesis everything else rests on). Empty matrices have an
 ordinary Smith form, so degree 0, with no ideal generators and an r x 0
 quotient matrix, takes the same path as every other degree.
 
@@ -62,7 +62,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -205,24 +205,11 @@ class RingElement(Record):
 
 
 class GradedBasis(Record):
-    """Everything the ring knows about one even degree d. A_d holds y^m * 1
-    for every degree-d monomial m, so it is never 0. Its basis matrix
-    `basis` has one column of monomial coefficients (vertex-major, in
-    `monomials` order) per basis class of A_d; `projection` maps
-    coordinates in those columns to (A/mA)_d. Both are built by `matrices`,
-    once, when first read; the Betti number b_d is len(quotient_reps)."""
+    """What callers read of one even degree d: classes projecting to a basis
+    of (A/mA)_d, whose number is b_d, and rank A_d = len(gkm_basis(d)),
+    never 0, since A_d holds y^m * 1 for every degree-d monomial m."""
 
-    # quotient_reps: classes projecting to a basis of (A/mA)_degree
-    # rank: rank A_degree, the number of columns of `basis`
-    # matrices: () -> (the A_degree basis matrix, the b_d x rank A_degree projection)
-    _fields = ("quotient_reps", "rank", "matrices")
-
-    @cached_property
-    def _built(self):
-        return self.matrices()
-
-    basis = property(lambda self: self._built[0])
-    projection = property(lambda self: self._built[1])
+    __slots__ = _fields = ("quotient_reps", "rank")
 
 
 _XI = (1, 7, 53, 379, 2719)
@@ -248,33 +235,7 @@ class _FlowUp(Record):
     lambda_p = len(down[p]), and tau[p] = {q: tau_p(q)} over the support
     of tau_p."""
 
-    __slots__ = _fields = ("k", "order", "down", "tau")
-
-    def matrices(self, d):
-        """A_d's basis y^m * tau_p (2 lambda_p <= d), p in the vertex order
-        and m in `monomials` order, and the projection that selects
-        the coefficients of the tau_p with 2 lambda_p = d."""
-        nv = len(self.order)
-        monos = monomials(self.k, d)
-        nm = len(monos)
-        pos = {m: j for j, m in enumerate(monos)}
-        cols, selected = [], []
-        for p in self.order:
-            rest = d - 2 * len(self.down[p])
-            if rest < 0:
-                continue
-            if rest == 0:
-                selected.append(len(cols))
-            for m in monomials(self.k, rest):
-                vec = [0] * (nv * nm)
-                for q, f in self.tau[p].items():
-                    for e, c in f.terms.items():
-                        vec[q * nm + pos[tuple(map(operator.add, e, m))]] = c
-                cols.append(vec)
-        r = len(cols)
-        basis = IntMatrix._of(nv * nm, r, [vec[i] for i in range(nv * nm) for vec in cols])
-        projection = IntMatrix._of(len(selected), r, [int(j == t) for t in selected for j in range(r)])
-        return basis, projection
+    __slots__ = _fields = ("order", "down", "tau")
 
 
 def _completion(w):
@@ -302,8 +263,9 @@ def _flow_up(g):
     waiting, up = [0] * n, [[] for _ in range(n)]  # unplaced neighbours each vertex waits for; those it holds back
     for e in g.edges:
         u, v = vidx[e.u], vidx[e.v]
-        su, sv = (_dot(e.weight_at_u, xi), _dot(e.weight_at_v, xi)) if xi else (0, 0)
-        for a, b, w, lower in ((u, v, e.weight_at_u, su > 0 > sv), (v, u, e.weight_at_v, sv > 0 > su)):
+        # a valid signed graph has weight_at_v = -weight_at_u; an unsigned one orients no edge
+        s = _dot(e.weight_at_u, xi) if xi and g.signed else 0
+        for a, b, w, lower in ((u, v, e.weight_at_u, s > 0), (v, u, e.weight_at_v, s < 0)):
             edges[a].append((b, w))
             if not lower:
                 waiting[a] += 1
@@ -364,7 +326,7 @@ def _flow_up(g):
             down[q] = below
             for r in up[q]:
                 waiting[r] -= 1
-    return _FlowUp(k, order, down, tau)
+    return _FlowUp(order, down, tau)
 
 
 def _has_connection(g):
@@ -415,7 +377,7 @@ class CohomologyRing:
         self.k = graph.torus_rank
         self.dim = 2 * graph.valence
         self._gkm = {}
-        self._snf = {}  # kernel path: the Smith form of each basis matrix
+        self._kernel = {}  # kernel path: (Smith form of the basis matrix, projection) per degree
 
     @cached_property
     def _flow(self):
@@ -457,15 +419,31 @@ class CohomologyRing:
     # -- one record per degree -------------------------------------------------
 
     def gkm_basis(self, d):
-        """Z-basis of A_d, the degree-d tuples satisfying all edge
-        congruences: the columns of its basis matrix, as classes."""
-        matrix = self.ordinary(d).basis
-        return [self._vec_to_class(matrix.column(j), d) for j in range(matrix.cols)]
+        """Z-basis of A_d: the y^m * tau_p (2 lambda_p <= d), p in the vertex
+        order and m in `monomials` order, or the kernel's basis columns.
+        `express` sends class j to column j of the projection to (A/mA)_d: on
+        the flow-up path, the unit vector of tau_p if y^m = 1, else 0."""
+        if self._flow is None:
+            matrix = self._kernel_of(d)[0].A
+            return [self._vec_to_class(matrix.column(j), d) for j in range(matrix.cols)]
+        _check_degree(d)
+        fu, nv = self._flow, len(self.graph.vertices)
+        return [FixedPointClass(self.graph, [IntPolynomial._of(self.k, {m: 1})] * nv) * self._tau(p)
+                for p in fu.order for m in monomials(self.k, d - 2 * len(fu.down[p]))]
+
+    def _tau(self, p):
+        zero = IntPolynomial.zero(self.k)
+        return FixedPointClass(self.graph, [self._flow.tau[p].get(q, zero) for q in range(len(self.graph.vertices))])
+
+    def _kernel_of(self, d):
+        """The kernel path's (Smith form of A_d's basis matrix, projection)."""
+        self.ordinary(d)
+        return self._kernel[d]
 
     def ordinary(self, d) -> GradedBasis:
-        """The degree-d record: A_d's basis matrix and (A/mA)_d. On the
-        kernel path, building it builds every lower degree, and raises
-        TorsionInQuotient if the quotient there has torsion."""
+        """The degree-d record: the quotient reps of (A/mA)_d and rank A_d.
+        On the kernel path, building it builds every lower degree, and
+        raises TorsionInQuotient if the quotient there has torsion."""
         _check_degree(d)
         if d not in self._gkm:
             self._gkm[d] = self._compute(d) if self._flow is None else self._flow_record(d)
@@ -475,12 +453,9 @@ class CohomologyRing:
         """The reps are the tau_p with 2 lambda_p = d, in the vertex
         order; rank A_d counts the y^m * tau_p in closed form."""
         fu = self._flow
-        zero = IntPolynomial.zero(self.k)
-        nv = len(self.graph.vertices)
-        reps = [FixedPointClass(self.graph, [fu.tau[p].get(q, zero) for q in range(nv)])
-                for p in fu.order if 2 * len(fu.down[p]) == d]
+        reps = [self._tau(p) for p in fu.order if 2 * len(fu.down[p]) == d]
         rank = sum(math.comb(d // 2 - len(down) + self.k - 1, self.k - 1) for down in fu.down if 2 * len(down) <= d)
-        return GradedBasis(reps, rank, partial(fu.matrices, d))
+        return GradedBasis(reps, rank)
 
     def _compute(self, d):
         g = self.graph
@@ -511,13 +486,13 @@ class CohomologyRing:
         kernel = kernel_saturated(IntMatrix._of(ne * nm, ncols, entries))
         r = len(kernel)
         matrix = IntMatrix._of(nf, r, [vec[i] for i in range(nf) for vec in kernel])
-        snf = self._snf[d] = smith_normal_form(matrix)
+        snf = smith_normal_form(matrix)
         # mA_d is spanned by y_i * b over the basis classes b of A_(d-2); the
         # order of their A_d coordinates in cols (b outer, i inner) fixes Q
         # and with it the quotient basis
         cols = []
         if d:
-            prev = self.ordinary(d - 2).basis
+            prev = self._kernel_of(d - 2)[0].A
             for b in range(prev.cols):
                 col = prev.column(b)
                 for s in shift:
@@ -540,7 +515,8 @@ class CohomologyRing:
         uinv = dec.U.inverse_unimodular()
         projection = IntMatrix._of(r - rho, r, [x for i in range(rho, r) for x in dec.U.row(i)])
         reps = [self._vec_to_class(matrix.apply(uinv.column(j)), d) for j in range(rho, r)]
-        return GradedBasis(reps, r, lambda: (matrix, projection))
+        self._kernel[d] = (snf, projection)
+        return GradedBasis(reps, r)
 
     def betti(self, d):
         return len(self.ordinary(d).quotient_reps)
@@ -587,9 +563,9 @@ class CohomologyRing:
         if self._flow is not None:
             coords = self._peel(c.components, degree, False)
         else:
-            gb = self.ordinary(degree)
-            x = solve_with_snf(self._snf[degree], self._class_to_vec(c, degree))
-            coords = None if x is None else gb.projection.apply(x)
+            dec, projection = self._kernel_of(degree)
+            x = solve_with_snf(dec, self._class_to_vec(c, degree))
+            coords = None if x is None else projection.apply(x)
         if coords is None:
             raise NotInSubalgebra(
                 "class of degree %d violates the edge congruences or the "
@@ -621,8 +597,7 @@ class CohomologyRing:
                 raise outside
             return coords
         vec = [x % 2 for x in self._class_to_vec(tup, degree)]
-        proj = self.ordinary(degree).projection
-        dec = self._snf[degree]
+        dec, proj = self._kernel_of(degree)
         y = [0] * dec.A.cols
         for i, (c, d) in enumerate(dec.ranked_rows(vec)):
             if d % 2:

@@ -98,7 +98,7 @@ def test_quotient_reps_project_to_unit_vectors(ring):
         gb = ring.ordinary(d)
         for i, rep in enumerate(gb.quotient_reps):
             coords = ring.express(rep, d).coords
-            assert coords == tuple(1 if j == i else 0 for j in range(gb.projection.rows))
+            assert coords == tuple(1 if j == i else 0 for j in range(len(gb.quotient_reps)))
 
 
 @pytest.mark.parametrize("which", ["eschenburg", "imprimitive", "point"])
@@ -110,12 +110,7 @@ def test_ideal_generators_vanish_in_the_quotient(which):
     else:
         g = GKMGraph(2, ["a"], [], signed=True)
     ring = CohomologyRing(g)
-    for d in (0, 2, 4, 6):
-        A = ring.ordinary(d).basis
-        basis = ring.gkm_basis(d)
-        assert [A.column(j) for j in range(A.cols)] == [tuple(ring._class_to_vec(c, d)) for c in basis]
-        if d < 2:
-            continue
+    for d in (2, 4, 6):
         for b in ring.gkm_basis(d - 2):
             for i in range(g.torus_rank):
                 y = IntPolynomial.variable(g.torus_rank, i)
@@ -251,7 +246,7 @@ def test_ring_of_is_shared_per_graph(esc):
 
     assert ring_of(esc) is ring_of(esc)
     assert len(ring_of(esc).gkm_basis(4)) == 9
-    assert ring_of(esc).ordinary(2).projection.rows == 2
+    assert len(ring_of(esc).ordinary(2).quotient_reps) == 2
 
 
 def test_snf_of_generator_matrix_unimodular(ring, gens, phi):

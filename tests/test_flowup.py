@@ -275,22 +275,7 @@ def test_unsigned_graphs_take_the_flow_up_path(family, param, copy, monkeypatch)
     assert [ring.betti(d) for d in range(0, ring.dim + 1, 2)] == families.oracle(family, param)["betti"]
 
 
-def test_betti_numbers_build_no_basis_matrix(monkeypatch):
-    calls = []
-    matrices = cohomology._FlowUp.matrices
-    monkeypatch.setattr(cohomology._FlowUp, "matrices", lambda fu, d: calls.append(d) or matrices(fu, d))
-    for family, param in GRAPHS:
-        ring = CohomologyRing(families.build(family, param))
-        for d in range(0, ring.dim + 1, 2):
-            ring.betti(d), ring.ordinary(d).rank
-        assert ring.path == "flow-up"
-    assert calls == []
-    record = ring.ordinary(4)
-    record.projection, record.basis, ring.gkm_basis(4), record.basis
-    assert calls == [4]
-
-
-READS = ("basis", "projection", "gkm_basis", "betti")
+READS = ("projection", "gkm_basis", "betti")
 
 
 @pytest.mark.parametrize("family,param", GRAPHS, ids=["%s%s" % g for g in GRAPHS])
@@ -305,10 +290,9 @@ def test_matrices_do_not_depend_on_the_order_of_reads(family, param):
         rng.shuffle(reads)
         for d, what in reads:
             cols, projection = expected[d]
-            if what == "basis":
-                assert ring.ordinary(d).basis == IntMatrix.from_columns(cols)
-            elif what == "projection":
-                assert ring.ordinary(d).projection.to_rows() == projection
+            if what == "projection":
+                coords = [ring.express(c, d).coords for c in ring.gkm_basis(d)]
+                assert [list(row) for row in zip(*coords)] == projection
             elif what == "gkm_basis":
                 assert [ring._class_to_vec(c, d) for c in ring.gkm_basis(d)] == cols
             else:
@@ -320,9 +304,35 @@ def test_rank_of_a_d_in_closed_form(name):
     g = builtin(name) if name in SIGNED else families.build(name.rstrip("0123456789"), int(name[-1]))
     ring = CohomologyRing(g)
     ranks = [ring.ordinary(d).rank for d in range(0, ring.dim + 1, 2)]
-    assert ranks == [ring.ordinary(d).basis.cols for d in range(0, ring.dim + 1, 2)]
+    assert ranks == [len(ring.gkm_basis(d)) for d in range(0, ring.dim + 1, 2)]
     if g.valence == 3:  # the kernel path on the larger graphs takes seconds
         kernel = kernel_ring(g.unsigned())
         assert kernel.path == "kernel"
         assert [kernel.ordinary(d).rank for d in range(0, 7, 2)] == ranks
-        assert [kernel.ordinary(d).basis.cols for d in range(0, 7, 2)] == ranks
+        assert [len(kernel.gkm_basis(d)) for d in range(0, 7, 2)] == ranks
+
+
+@pytest.mark.parametrize("name", SIGNED + ("cp3", "cp1^3", "imprimitive"))
+def test_express_sends_each_basis_class_to_its_projection_column(name):
+    """express(gkm_basis(d)[j]) is column j of the projection to (A/mA)_d:
+    on the flow-up path the unit vector of tau_p when the class is tau_p with
+    2 lambda_p = d, and 0 otherwise; on the kernel path the stored column."""
+    if name == "imprimitive":
+        rings = [CohomologyRing(product_of_spheres([(2, 0), (0, 1), (1, 1)]))]
+        paths = ["kernel"]
+    else:
+        g = builtin(name) if name in SIGNED else families.build(name[:-1], int(name[-1]))
+        rings = [CohomologyRing(g), CohomologyRing(g.unsigned()), kernel_ring(g), kernel_ring(g.unsigned())]
+        paths = ["flow-up", "flow-up", "kernel", "kernel"]
+    assert [ring.path for ring in rings] == paths
+    for ring in rings:
+        for d in range(0, ring.dim + 1, 2):
+            reps, basis = ring.ordinary(d).quotient_reps, ring.gkm_basis(d)
+            if ring.path == "flow-up":
+                want = [tuple(int(c == tau) for tau in reps) for c in basis]
+                assert sum(map(sum, want)) == len(reps)
+            else:
+                projection = ring._kernel[d][1]
+                want = [projection.column(j) for j in range(projection.cols)]
+            assert len(basis) == ring.ordinary(d).rank
+            assert [ring.express(c, d).coords for c in basis] == want

@@ -390,8 +390,10 @@ def _row_test_express_mod2(ring, components, degree):
     from gkmcalc.cohomology import FixedPointClass
 
     vec = [x % 2 for x in ring._class_to_vec(FixedPointClass(ring.graph, components), degree)]
-    gb = ring.ordinary(degree)
-    dec, proj, ncols = smith_normal_form(gb.basis), gb.projection, gb.basis.cols
+    basis = ring.gkm_basis(degree)
+    ncols = len(basis)
+    dec = smith_normal_form(IntMatrix.from_columns([ring._class_to_vec(c, degree) for c in basis]))
+    proj = IntMatrix.from_columns([ring.express(c, degree).coords for c in basis])
     diag = dec.diagonal()
     y = [0] * ncols
     for i, c in enumerate(dec.U.apply(vec)):

@@ -113,6 +113,25 @@ def test_sweep_compare_prints_every_difference(sweep, tmp_path, capsys):
     assert out.count(" differs:") == 3 and out.endswith("3 records differ\n")
 
 
+def test_sweep_records_each_class_kind_on_its_own(sweep, tmp_path, capsys):
+    """The ambiguous mod-2 descent of unsigned-s2cubed2 leaves its
+    Pontrjagin coordinates (p1 of a product of spheres is 0) in the record."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert sweep.main(["--out", str(a), "--cases", "unsigned-s2cubed2"]) == 0
+    doc = json.loads(a.read_text())
+    coords = doc["records"]["unsigned-s2cubed2"]["dependent"]["coords"]
+    assert coords == {"pontrjagin": [[0, 0, 0], [0, 0, 0], [0]], "stiefel_whitney": {
+        "error": "NotInSubalgebra: mod-2 descent is ambiguous in degree 2 (imprimitive weights?)"}}
+    assert sweep.main(["--compare", str(a), str(a)]) == 0
+    capsys.readouterr()
+
+    # a per-kind error is compared by equality
+    coords["stiefel_whitney"]["error"] += " (changed)"
+    b.write_text(json.dumps(doc))
+    assert sweep.main(["--compare", str(a), str(b)]) == 1
+    assert "basis-dependent record unsigned-s2cubed2/coords differs" in capsys.readouterr().out
+
+
 def test_sweep_rejects_unknown_case(sweep, tmp_path):
     with pytest.raises(SystemExit):
         sweep.main(["--out", str(tmp_path / "x.json"), "--cases", "no-such-graph"])

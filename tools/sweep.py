@@ -34,11 +34,15 @@ case set is fixed:
 Each record is either basis-independent (Betti numbers, integrals of the c
 and p monomials, `descend` in user generators, GL(r,Z) invariants of each
 system, `diffeo` statuses, CLI output and exit codes) or basis-dependent
-(degree records, internal coordinates, internal systems, Phi). CLI output
-that prints internal coordinates (the coords of `classes`, `invariants`
-without --gens, Phi and the systems of `diffeo`) is split: those values
-are a basis-dependent record, and the rest of stdout, with them masked,
-stays basis-independent. An error is recorded as its type and message.
+(degree records, internal coordinates, internal systems, Phi). A degree
+record holds A_d's basis classes (`gkm_basis`), their Smith diagonal, the
+quotient reps and the projection, whose column j is `express` of basis
+class j on either ring path. CLI output that prints internal coordinates
+(the coords of `classes`, `invariants` without --gens, Phi and the
+systems of `diffeo`) is split: those values are a basis-dependent record,
+and the rest of stdout, with them masked, stays basis-independent. An
+error is recorded as its type and message; the internal coordinates
+record one per class kind, so an error in one kind hides no other.
 
 `--compare A B` requires the basis-independent records to be equal. For
 each case and degree it solves the degree records for the change of
@@ -122,6 +126,10 @@ def outcome(fn):
         return {"error": "%s: %s" % (type(exc).__name__, exc)}
 
 
+def _is_error(v):
+    return isinstance(v, dict) and "error" in v
+
+
 def _monomials(dim):
     """Monomials in c_i (degree 2i) and p_j (degree 4j) of degree dim, as
     tuples of (kind, index) pairs."""
@@ -159,28 +167,27 @@ def gl_invariants(s):
 
 
 def degree_records(ring):
+    """Per degree: A_d's basis classes, the Smith diagonal of their matrix,
+    the quotient reps, and the projection, whose column j is the quotient
+    coordinates of basis class j."""
     out = {}
     for d in range(0, ring.dim + 1, 2):
-        gb = ring.ordinary(d)
         classes = ring.gkm_basis(d)
         out[str(d)] = {
             "classes": [c.render() for c in classes],
             "diagonal": list(smith_normal_form(IntMatrix.from_columns(
                 [ring._class_to_vec(c, d) for c in classes]), with_u=False).diagonal()),
-            "quotient_reps": [c.render() for c in gb.quotient_reps],
-            "projection": gb.projection.to_rows(),
+            "quotient_reps": [c.render() for c in ring.ordinary(d).quotient_reps],
+            "projection": [list(row) for row in zip(*(ring.express(c, d).coords for c in classes))],
         }
     return out
 
 
 def coordinates(graph, ring):
-    out = {}
-    for kind in ("chern", "pontrjagin", "stiefel_whitney"):
-        if kind == "chern" and not graph.signed:
-            continue
-        report = descend(graph, equivariant_char_class(graph, kind), ring=ring)
-        out[kind] = [list(e["coords"]) for e in report.degrees]
-    return out
+    """Each kind's internal coordinates, or its own error."""
+    kinds = ("chern", "pontrjagin", "stiefel_whitney") if graph.signed else ("pontrjagin", "stiefel_whitney")
+    return {kind: outcome(lambda: [list(e["coords"]) for e in descend(
+        graph, equivariant_char_class(graph, kind), ring=ring).degrees]) for kind in kinds}
 
 
 def diffeo_records(ref, graph, rank, rec):
@@ -207,7 +214,7 @@ def case_records(graph, ref, names):
         return rec
     ind["betti"] = outcome(lambda: [ring.betti(d) for d in range(0, ring.dim + 1, 2)])
     dep["degrees"] = outcome(lambda: degree_records(ring))
-    dep["coords"] = outcome(lambda: coordinates(graph, ring))
+    dep["coords"] = coordinates(graph, ring)
     if graph.signed:
         ind["integrals"] = outcome(lambda: integrals(graph))
     if graph.valence != 3:
@@ -446,12 +453,13 @@ class Relation:
             return self.cli_related(va, vb)
         if record == "degrees":
             return self.transforms(label) is not None
-        if isinstance(va, dict) and "error" in va or isinstance(vb, dict) and "error" in vb:
+        if _is_error(va) or _is_error(vb):
             return va == vb
         if record == "system":
             return _transforms(va, vb, self.t_of(label, 2))
         if record == "coords":
             return sorted(va) == sorted(vb) and all(
+                va[kind] == vb[kind] if _is_error(va[kind]) or _is_error(vb[kind]) else
                 len(va[kind]) == len(vb[kind]) and all(
                     _coords_transform(ca, cb, self.t_of(label, 2 * (i + 1)), kind == "stiefel_whitney")
                     for i, (ca, cb) in enumerate(zip(va[kind], vb[kind])))
