@@ -8,7 +8,9 @@ mod-2 reduction of prod (1 + a_j), carried as its integer lift with
 coefficients 0 and 1; the latter two are independent of the sign choices.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra, Record
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
@@ -111,16 +113,40 @@ def descend(
     return CharClassReport(total.kind, entries, gens.names if gens else [])
 
 
+def _sum_over_lcm(terms):
+    """The sum of fractions (num, kappa, lines), each num / (kappa * prod of
+    lines), added in a balanced tree: each partial sum is over the lcm of
+    its two halves' denominators."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    (n1, k1, lines1), (n2, k2, lines2) = _sum_over_lcm(terms[:half]), _sum_over_lcm(terms[half:])
+    lines, kappa = lines1 | lines2, lcm(k1, k2)
+    return _times(n1, kappa // k1, lines - lines1) + _times(n2, kappa // k2, lines - lines2), kappa, lines
+
+
+def _times(p, m, lines):
+    """p times the integer m and each line."""
+    if m != 1:
+        p = p * m
+    for line in lines.elements():
+        p = p * IntPolynomial.linear_form(line)
+    return p
+
+
 def localize_integral(graph: GKMGraph, c: FixedPointClass):
     """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
     is the product of the weights at p.
 
     For a homogeneous class of degree 2n this is the pairing with the
     fundamental class in the orientation the signed labels induce; below
-    the top degree the sum cancels to zero. The terms are added into one
-    running fraction num/den with den the product of all e_p, so a sum that
-    fails to be an integer (or to cancel) is detected exactly and flags
-    invalid input data.
+    the top degree the sum cancels to zero. Each e_p is kappa_p times the
+    product of its primitive weight lines (first nonzero entry positive),
+    and the nonzero terms are added pairwise in a balanced tree, each
+    partial sum over the lcm of its two denominators, so no denominator
+    carries more than the graph's distinct lines. The total num/den is
+    exact, so a sum that fails to be an integer (or to cancel) is detected
+    and flags invalid input data.
     """
     if not graph.signed:
         raise LocalizationRequiresSignedGraph(
@@ -134,13 +160,16 @@ def localize_integral(graph: GKMGraph, c: FixedPointClass):
     n2 = 2 * graph.valence
     if d > n2:
         raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
-    k = graph.torus_rank
-    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    terms = []
     for v, cp in zip(graph.vertices, c.components):
-        e = IntPolynomial.constant(k, 1)
-        for w in graph.weights_at(v):
-            e = e * IntPolynomial.linear_form(w)
-        num, den = num * e + cp * den, den * e
+        if cp:
+            kappa, lines = 1, Counter()
+            for w in graph.weights_at(v):
+                g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
+                kappa *= g
+                lines[tuple(x // g for x in w)] += 1
+            terms.append((cp, kappa, lines))
+    num, kappa, lines = _sum_over_lcm(terms)
     if d < n2:
         if not num.is_zero():
             raise NonIntegralLocalizationSum(
@@ -149,6 +178,7 @@ def localize_integral(graph: GKMGraph, c: FixedPointClass):
             )
         return 0
     # degree 2n: the sum is a constant, so num = r * den
+    den = _times(IntPolynomial.constant(graph.torus_rank, 1), kappa, lines)
     exps, dc = next(iter(den.terms.items()))
     r = Fraction(num.coefficient(exps), dc)
     if num * r.denominator != den * r.numerator:

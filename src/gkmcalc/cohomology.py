@@ -61,7 +61,6 @@ import itertools
 import math
 import operator
 import re
-from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import (
@@ -359,6 +358,8 @@ class _PointEvaluation(Record):
         rational that is not an integer raises as `localize_integral` does."""
         total = _dot(values, self.weights)
         if total % self.euler:
+            from fractions import Fraction  # only to print the sum in lowest terms
+
             raise NonIntegralLocalizationSum("localization sum %s is not an integer" % Fraction(total, self.euler))
         return total // self.euler
 

@@ -12,7 +12,6 @@ the canonical representative (first nonzero entry positive) at both ends.
 import itertools
 import json
 import operator
-from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, InvalidGraph, Record, SchemaError, UnknownExample, XRayError, int_digit_limit
@@ -81,6 +80,8 @@ def _optional_name(name, what):
 
 
 def _check_coordinates(coords, k, vertex):
+    from fractions import Fraction  # x-ray coordinates alone need it
+
     if not isinstance(coords, (list, tuple)) or not all(
         _is_int(c) or isinstance(c, Fraction) for c in coords
     ):
@@ -635,6 +636,8 @@ def graph_from_json(data) -> GKMGraph:
 
 
 def xray_from_json(data) -> XRay:
+    from fractions import Fraction  # x-ray coordinates alone need it
+
     if not isinstance(data, dict):
         raise SchemaError("x-ray document must be a JSON object")
     fmt = _require(data, "format", "x-ray document")

@@ -3,9 +3,11 @@ so that no test module imports another."""
 
 import importlib.util
 import operator
+from fractions import Fraction
 from pathlib import Path
 
 from gkmcalc.cohomology import CohomologyRing
+from gkmcalc.errors import LocalizationRequiresSignedGraph, NonIntegralLocalizationSum
 from gkmcalc.gkm import GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, canonical_sign
 from gkmcalc.polyring import IntPolynomial
@@ -135,3 +137,38 @@ def labels_match(w, target, signed):
 def linear_substitute(p, B):
     """p with Y_j replaced by sum_i B[i][j]*Y_i (a ring homomorphism)."""
     return p.substitute([IntPolynomial.linear_form(B.column(j)) for j in range(B.cols)])
+
+
+def product_denominator_integral(graph, c):
+    """The localization sum sum_p c_p / e_p as one running fraction over
+    the product of every e_p, with the errors and messages of
+    `localize_integral`: the reference the lcm sum is checked against."""
+    if not graph.signed:
+        raise LocalizationRequiresSignedGraph("localization needs the orientation carried by signed labels")
+    d = c.degree()
+    if d is None and not c.is_zero():
+        raise ValueError("localization input must be homogeneous")
+    if c.is_zero():
+        return 0
+    n2 = 2 * graph.valence
+    if d > n2:
+        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
+    k = graph.torus_rank
+    num, den = IntPolynomial.zero(k), IntPolynomial.constant(k, 1)
+    for v, cp in zip(graph.vertices, c.components):
+        e = IntPolynomial.constant(k, 1)
+        for w in graph.weights_at(v):
+            e = e * IntPolynomial.linear_form(w)
+        num, den = num * e + cp * den, den * e
+    if d < n2:
+        if not num.is_zero():
+            raise NonIntegralLocalizationSum(
+                "localization sum of a degree-%d class does not cancel; the labels are inconsistent" % d)
+        return 0
+    exps, dc = next(iter(den.terms.items()))
+    r = Fraction(num.coefficient(exps), dc)
+    if num * r.denominator != den * r.numerator:
+        raise NonIntegralLocalizationSum("localization sum is not constant; the labels are inconsistent")
+    if r.denominator != 1:
+        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
+    return int(r)

@@ -1,4 +1,10 @@
+import functools
+import itertools
+import operator
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +19,18 @@ from gkmcalc.errors import (
     LocalizationRequiresSignedGraph,
     NonIntegralLocalizationSum,
 )
-from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin
-from gkmcalc.polyring import IntPolynomial, parse_polynomial
+from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json
+from gkmcalc.intlinalg import canonical_sign, primitive_part
+from gkmcalc.polyring import IntPolynomial, monomials, parse_polynomial
+
+from helpers import (
+    UNCERTIFIED_K4,
+    _load,
+    _load_families,
+    mutated_eschenburg,
+    product_denominator_integral,
+    product_of_spheres,
+)
 
 SIGNED_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
 XX = ["X1", "X2"]
@@ -212,6 +228,109 @@ def test_localize_flags_nonconstant_top_degree_sum():
     c = FixedPointClass.from_strings(g, {v: "Y1^3" if v == "p1" else "0" for v in g.vertices})
     with pytest.raises(NonIntegralLocalizationSum, match="not constant"):
         localize_integral(g, c)
+
+
+# -- the lcm sum against the product-denominator sum ---------------------------
+
+
+def _oracle_graphs():
+    families = _load_families()
+    out = [(name, builtin(name)) for name in SIGNED_BUILTINS]
+    for family, params in [("cp", (2, 3, 4)), ("cp1^", (2, 3, 4)), ("surface", (4, 5, 6, 7, 8))]:
+        for param in params:
+            g = families.build(family, param)
+            out.append(("%s%s-disguised" % (family, param), graph_from_json(
+                families.disguise(g, random.Random("oracle-%s%s" % (family, param))))))
+    for i, weights in enumerate(_load("tools/sweep.py").SPHERE_WEIGHTS, 1):
+        out.append(("s2cubed%d" % i, product_of_spheres(weights)))
+    out.append(("uncertified-k4", GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)))
+    out.append(("mutated-eschenburg", mutated_eschenburg()))
+    return out
+
+
+def _oracle_classes(g, rng):
+    """Total Chern and Pontrjagin classes and the monomials in their parts
+    up to degree dim + 2, seeded products of two quotient reps, and random
+    tuples of every even degree up to dim + 2."""
+    dim = 2 * g.valence
+    classes = []
+    for kind, step in (("chern", 2), ("pontrjagin", 4)):
+        total = equivariant_char_class(g, kind)
+        parts = [total.homogeneous_component(d) for d in range(step, dim + 1, step)]
+        classes.append(total)
+        for n in range(1, (dim + 2) // step + 1):
+            for factors in itertools.combinations_with_replacement(parts, n):
+                if sum(f.degree() for f in factors) <= dim + 2:
+                    classes.append(functools.reduce(operator.mul, factors))
+    ring = CohomologyRing(g)
+    reps = [x for d in range(0, dim + 1, 2) for x in ring.ordinary(d).quotient_reps]
+    pairs = list(itertools.combinations_with_replacement(reps, 2))
+    classes += [a * b for a, b in rng.sample(pairs, min(len(pairs), 30))]
+    for d in range(0, dim + 3, 2):
+        mons = monomials(g.torus_rank, d)
+        for _ in range(2):
+            classes.append(FixedPointClass(g, [IntPolynomial(g.torus_rank, {m: rng.randint(-2, 2) for m in mons})
+                                               for _ in g.vertices]))
+    return classes
+
+
+def _integral_or_error(integrate, g, c):
+    try:
+        return integrate(g, c)
+    except Exception as exc:  # the error itself is the output compared
+        return type(exc), str(exc)
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+@pytest.mark.parametrize("name,g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+def test_lcm_sum_matches_the_product_denominator_sum(name, g):
+    outcomes = set()
+    for c in _oracle_classes(g, random.Random("oracle-" + name)):
+        got = _integral_or_error(localize_integral, g, c)
+        assert got == _integral_or_error(product_denominator_integral, g, c), (name, c)
+        outcomes.add(got[1].split(";")[0] if isinstance(got, tuple) else "value")
+    assert {"value", "localization input must be homogeneous", "localization sum is not constant"} <= outcomes
+    assert any(o.endswith("does not cancel") for o in outcomes)
+    assert "degree %d exceeds the manifold dimension %d" % (2 * g.valence + 2, 2 * g.valence) in outcomes
+
+
+def test_lcm_sum_of_a_non_integral_class_matches():
+    """The product of the primitive lines at one vertex is half its Euler
+    class there, so the sum is -1/2 on both paths."""
+    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
+    lines = IntPolynomial.constant(2, 1)
+    for w in g.weights_at("ppp"):
+        lines = lines * IntPolynomial.linear_form(canonical_sign(primitive_part(w)))
+    c = FixedPointClass(g, [lines if v == "ppp" else IntPolynomial.zero(2) for v in g.vertices])
+    want = (NonIntegralLocalizationSum, "localization sum -1/2 is not an integer")
+    assert _integral_or_error(localize_integral, g, c) == want
+    assert _integral_or_error(product_denominator_integral, g, c) == want
+
+
+# The product of all 7 Euler classes of CP^6 has degree 42; this took about
+# 20 s with the running fraction over that product.
+CP6_INTEGRALS = """
+from helpers import _load_families
+from gkmcalc.charclasses import equivariant_char_class, localize_integral
+
+g = _load_families().build("cp", 6)
+chern = equivariant_char_class(g, "chern")
+print(localize_integral(g, chern.homogeneous_component(2) ** 6), localize_integral(g, chern.homogeneous_component(12)))
+"""
+
+
+def test_cp6_integrals_finish_quickly():
+    import gkmcalc
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-c", CP6_INTEGRALS], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["117649", "7"]
 
 
 def flip_weights(g, flips):

@@ -339,7 +339,7 @@ _VERB_ARGVS = {
 _MODULES_AFTER = """
 import contextlib, io, json, sys
 {run}
-print(json.dumps(sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("gkmcalc."))))
+print(json.dumps(sorted(m for m in sys.modules if m in ("dataclasses", "decimal", "fractions") or m.startswith("gkmcalc."))))
 """
 _MAIN = """
 from gkmcalc import cli
@@ -349,8 +349,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def modules_after(run, *argv):
-    """The gkmcalc submodules, and dataclasses if loaded, in a fresh
-    interpreter after the Python code `run` with these arguments."""
+    """The gkmcalc submodules, and dataclasses, decimal and fractions if
+    loaded, in a fresh interpreter after the Python code `run` with these
+    arguments."""
     import subprocess
     import sys
 
@@ -376,6 +377,21 @@ def test_each_verb_imports_only_what_it_runs(verb):
         assert not loaded & heavy
     else:
         assert "gkmcalc.cohomology" in loaded
+
+
+@pytest.mark.parametrize("verb", [["validate", "e"], ["iso", "e", "t"], ["iso", "--signed", "e", "t"],
+                                  ["cohomology", "e"]], ids=["validate", "iso", "iso-signed", "cohomology"])
+def test_graph_file_verbs_load_no_fractions(tmp_path, verb):
+    """Only x-ray coordinates and the non-integral localization message
+    need `fractions`, which imports `decimal`."""
+    for name, example in (("e", "eschenburg"), ("t", "tolman")):
+        (tmp_path / name).write_text(json.dumps(builtin(example).to_json()))
+    argv = [str(tmp_path / a) if a in ("e", "t") else a for a in verb]
+    assert not modules_after(_MAIN, *argv) & {"decimal", "fractions"}
+
+
+def test_xray_input_loads_fractions():
+    assert {"decimal", "fractions"} <= modules_after(_MAIN, "validate", "--example", "eschenburg")
 
 
 @pytest.mark.parametrize("graph, messages", [
