@@ -9,7 +9,6 @@ coefficients 0 and 1; the latter two are independent of the sign choices.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra, Record
@@ -180,11 +179,14 @@ def localize_integral(graph: GKMGraph, c: FixedPointClass):
     # degree 2n: the sum is a constant, so num = r * den
     den = _times(IntPolynomial.constant(graph.torus_rank, 1), kappa, lines)
     exps, dc = next(iter(den.terms.items()))
-    r = Fraction(num.coefficient(exps), dc)
-    if num * r.denominator != den * r.numerator:
+    g = gcd(num.coefficient(exps), dc) * (1 if dc > 0 else -1)  # r = rn / rd in lowest terms, rd > 0
+    rn, rd = num.coefficient(exps) // g, dc // g
+    if num * rd != den * rn:
         raise NonIntegralLocalizationSum(
             "localization sum is not constant; the labels are inconsistent"
         )
-    if r.denominator != 1:
-        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
-    return int(r)
+    if rd != 1:
+        from fractions import Fraction  # only to print the sum
+
+        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % Fraction(rn, rd))
+    return rn

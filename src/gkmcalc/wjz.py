@@ -12,6 +12,7 @@ graph can certify, so the oracle demands explicit assumption flags.
 
 import itertools
 import operator
+from math import gcd
 
 from .charclasses import localize_integral, stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, _dot, ring_of
@@ -153,12 +154,27 @@ def _is_equivalence(phi: IntMatrix, s1: InvariantSystem, s2: InvariantSystem) ->
     return True
 
 
-def _cubic_values_mod2(s: InvariantSystem):
-    """Multiset of mu(x,x,x) mod 2 over x in (Z/2)^rank, a GL(r,Z)
-    invariant."""
-    return tuple(sorted(
-        _dot(_covector(s.mu, x, x), x) % 2 for x in itertools.product((0, 1), repeat=s.rank)
-    ))
+def _cubic_zeros_mod2(s: InvariantSystem):
+    """The number of x in (Z/2)^rank with mu(x,x,x) even: with the rank, the
+    GL(r,Z)-invariant multiset of the cubic's mod-2 values. Mod 2 the cubic
+    is the quadratic form sum_i mu_iii x_i + sum_{i<j} (mu_iij + mu_ijj)
+    x_i x_j, and each hyperbolic pair split off (Dickson) leaves a form R in
+    two fewer variables, with Z(x_i x_j + R) = 2 Z(R) + 2^(n-2)."""
+    r, mu = s.rank, s.mu
+    lin = sum((mu[i][i][i] & 1) << i for i in range(r))  # bitmasks over the variables
+    adj = [sum(((mu[i][i][k] + mu[i][k][k]) & 1) << k for k in range(r) if k != i) for i in range(r)]
+    const, n, scale, extra = 0, r, 1, 0
+    for i in range(r):
+        if adj[i]:  # x_i x_j + x_i A + x_j B + C = (x_i + B)(x_j + A) + AB + C
+            j = adj[i].bit_length() - 1
+            pair = 1 << i | 1 << j
+            am, bm, adj[i], adj[j] = adj[i] & ~pair, adj[j] & ~pair, 0, 0
+            const ^= lin >> i & lin >> j & 1
+            lin = (lin & ~pair) ^ (bm if lin >> i & 1 else 0) ^ (am if lin >> j & 1 else 0) ^ (am & bm)
+            for k in range(r):
+                adj[k] = (adj[k] & ~pair) ^ (bm if am >> k & 1 else 0) ^ (am if bm >> k & 1 else 0)
+            n, extra, scale = n - 2, extra + (scale << n - 2), 2 * scale
+    return scale * ((1 << n - 1) if lin else (1 - const) << n) + extra  # the rest is affine
 
 
 def _flatten_mu(s):
@@ -176,22 +192,75 @@ def _covector(mu, x, y):
 
 def _candidate_columns(s1, s2, bound):
     """For each a, the vectors v in [-bound, bound]^rank that can be column
-    a of Phi, i.e. p2.v = p1[a] and mu2(v,v,v) = mu1[a][a][a], each paired
-    with mu2(v,v,.). They come in increasing max-norm, then 1-norm, so that
-    small witnesses such as +-I come first."""
+    a of Phi, i.e. p2.v = p1[a] and mu2(v,v,v) = mu1[a][a][a]. They come in
+    increasing max-norm, then 1-norm, then lexicographic order, so that
+    small witnesses such as +-I come first; columns with equal (p1, mu1)
+    share one list.
+
+    Only the box points of the planes p2.v = p1[a] are visited. j carries
+    the largest |p2_j| and l is another coordinate: the other entries run
+    over the box, and (v_l, v_j) walks the line p2_l*v_l + p2_j*v_j = rest,
+    v_l from its least value in the box in steps of |p2_j| / gcd(p2_l, p2_j),
+    clipped to the box in v_j. With p2 = 0 the walk runs along v_j alone,
+    and at rank 1 it is one point. On the line v0 + t*d the cubic is
+    A + 3Bt + 3Ct^2 + Dt^3, with A = mu2(v0,v0,v0), B = mu2(v0,v0,d),
+    C = mu2(v0,d,d) and D = mu2(d,d,d), stepped by forward differences."""
+    r, p, mu, b = s1.rank, s2.p, s2.mu, bound
     wanted = {}
-    for a in range(s1.rank):
-        wanted.setdefault((s1.p[a], s1.mu[a][a][a]), []).append(a)
-    p_values = {p for p, _ in wanted}
-    out = [[] for _ in range(s1.rank)]
-    for v in itertools.product(range(-bound, bound + 1), repeat=s1.rank):
-        p = _dot(s2.p, v)
-        if p in p_values:
-            q = _covector(s2.mu, v, v)
-            for a in wanted.get((p, _dot(q, v)), ()):
-                out[a].append((v, q))
-    for column in out:
-        column.sort(key=lambda vq: (max(map(abs, vq[0])), sum(map(abs, vq[0]))))
+    for a in range(r):
+        wanted.setdefault(s1.p[a], {}).setdefault(s1.mu[a][a][a], []).append(a)
+    out = [None] * r
+    if not r:
+        return out
+    j = max(range(r), key=lambda i: abs(p[i]))
+    l = next((i for i in range(r) if i != j), None) if p[j] else None
+    pl = p[l] if l is not None else 0
+    g = gcd(pl, p[j])
+    m = abs(p[j]) // g if g else 1
+    inv = pow(pl // g, -1, m) if g else 0
+    d = [0] * r
+    if l is not None:
+        d[l], d[j] = m, -pl * m // p[j]
+    elif not g:
+        d[j] = 1
+    free = [i for i in range(r) if i != j and i != l]
+    dd = _covector(mu, d, d)
+    D = _dot(dd, d)
+    for c, cubes in wanted.items():
+        found = {cube: [] for cube in cubes}
+        for u in itertools.product(range(-b, b + 1), repeat=len(free)) if g or not c else ():  # p2 = 0: c = 0 only
+            v0 = [0] * r
+            for i, x in zip(free, u):
+                v0[i] = x
+            rest = c - _dot(p, v0)
+            lo, hi, y = 0, 2 * b, -b  # p2 = 0: v_j walks the whole box
+            if g:
+                if rest % g:
+                    continue
+                x = hi = 0  # rank 1: one point
+                if l is not None:
+                    x = v0[l] = -b + (rest // g * inv + b) % m
+                    hi = (b - x) // m
+                y, k = (rest - pl * x) // p[j], abs(d[j])
+                if k:  # -b <= v_j + t*d_j <= b
+                    z = y if d[j] > 0 else -y
+                    lo, hi = max(0, -((b + z) // k)), min(hi, (b - z) // k)
+                elif abs(y) > b:
+                    continue
+            v0[j] = y
+            v0 = [x + lo * e for x, e in zip(v0, d)]
+            q, C = _covector(mu, v0, v0), _dot(dd, v0)
+            # f(t) and its forward differences at t = 0; the third is 6D
+            f, df, d2f = _dot(q, v0), 3 * _dot(q, d) + 3 * C + D, 6 * (C + D)
+            for t in range(hi - lo + 1):
+                column = found.get(f)
+                if column is not None:
+                    column.append(tuple(map(operator.add, v0, map(t.__mul__, d))))
+                f, df, d2f = f + df, df + d2f, d2f + 6 * D
+        for cube, column in found.items():
+            column.sort(key=lambda v: (max(map(abs, v)), sum(map(abs, v)), v))
+            for a in cubes[cube]:
+                out[a] = column
     return out
 
 
@@ -214,12 +283,11 @@ def _extend(s1, s2, candidates, order, placed):
         for a, x in placed[: i + 1]
     ]
     quadratic = [(x, s1.mu[k][k][a]) for a, x in placed]
-    for v, q in candidates[k]:
-        if (
-            all(_dot(u, v) == t for u, t in linear)
-            and all(_dot(q, x) == t for x, t in quadratic)
-            and saturated([x for _, x in placed] + [v])
-        ):
+    for v in candidates[k]:
+        if not all(_dot(u, v) == t for u, t in linear):
+            continue
+        q = _covector(s2.mu, v, v) if quadratic else ()  # mu2(v,v,.) only past the linear checks
+        if all(_dot(q, x) == t for x, t in quadratic) and saturated([x for _, x in placed] + [v]):
             phi = _extend(s1, s2, candidates, order, placed + [(k, v)])
             if phi is not None:
                 return phi
@@ -229,11 +297,14 @@ def _extend(s1, s2, candidates, order, placed):
 def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
     """Decide equivalence of two systems of invariants.
 
-    GL(r,Z)-invariants that differ prove the systems distinct; otherwise
-    a search over all matrices with entries bounded by `bound`, built one
-    column at a time and pruned by conditions every equivalence meets,
-    either finds a witness or reports an honest inconclusive. `bound` is an
-    int in 0..MAX_BOUND (SchemaError otherwise).
+    GL(r,Z)-invariants that differ prove the systems distinct: the rank,
+    the gcds of the mu and p entries, whether w2 vanishes, and the number
+    of x mod 2 with mu(x,x,x) even (counted in O(r^3), not at 2^r points).
+    Otherwise a search over all matrices with entries bounded by `bound`,
+    built one column at a time from `_candidate_columns`, which visits only
+    the box points of the planes p2.v = p1[a], and pruned by conditions
+    every equivalence meets, either finds a witness or reports an honest
+    inconclusive. `bound` is an int in 0..MAX_BOUND (SchemaError otherwise).
     """
     _check_bound(bound)
     if s1.rank != s2.rank:
@@ -246,7 +317,7 @@ def are_equivalent(s1: InvariantSystem, s2: InvariantSystem, bound: int = 10):
         return ProvablyDistinct("gcd of p entries (%d vs %d)" % (gcd_of(s1.p), gcd_of(s2.p)))
     if (any(s1.w) and not any(s2.w)) or (any(s2.w) and not any(s1.w)):
         return ProvablyDistinct("vanishing of w2")
-    if _cubic_values_mod2(s1) != _cubic_values_mod2(s2):
+    if _cubic_zeros_mod2(s1) != _cubic_zeros_mod2(s2):
         return ProvablyDistinct("mod-2 value multiset of the cubic form")
     candidates = _candidate_columns(s1, s2, bound)
     # placing the columns with the fewest candidates first keeps the tree narrow

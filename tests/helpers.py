@@ -2,6 +2,7 @@
 so that no test module imports another."""
 
 import importlib.util
+import itertools
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from gkmcalc.errors import LocalizationRequiresSignedGraph, NonIntegralLocalizat
 from gkmcalc.gkm import GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, canonical_sign
 from gkmcalc.polyring import IntPolynomial
+from gkmcalc.wjz import InvariantSystem, _covector
 
 
 def _load(relative):
@@ -55,6 +57,61 @@ def relabelled(g):
     name = {v: "v%d" % i for i, v in enumerate(reversed(g.vertices))}
     edges = [(name[e.v], name[e.u], e.weight_at_v) for e in reversed(g.edges)]
     return GKMGraph(g.torus_rank, [name[v] for v in g.vertices], edges, signed=True)
+
+
+def random_system(rng, r):
+    """A system of rank r with a random symmetric mu, w and p."""
+    mu = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a, b, c in itertools.combinations_with_replacement(range(r), 3):
+        value = rng.randint(-3, 3)
+        for i, j, l in itertools.permutations((a, b, c)):
+            mu[i][j][l] = value
+    mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
+    w = tuple(rng.randint(0, 1) for _ in range(r))
+    p = tuple(rng.choice((0, 2, -4, 6)) for _ in range(r))
+    return InvariantSystem(r, mu, w, p)
+
+
+def pulled_back(s, phi):
+    """The system that phi carries to s: mu and p composed with phi, and w
+    mapped by phi^-1 mod 2."""
+    r = s.rank
+    cols = [phi.column(a) for a in range(r)]
+    inv = phi.inverse_unimodular()
+
+    def cubic(x, y, z):
+        return sum(s.mu[i][j][l] * x[i] * y[j] * z[l] for i in range(r) for j in range(r) for l in range(r))
+
+    mu = tuple(tuple(tuple(cubic(cols[a], cols[b], cols[c]) for c in range(r)) for b in range(r)) for a in range(r))
+    p = tuple(sum(s.p[i] * cols[a][i] for i in range(r)) for a in range(r))
+    w = tuple(sum(map(operator.mul, inv.row(a), s.w)) % 2 for a in range(r))
+    return InvariantSystem(r, mu, w, p)
+
+
+def box_candidates(s1, s2, bound):
+    """The candidate columns of the equivalence search by a scan of the
+    whole box [-bound, bound]^rank in product order, each vector kept for
+    every a with p2.v = p1[a] and mu2(v,v,v) = mu1[a][a][a], then a stable
+    sort by max-norm and 1-norm: the reference `_candidate_columns` is
+    checked against."""
+    out = [[] for _ in range(s1.rank)]
+    for v in itertools.product(range(-bound, bound + 1), repeat=s1.rank):
+        p = sum(map(operator.mul, s2.p, v))
+        hits = [a for a in range(s1.rank) if s1.p[a] == p]
+        cube = sum(map(operator.mul, _covector(s2.mu, v, v), v)) if hits else None
+        for a in hits:
+            if s1.mu[a][a][a] == cube:
+                out[a].append(v)
+    for column in out:
+        column.sort(key=lambda v: (max(map(abs, v)), sum(map(abs, v))))
+    return out
+
+
+def cubic_values_mod2(s):
+    """mu(x,x,x) mod 2 at every x in (Z/2)^rank, sorted: the reference the
+    zero count of `_cubic_zeros_mod2` is checked against."""
+    return sorted(sum(map(operator.mul, _covector(s.mu, x, x), x)) % 2
+                  for x in itertools.product((0, 1), repeat=s.rank))
 
 
 def random_unimodular(rng, r):

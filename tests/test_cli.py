@@ -379,10 +379,13 @@ def test_each_verb_imports_only_what_it_runs(verb):
         assert "gkmcalc.cohomology" in loaded
 
 
-@pytest.mark.parametrize("verb", [["validate", "e"], ["iso", "e", "t"], ["iso", "--signed", "e", "t"],
-                                  ["cohomology", "e"]], ids=["validate", "iso", "iso-signed", "cohomology"])
+@pytest.mark.parametrize("verb", [
+    ["validate", "e"], ["iso", "e", "t"], ["iso", "--signed", "e", "t"], ["cohomology", "e"], ["classes", "e"],
+    ["invariants", "e"], ["diffeo", "t", "e", "--assume-simply-connected", "--assume-h-odd-zero"],
+    ["integrate", "e", "--class", "p1*c1"],
+], ids=["validate", "iso", "iso-signed", "cohomology", "classes", "invariants", "diffeo", "integrate"])
 def test_graph_file_verbs_load_no_fractions(tmp_path, verb):
-    """Only x-ray coordinates and the non-integral localization message
+    """Only x-ray coordinates and the non-integral localization messages
     need `fractions`, which imports `decimal`."""
     for name, example in (("e", "eschenburg"), ("t", "tolman")):
         (tmp_path / name).write_text(json.dumps(builtin(example).to_json()))

@@ -26,6 +26,8 @@ from gkmcalc.wjz import (
     InvariantSystem,
     NotFoundWithinBound,
     ProvablyDistinct,
+    _candidate_columns,
+    _cubic_zeros_mod2,
     _is_equivalence,
     are_equivalent,
     diffeo_verdict,
@@ -36,10 +38,14 @@ from helpers import (
     UNCERTIFIED_K4,
     _load,
     _load_families,
+    box_candidates,
+    cubic_values_mod2,
     index_betti,
     linear_substitute,
     mutated_eschenburg,
     product_of_spheres,
+    pulled_back,
+    random_system,
     random_unimodular,
     relabelled,
     scanned_verify,
@@ -624,16 +630,118 @@ print("ok")
 """
 
 
-def test_former_wall_finishes_at_default_bound():
+def run_script(code, timeout):
+    """Run `code` in a fresh interpreter that imports gkmcalc and the test
+    helpers, and assert that it prints "ok" within `timeout` seconds."""
     import gkmcalc
 
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    proc = subprocess.run([sys.executable, "-c", FORMER_WALL], capture_output=True, text=True,
-                          env=env, timeout=10)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_former_wall_finishes_at_default_bound():
+    run_script(FORMER_WALL, 10)
+
+
+# Both timeouts are well under a scan of the whole box (about 11 s for each
+# of these searches) and an enumeration of the 2^14 mod-2 cubic values
+# (about 6 s for the verdict), on one core of a shared x86 container.
+RANK_5_PULLBACKS = """
+import random
+from helpers import pulled_back, random_system, random_unimodular
+from gkmcalc.wjz import Equivalence, _is_equivalence, are_equivalent
+
+for seed in (1, 2, 3):
+    rng = random.Random(seed)
+    s1 = random_system(rng, 5)
+    s2 = pulled_back(s1, random_unimodular(rng, 5))
+    out = are_equivalent(s2, s1, 10)
+    assert isinstance(out, Equivalence) and _is_equivalence(out.phi, s2, s1), seed
+print("ok")
+"""
+WIDE_WITNESS = """
+import random
+from helpers import _load_families
+from gkmcalc.gkm import graph_from_json
+from gkmcalc.wjz import diffeo_verdict
+
+families = _load_families()
+g = families.build("surface", 15)
+v = diffeo_verdict(g, graph_from_json(families.disguise(g, random.Random(15))), True, True, bound=0)
+assert v.status == "diffeomorphic" and len(v.systems[0].p) == 14, v.status
+print("ok")
+"""
+
+
+def test_rank_5_pullbacks_finish_at_bound_10():
+    run_script(RANK_5_PULLBACKS, 15)
+
+
+def test_rank_14_witness_verdict_finishes_at_bound_0():
+    run_script(WIDE_WITNESS, 4)
+
+
+# -- the candidate columns and the mod-2 count against their references --------
+
+
+def with_p(s, p):
+    return InvariantSystem(s.rank, s.mu, s.w, tuple(p))
+
+
+def candidate_pairs(rng, r):
+    """Pairs of systems of rank r: random, pulled back, and a second system
+    with p = 0, with one nonzero entry, with every entry nonzero, and a
+    first system with a p-value that no box point reaches."""
+    s1, s2 = random_system(rng, r), random_system(rng, r)
+    one = [0] * r
+    if r:
+        one[rng.randrange(r)] = rng.choice((-4, 2, 3, 6))
+    yield s1, s2
+    yield s1, pulled_back(s1, random_unimodular(rng, r)) if r else s1
+    yield s1, with_p(s2, [0] * r)
+    yield s1, with_p(s2, one)
+    yield s1, with_p(s2, [rng.choice((-7, -3, 2, 5, 9, 12)) for _ in range(r)])
+    yield with_p(s1, (10 ** 6,) + s1.p[1:]) if r else s1, s2
+
+
+@pytest.mark.parametrize("rank", range(6))
+def test_candidate_columns_match_the_box_scan(rank):
+    rng = random.Random(2900 + rank)
+    for bound in (0, 1, 2, 3, 10) if rank <= 3 else (0, 1, 2, 3):
+        for s1, s2 in candidate_pairs(rng, rank):
+            for a, b in ((s1, s2), (s2, s1)):
+                assert _candidate_columns(a, b, bound) == box_candidates(a, b, bound), (bound, a, b)
+
+
+def test_candidate_columns_reach_every_witness_column():
+    rng = random.Random(29)
+    for k in range(40):
+        r = 1 + k % 4
+        s1 = random_system(rng, r)
+        phi = random_unimodular(rng, r)
+        s2 = pulled_back(s1, phi)
+        columns = _candidate_columns(s2, s1, 3)
+        assert all(phi.column(a) in columns[a] for a in range(r))
+        assert columns == box_candidates(s2, s1, 3)
+
+
+@pytest.mark.parametrize("rank", range(11))
+def test_cubic_zero_count_matches_the_enumeration(rank):
+    rng = random.Random(2950 + rank)
+    for k in range(30 if rank < 7 else 4):
+        s = random_system(rng, rank)
+        if k == 0:  # an even cubic: every value is 0
+            s = InvariantSystem(rank, tuple(tuple(tuple(2 * x for x in row) for row in plane) for plane in s.mu),
+                                s.w, s.p)
+        zeros = _cubic_zeros_mod2(s)
+        assert zeros == cubic_values_mod2(s).count(0)
+        if rank:
+            assert _cubic_zeros_mod2(pulled_back(s, random_unimodular(rng, rank))) == zeros
 
 
 # -- one search per verdict ----------------------------------------------------
@@ -693,35 +801,6 @@ def assert_reversal_keeps_the_outcome(s1, s2, bound):
     assert type(forward) is type(reversed_)
     if isinstance(forward, ProvablyDistinct):
         assert forward.reason == reversed_.reason
-
-
-def random_system(rng, r):
-    """A system of rank r with a random symmetric mu, w and p."""
-    mu = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for a, b, c in itertools.combinations_with_replacement(range(r), 3):
-        value = rng.randint(-3, 3)
-        for i, j, l in itertools.permutations((a, b, c)):
-            mu[i][j][l] = value
-    mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
-    w = tuple(rng.randint(0, 1) for _ in range(r))
-    p = tuple(rng.choice((0, 2, -4, 6)) for _ in range(r))
-    return InvariantSystem(r, mu, w, p)
-
-
-def pulled_back(s, phi):
-    """The system that phi carries to s: mu and p composed with phi, and w
-    mapped by phi^-1 mod 2."""
-    r = s.rank
-    cols = [phi.column(a) for a in range(r)]
-    inv = phi.inverse_unimodular()
-
-    def cubic(x, y, z):
-        return sum(s.mu[i][j][l] * x[i] * y[j] * z[l] for i in range(r) for j in range(r) for l in range(r))
-
-    mu = tuple(tuple(tuple(cubic(cols[a], cols[b], cols[c]) for c in range(r)) for b in range(r)) for a in range(r))
-    p = tuple(sum(s.p[i] * cols[a][i] for i in range(r)) for a in range(r))
-    w = tuple(sum(map(operator.mul, inv.row(a), s.w)) % 2 for a in range(r))
-    return InvariantSystem(r, mu, w, p)
 
 
 def test_reversed_search_has_the_forward_outcome():

@@ -82,8 +82,9 @@ from gkmcalc.polyring import monomials  # noqa: E402
 
 KINDS = ("independent", "dependent")
 DIFFEO_BOUNDS = (0, 1, 2, 10)
-# Past this H^2 rank a witness search at bound > 1 takes minutes (the
-# orientation note always runs it), so larger systems are checked at 0 and 1.
+# Past this H^2 rank a witness search at bound 10 can take minutes (the
+# orientation note always runs it, and CI also runs this sweep on the base
+# commit of a pull request), so larger systems are checked at 0, 1 and 2.
 DIFFEO_FULL_RANK = 4
 SPHERE_WEIGHTS = ([(1, 0), (0, 1), (1, 1)], [(2, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, -1)],
                   [(1, 0), (1, 2), (1, -1)])
@@ -156,13 +157,18 @@ def integrals(graph):
 
 
 def gl_invariants(s):
-    """The GL(r,Z) invariants of a system that `are_equivalent` compares."""
+    """The GL(r,Z) invariants of a system that `are_equivalent` compares;
+    the sorted mod-2 values of the cubic are written out from its zero count."""
+    if hasattr(wjz, "_cubic_zeros_mod2"):
+        zeros = wjz._cubic_zeros_mod2(s)
+    else:  # a commit before the zero count enumerates the 2^r values
+        zeros = wjz._cubic_values_mod2(s).count(0)
     return {
         "rank": s.rank,
         "mu_gcd": gcd_of(wjz._flatten_mu(s)),
         "p_gcd": gcd_of(s.p),
         "w2_zero": not any(s.w),
-        "cubic_mod2": sorted(wjz._cubic_values_mod2(s)),
+        "cubic_mod2": [0] * zeros + [1] * (2 ** s.rank - zeros),
     }
 
 
@@ -192,7 +198,7 @@ def coordinates(graph, ring):
 
 def diffeo_records(ref, graph, rank, rec):
     for bound in DIFFEO_BOUNDS:
-        if bound > 1 and rank > DIFFEO_FULL_RANK:
+        if bound > 2 and rank > DIFFEO_FULL_RANK:
             continue
         v = outcome(lambda: wjz.diffeo_verdict(ref, graph, True, True, bound))
         if isinstance(v, dict):
