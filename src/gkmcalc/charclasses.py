@@ -14,7 +14,7 @@ from math import gcd, lcm
 from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra, Record
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
 from .gkm import GKMGraph, all_labels_primitive
-from .polyring import IntPolynomial
+from .polyring import IntPolynomial, _mul_terms
 
 KINDS = ("chern", "pontrjagin", "stiefel_whitney")
 
@@ -32,7 +32,8 @@ class EquivariantTotalClass(FixedPointClass):
 
 def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
     """Total equivariant class of the tangent bundle restricted to the
-    fixed points, computed from the incident weights."""
+    fixed points, computed from the incident weights: each vertex's product
+    is expanded on term dicts, so one polynomial is built per vertex."""
     if kind not in KINDS:
         raise ValueError("unknown class kind %r" % kind)
     if kind == "chern" and not graph.signed:
@@ -40,14 +41,14 @@ def equivariant_char_class(graph: GKMGraph, kind: str) -> EquivariantTotalClass:
             "Chern classes need the signs an invariant almost complex structure provides"
         )
     k = graph.torus_rank
+    one, units = (0,) * k, [tuple(int(i == j) for j in range(k)) for i in range(k)]
     comps = []
     for v in graph.vertices:
-        total = IntPolynomial.constant(k, 1)
+        total = {one: 1}
         for w in graph.weights_at(v):
-            a = IntPolynomial.linear_form(w)
-            factor = 1 + (a * a if kind == "pontrjagin" else a)
-            total = total * factor
-        comps.append(total.mod2() if kind == "stiefel_whitney" else total)
+            a = {u: c for u, c in zip(units, w) if c}
+            total = _mul_terms(total, {one: 1, **(_mul_terms(a, a) if kind == "pontrjagin" else a)})
+        comps.append(IntPolynomial._of(k, {e: c % 2 for e, c in total.items()} if kind == "stiefel_whitney" else total))
     return EquivariantTotalClass(kind, graph, tuple(comps))
 
 

@@ -25,9 +25,13 @@ down-weight divides x(p), by coprimality e_p^- divides x(p), and
 x - (x(p)/e_p^-) tau_p vanishes at p too. Then A_d has the basis
 y^m tau_p (2 lambda_p <= d), so rank A_d is the sum of
 C(d/2 - lambda_p + k - 1, k - 1) over those p, b_d = #{p : 2 lambda_p = d},
-the quotient reps are the tau_p of index d/2, and `express` peels by the
-same exact division. Modulo 2 a primitive weight stays nonzero, so
-`express_mod2` peels the same way over F_2. Any order along which every
+the quotient reps are the tau_p of index d/2, and `express` peels x by the
+same step, x(p) = h * e_p^-. Only vertices with 2 lambda_p < d divide, by
+one down-weight at a time; at 2 lambda_p > d a nonzero x(p) proves x is
+not in A, and at 2 lambda_p = d, h is the integer coordinate c, read at one
+term of e_p^- and checked by comparing x(p) with c * e_p^-. Modulo 2 a
+primitive weight stays nonzero, so `express_mod2` peels the same way over
+F_2, reading c at an odd coefficient of e_p^-. Any order along which every
 tau_p(q) is integral certifies, signed or not: `_flow_up` finds one by a
 depth-first search with a node budget, whose first branch is Kahn's
 topological order when a generic xi orients a signed graph acyclically.
@@ -526,30 +530,43 @@ class CohomologyRing:
 
     def _peel(self, components, degree, mod2):
         """Quotient coordinates of a degree-`degree` tuple on the flow-up
-        path, over F_2 when mod2: at the first nonzero vertex p, divide
-        x(p) by e_p^- exactly, subtract that multiple of tau_p, repeat. The
-        constant quotients at 2 lambda_p = degree are the coordinates. None
-        on an inexact division, which proves x is not in A."""
+        path, over F_2 when mod2: at each vertex p in order, find h with
+        x(p) = h * e_p^-, subtract h * tau_p, go on. Only 2 lambda_p < degree
+        divides x(p) by the down-weights one at a time. At 2 lambda_p >
+        degree a nonzero x(p) has no such h. At 2 lambda_p = degree, h is the
+        integer c read at one term of e_p^- (mod 2, one with an odd
+        coefficient), and x(p) - c * e_p^- must vanish; these c are the
+        coordinates. None when there is no h, which proves x is not in A."""
         fu, k, s = self._flow, self.k, degree // 2
-        # the degree-d part, as term dicts updated in place
+        # the degree-d part, as term dicts updated in place; they keep explicit zeros
         x = [{e: c % 2 if mod2 else c for e, c in p.terms.items() if sum(e) == s} for p in components]
         coords = []
         for p in fu.order:
-            h = IntPolynomial._of(k, x[p])
-            if h:
+            xp, twice = x[p], 2 * len(fu.down[p])
+            if not any(xp.values()):
+                h = {}
+            elif twice > degree:
+                return None
+            elif twice == degree:
+                e0, c0 = next((e, c) for e, c in fu.tau[p][p].terms.items() if not mod2 or c % 2)
+                h = {(0,) * k: xp.get(e0, 0) if mod2 else xp.get(e0, 0) // c0}
+            else:
+                h = IntPolynomial._of(k, xp)
                 for _, w in fu.down[p]:
-                    h = divide_by_linear(h, IntPolynomial.linear_form(w), mod2)
-                    if h is None:
+                    if (h := divide_by_linear(h, IntPolynomial.linear_form(w), mod2)) is None:
                         return None
-                for q, f in fu.tau[p].items():
-                    xq = x[q]
-                    for e1, c1 in h.terms.items():
-                        for e2, c2 in f.terms.items():
-                            e = tuple(map(operator.add, e1, e2))
-                            v = xq.get(e, 0) - c1 * c2
-                            xq[e] = v % 2 if mod2 else v
-            if 2 * len(fu.down[p]) == degree:
-                coords.append(h.coefficient((0,) * k))
+                h = h.terms
+            for q, f in fu.tau[p].items():
+                xq = x[q]
+                for e1, c1 in h.items():
+                    for e2, c2 in f.terms.items():
+                        e = tuple(map(operator.add, e1, e2))
+                        v = xq.get(e, 0) - c1 * c2
+                        xq[e] = v % 2 if mod2 else v
+            if twice == degree:
+                if any(xp.values()):
+                    return None
+                coords.append(h.get((0,) * k, 0))
         return tuple(coords)
 
     def express(self, c: FixedPointClass, degree=None) -> RingElement:

@@ -182,12 +182,9 @@ def _flatten_mu(s):
 
 
 def _covector(mu, x, y):
-    """mu(x, y, .) as a vector."""
-    r = len(x)
-    return tuple(
-        sum(mu[i][j][l] * x[i] * y[j] for i in range(r) if x[i] for j in range(r) if y[j])
-        for l in range(r)
-    )
+    """mu(x, y, .) as a vector, summed by rows: mu is symmetric, so entry l
+    is sum_i x_i * (mu[l][i] . y)."""
+    return tuple(sum(a * _dot(row, y) for a, row in zip(x, plane) if a) for plane in mu)
 
 
 def _candidate_columns(s1, s2, bound):

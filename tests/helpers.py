@@ -7,12 +7,13 @@ import operator
 from fractions import Fraction
 from pathlib import Path
 
+from gkmcalc.charclasses import KINDS
 from gkmcalc.cohomology import CohomologyRing
-from gkmcalc.errors import LocalizationRequiresSignedGraph, NonIntegralLocalizationSum
+from gkmcalc.errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum
 from gkmcalc.gkm import GKMGraph, builtin
 from gkmcalc.intlinalg import IntMatrix, canonical_sign
-from gkmcalc.polyring import IntPolynomial
-from gkmcalc.wjz import InvariantSystem, _covector
+from gkmcalc.polyring import IntPolynomial, divide_by_linear
+from gkmcalc.wjz import InvariantSystem
 
 
 def _load(relative):
@@ -88,6 +89,14 @@ def pulled_back(s, phi):
     return InvariantSystem(r, mu, w, p)
 
 
+def covector_by_triple_sum(mu, x, y):
+    """mu(x, y, .) entry by entry as sum_(i,j) mu[i][j][l] * x_i * y_j, read
+    in the index order of the definition: the reference `wjz._covector`,
+    which sums by rows, is checked against."""
+    r = len(x)
+    return tuple(sum(mu[i][j][l] * x[i] * y[j] for i in range(r) for j in range(r)) for l in range(r))
+
+
 def box_candidates(s1, s2, bound):
     """The candidate columns of the equivalence search by a scan of the
     whole box [-bound, bound]^rank in product order, each vector kept for
@@ -98,7 +107,7 @@ def box_candidates(s1, s2, bound):
     for v in itertools.product(range(-bound, bound + 1), repeat=s1.rank):
         p = sum(map(operator.mul, s2.p, v))
         hits = [a for a in range(s1.rank) if s1.p[a] == p]
-        cube = sum(map(operator.mul, _covector(s2.mu, v, v), v)) if hits else None
+        cube = sum(map(operator.mul, covector_by_triple_sum(s2.mu, v, v), v)) if hits else None
         for a in hits:
             if s1.mu[a][a][a] == cube:
                 out[a].append(v)
@@ -110,7 +119,7 @@ def box_candidates(s1, s2, bound):
 def cubic_values_mod2(s):
     """mu(x,x,x) mod 2 at every x in (Z/2)^rank, sorted: the reference the
     zero count of `_cubic_zeros_mod2` is checked against."""
-    return sorted(sum(map(operator.mul, _covector(s.mu, x, x), x)) % 2
+    return sorted(sum(map(operator.mul, covector_by_triple_sum(s.mu, x, x), x)) % 2
                   for x in itertools.product((0, 1), repeat=s.rank))
 
 
@@ -229,3 +238,48 @@ def product_denominator_integral(graph, c):
     if r.denominator != 1:
         raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
     return int(r)
+
+
+def total_class_by_products(graph, kind):
+    """The components of the total class of `kind`, each the product of its
+    factors 1 + a_j (1 + a_j^2 for Pontrjagin, reduced mod 2 for
+    Stiefel-Whitney) as IntPolynomial products, with the errors of
+    `equivariant_char_class` in their order: the reference the term-dict
+    product is checked against."""
+    if kind not in KINDS:
+        raise ValueError("unknown class kind %r" % kind)
+    if kind == "chern" and not graph.signed:
+        raise ChernRequiresSignedGraph("Chern classes need the signs an invariant almost complex structure provides")
+    k = graph.torus_rank
+    comps = []
+    for v in graph.vertices:
+        total = IntPolynomial.constant(k, 1)
+        for w in graph.weights_at(v):
+            a = IntPolynomial.linear_form(w)
+            total = total * (1 + (a * a if kind == "pontrjagin" else a))
+        comps.append(total.mod2() if kind == "stiefel_whitney" else total)
+    return tuple(comps)
+
+
+def successive_division_peel(ring, components, degree, mod2):
+    """Quotient coordinates of a degree-`degree` tuple on the flow-up path,
+    over F_2 when mod2, or None: at every vertex p in order, x(p) is divided
+    by each down-weight in turn and that multiple of tau_p subtracted. The
+    reference `CohomologyRing._peel` is checked against."""
+    fu, k, s = ring._flow, ring.k, degree // 2
+    x = [{e: c % 2 if mod2 else c for e, c in p.terms.items() if sum(e) == s} for p in components]
+    coords = []
+    for p in fu.order:
+        h = IntPolynomial(k, x[p])
+        if h:
+            for _, w in fu.down[p]:
+                h = divide_by_linear(h, IntPolynomial.linear_form(w), mod2)
+                if h is None:
+                    return None
+            for q, f in fu.tau[p].items():
+                for e, c in (h * f).terms.items():
+                    v = x[q].get(e, 0) - c
+                    x[q][e] = v % 2 if mod2 else v
+        if 2 * len(fu.down[p]) == degree:
+            coords.append(h.coefficient((0,) * k))
+    return tuple(coords)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from gkmcalc.charclasses import (
+    KINDS,
     descend,
     equivariant_char_class,
     localize_integral,
@@ -30,6 +31,7 @@ from helpers import (
     mutated_eschenburg,
     product_denominator_integral,
     product_of_spheres,
+    total_class_by_products,
 )
 
 SIGNED_BUILTINS = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -95,6 +97,45 @@ def test_total_class_parts_are_gkm_classes():
             total = equivariant_char_class(g, kind)
             for d in range(2, 2 * g.valence + 1, 2):
                 assert is_gkm_class(total.homogeneous_component(d)), (name, kind, d)
+
+
+def _total_class_graphs():
+    families = _load_families()
+    signed = [(name, builtin(name)) for name in SIGNED_BUILTINS]
+    for family, param in [("cp", 3), ("cp", 4), ("cp1^", 3)] + [("surface", m) for m in range(4, 9)]:
+        g = families.build(family, param)
+        signed.append(("%s%s-disguised" % (family, param), graph_from_json(
+            families.disguise(g, random.Random("total-%s%s" % (family, param))))))
+    unsigned = [("unsigned-" + name, g.unsigned()) for name, g in signed]
+    spheres = [("s2cubed%d" % i, product_of_spheres(w)) for i, w in enumerate(_load("tools/sweep.py").SPHERE_WEIGHTS, 1)]
+    return signed + unsigned + spheres + [("uncertified-k4", GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True)),
+                                          ("mutated-eschenburg", mutated_eschenburg())]
+
+
+TOTAL_CLASS_GRAPHS = _total_class_graphs()
+
+
+@pytest.mark.parametrize("name,g", TOTAL_CLASS_GRAPHS, ids=[name for name, _ in TOTAL_CLASS_GRAPHS])
+def test_total_classes_match_the_product_reference(name, g):
+    """Every kind the graph allows has the components of the IntPolynomial
+    product, with no zero coefficient kept; an unknown kind is refused
+    before the signs are looked at, and Chern needs them."""
+    for kind in KINDS:
+        if kind == "chern" and not g.signed:
+            for build in (equivariant_char_class, total_class_by_products):
+                with pytest.raises(ChernRequiresSignedGraph, match="Chern classes need the signs"):
+                    build(g, kind)
+            continue
+        total = equivariant_char_class(g, kind)
+        assert total.kind == kind and total.graph is g
+        assert total.components == total_class_by_products(g, kind), (name, kind)
+        allowed = {1} if kind == "stiefel_whitney" else None
+        for p in total.components:
+            assert all(c and (allowed is None or c in allowed) for c in p.terms.values()), (name, kind, p)
+    for kind in ("euler", "Chern", ""):
+        with pytest.raises(ValueError) as info:
+            equivariant_char_class(g, kind)
+        assert info.type is ValueError and str(info.value) == "unknown class kind %r" % kind
 
 
 def test_descend_eschenburg_golden_values():

@@ -10,13 +10,21 @@ import pytest
 
 import gkmcalc.cohomology as cohomology
 import gkmcalc.intlinalg as intlinalg
-from gkmcalc.charclasses import equivariant_char_class
+from gkmcalc.charclasses import KINDS, equivariant_char_class
 from gkmcalc.cohomology import CohomologyRing, FixedPointClass, is_gkm_class
 from gkmcalc.errors import NotInSubalgebra
 from gkmcalc.gkm import GKMGraph, all_labels_primitive, builtin, graph_from_json
 from gkmcalc.intlinalg import IntMatrix, primitive_part, smith_normal_form
-from gkmcalc.polyring import IntPolynomial, monomials
-from helpers import UNCERTIFIED_K4, _load_families, index_betti, kernel_ring, mutated_eschenburg, product_of_spheres
+from gkmcalc.polyring import IntPolynomial, divide_by_linear, monomials
+from helpers import (
+    UNCERTIFIED_K4,
+    _load_families,
+    index_betti,
+    kernel_ring,
+    mutated_eschenburg,
+    product_of_spheres,
+    successive_division_peel,
+)
 
 families = _load_families()
 SIGNED = ("eschenburg", "tolman", "woodward", "eschenburg-swapped")
@@ -336,3 +344,74 @@ def test_express_sends_each_basis_class_to_its_projection_column(name):
                 want = [projection.column(j) for j in range(projection.cols)]
             assert len(basis) == ring.ordinary(d).rank
             assert [ring.express(c, d).coords for c in basis] == want
+
+
+# -- the peel against successive division --------------------------------------
+
+
+def _peel_graphs():
+    signed = [(name, builtin(name)) for name in SIGNED]
+    for family, param in [("cp", 3), ("cp1^", 3)] + [("surface", m) for m in range(4, 9)]:
+        g = families.build(family, param)
+        signed.append(("%s%s-disguised" % (family, param), graph_from_json(
+            families.disguise(g, random.Random("peel-%s%s" % (family, param))))))
+    return signed + [("unsigned-" + name, g.unsigned()) for name, g in signed]
+
+
+PEEL_GRAPHS = _peel_graphs()
+
+
+def _divides_down_weights(ring, p, h, mod2):
+    """Whether e_p^- divides h, over F_2 when mod2."""
+    for _, w in ring._flow.down[p]:
+        if (h := divide_by_linear(h, IntPolynomial.linear_form(w), mod2)) is None:
+            return False
+    return True
+
+
+def _non_members(ring, base, d, mod2):
+    """(2 lambda_p compared with d, base plus one monomial at p) for each
+    vertex p that has a degree-d monomial e_p^- does not divide, over F_2
+    when mod2. base is in A, so the peel reaches p unchanged and fails
+    there."""
+    for p in ring._flow.order:
+        m = next((y for y in (IntPolynomial(ring.k, {e: 1}) for e in monomials(ring.k, d))
+                  if not _divides_down_weights(ring, p, y, mod2)), None)
+        if m is not None:
+            twice = 2 * len(ring._flow.down[p])
+            case = "<" if twice < d else "=" if twice == d else ">"
+            yield case, tuple(c + m if q == p else c for q, c in enumerate(base.components))
+
+
+@pytest.mark.parametrize("name,g", PEEL_GRAPHS, ids=[name for name, _ in PEEL_GRAPHS])
+def test_peel_matches_successive_division(name, g):
+    """Integrally and mod 2, in every even degree 0..6, the peel gives the
+    coordinates, or None, that dividing x(p) by each down-weight gives: on
+    the total classes, every basis class of A_d and seeded combinations of
+    them, and on non-members that fail at a vertex with 2 lambda_p above,
+    at and below d."""
+    ring = CohomologyRing(g)
+    assert ring.path == "flow-up"
+    rng = random.Random("peel-" + name)
+    totals = [equivariant_char_class(g, kind).components for kind in KINDS if g.signed or kind != "chern"]
+    failures = set()
+    for d in range(0, 7, 2):
+        basis = ring.gkm_basis(d)
+        combinations = [sum((rng.randint(-3, 3) * c for c in basis), FixedPointClass.constant(g, 0)) for _ in range(4)]
+        members = [c.components for c in basis + combinations]
+        for mod2 in (False, True):
+            for x in totals + members:
+                got = ring._peel(x, d, mod2)
+                assert got == successive_division_peel(ring, x, d, mod2), (d, mod2, x)
+            assert all(ring._peel(x, d, mod2) is not None for x in members)
+            for case, x in _non_members(ring, combinations[0], d, mod2):
+                assert ring._peel(x, d, mod2) is None and successive_division_peel(ring, x, d, mod2) is None
+                failures.add((case, mod2))
+    assert failures == {(case, mod2) for case in "<=>" for mod2 in (False, True)}
+
+
+def test_a_peel_graph_has_an_e_p_whose_first_coefficient_is_even():
+    """The mod-2 peel must read c at an odd coefficient of e_p^-: on
+    eschenburg some e_p^- has an even first coefficient."""
+    fu = CohomologyRing(dict(PEEL_GRAPHS)["eschenburg"])._flow
+    assert any(next(iter(fu.tau[p][p].terms.values())) % 2 == 0 for p in fu.order)

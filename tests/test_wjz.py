@@ -27,6 +27,7 @@ from gkmcalc.wjz import (
     NotFoundWithinBound,
     ProvablyDistinct,
     _candidate_columns,
+    _covector,
     _cubic_zeros_mod2,
     _is_equivalence,
     are_equivalent,
@@ -39,6 +40,7 @@ from helpers import (
     _load,
     _load_families,
     box_candidates,
+    covector_by_triple_sum,
     cubic_values_mod2,
     index_betti,
     linear_substitute,
@@ -707,6 +709,17 @@ def candidate_pairs(rng, r):
     yield s1, with_p(s2, one)
     yield s1, with_p(s2, [rng.choice((-7, -3, 2, 5, 9, 12)) for _ in range(r)])
     yield with_p(s1, (10 ** 6,) + s1.p[1:]) if r else s1, s2
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_covector_by_rows_is_the_triple_sum(rank):
+    rng = random.Random(3000 + rank)
+    for _ in range(10):
+        mu = random_system(rng, rank).mu
+        for _ in range(20):
+            x, y = (tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in "xy")
+            assert _covector(mu, x, y) == covector_by_triple_sum(mu, x, y), (mu, x, y)
+            assert _covector(mu, x, y) == _covector(mu, y, x)
 
 
 @pytest.mark.parametrize("rank", range(6))
