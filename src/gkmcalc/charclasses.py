@@ -1,5 +1,6 @@
 """Equivariant characteristic classes from fixed-point weights, descent to
-ordinary cohomology, and exact fixed-point localization integration.
+ordinary cohomology, and the integral <c, [M]> of a class of A, exact at
+the ring's integer point.
 
 At a fixed point with isotropy weights a_1..a_n the total equivariant
 Chern class restricts to prod (1 + a_j) (signed graphs only), the
@@ -8,11 +9,8 @@ mod-2 reduction of prod (1 + a_j), carried as its integer lift with
 coefficients 0 and 1; the latter two are independent of the sign choices.
 """
 
-from collections import Counter
-from math import gcd, lcm
-
-from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NonIntegralLocalizationSum, NotInSubalgebra, Record
-from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, ring_of
+from .errors import ChernRequiresSignedGraph, LocalizationRequiresSignedGraph, NotInSubalgebra, Record
+from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, is_gkm_class, ring_of
 from .gkm import GKMGraph, all_labels_primitive
 from .polyring import IntPolynomial, _mul_terms
 
@@ -113,81 +111,26 @@ def descend(
     return CharClassReport(total.kind, entries, gens.names if gens else [])
 
 
-def _sum_over_lcm(terms):
-    """The sum of fractions (num, kappa, lines), each num / (kappa * prod of
-    lines), added in a balanced tree: each partial sum is over the lcm of
-    its two halves' denominators."""
-    if len(terms) == 1:
-        return terms[0]
-    half = len(terms) // 2
-    (n1, k1, lines1), (n2, k2, lines2) = _sum_over_lcm(terms[:half]), _sum_over_lcm(terms[half:])
-    lines, kappa = lines1 | lines2, lcm(k1, k2)
-    return _times(n1, kappa // k1, lines - lines1) + _times(n2, kappa // k2, lines - lines2), kappa, lines
-
-
-def _times(p, m, lines):
-    """p times the integer m and each line."""
-    if m != 1:
-        p = p * m
-    for line in lines.elements():
-        p = p * IntPolynomial.linear_form(line)
-    return p
-
-
 def localize_integral(graph: GKMGraph, c: FixedPointClass):
-    """Exact evaluation of the localization sum sum_p c_p / e_p, where e_p
-    is the product of the weights at p.
-
-    For a homogeneous class of degree 2n this is the pairing with the
-    fundamental class in the orientation the signed labels induce; below
-    the top degree the sum cancels to zero. Each e_p is kappa_p times the
-    product of its primitive weight lines (first nonzero entry positive),
-    and the nonzero terms are added pairwise in a balanced tree, each
-    partial sum over the lcm of its two denominators, so no denominator
-    carries more than the graph's distinct lines. The total num/den is
-    exact, so a sum that fails to be an integer (or to cancel) is detected
-    and flags invalid input data.
+    """<c, [M]> for a homogeneous class c of A, in the orientation the
+    signed labels induce: the localization sum sum_p c_p / e_p, e_p the
+    product of the weights at p, taken exactly at the ring's integer point
+    xi (`CohomologyRing._point`; see the cohomology module docstring), so
+    0 below the top degree. Errors, in order: an unsigned graph, a class of
+    mixed degree or above the top degree, InvalidGraph, NoConnection,
+    NotInSubalgebra for a class outside A, and NonIntegralLocalizationSum
+    for a sum that is not an integer.
     """
     if not graph.signed:
-        raise LocalizationRequiresSignedGraph(
-            "localization needs the orientation carried by signed labels"
-        )
+        raise LocalizationRequiresSignedGraph("localization needs the orientation carried by signed labels")
     d = c.degree()
     if d is None and not c.is_zero():
         raise ValueError("localization input must be homogeneous")
     if c.is_zero():
         return 0
-    n2 = 2 * graph.valence
-    if d > n2:
-        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, n2))
-    terms = []
-    for v, cp in zip(graph.vertices, c.components):
-        if cp:
-            kappa, lines = 1, Counter()
-            for w in graph.weights_at(v):
-                g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
-                kappa *= g
-                lines[tuple(x // g for x in w)] += 1
-            terms.append((cp, kappa, lines))
-    num, kappa, lines = _sum_over_lcm(terms)
-    if d < n2:
-        if not num.is_zero():
-            raise NonIntegralLocalizationSum(
-                "localization sum of a degree-%d class does not cancel; "
-                "the labels are inconsistent" % d
-            )
-        return 0
-    # degree 2n: the sum is a constant, so num = r * den
-    den = _times(IntPolynomial.constant(graph.torus_rank, 1), kappa, lines)
-    exps, dc = next(iter(den.terms.items()))
-    g = gcd(num.coefficient(exps), dc) * (1 if dc > 0 else -1)  # r = rn / rd in lowest terms, rd > 0
-    rn, rd = num.coefficient(exps) // g, dc // g
-    if num * rd != den * rn:
-        raise NonIntegralLocalizationSum(
-            "localization sum is not constant; the labels are inconsistent"
-        )
-    if rd != 1:
-        from fractions import Fraction  # only to print the sum
-
-        raise NonIntegralLocalizationSum("localization sum %s is not an integer" % Fraction(rn, rd))
-    return rn
+    if d > 2 * graph.valence:
+        raise ValueError("degree %d exceeds the manifold dimension %d" % (d, 2 * graph.valence))
+    point = ring_of(graph)._point
+    if not is_gkm_class(c):
+        raise NotInSubalgebra("class of degree %d violates the edge congruences; it is not in A" % d)
+    return point.integral(point.at(c))

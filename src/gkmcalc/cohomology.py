@@ -54,14 +54,14 @@ alpha; then e_u = alpha*P_u and e_v = -alpha*P_v with P_u = P_v mod alpha.
 At most one weight at a vertex is a multiple of alpha, so the poles of
 sum_p x_p/e_p along alpha pair up across the alpha-edges as
 (x_u*P_v - x_v*P_u)/(alpha*P_u*P_v), and alpha divides the numerator when
-x is in A. So the sum has no poles: a top-degree class of A integrates to a
-rational constant, exact at any integer xi with every e_p(xi) != 0, and the
-same congruences put the total Chern and Pontrjagin classes in A. The sum
-at xi is formed over L = lcm_p e_p(xi), not the product. A graph with no
-connection keeps the symbolic sum, `charclasses.localize_integral`.
+x is in A. So the sum has no poles: a class of A integrates to a rational
+constant, 0 below the top degree, exact at any integer xi with every
+e_p(xi) != 0 (`_xi` always finds one), and the same congruences put the
+total Chern and Pontrjagin classes in A. The sum at xi, over L =
+lcm_p e_p(xi), is the package's only integral. The pairings are found as
+bipartite matchings; a graph with none at some edge raises NoConnection.
 """
 
-import itertools
 import math
 import operator
 import re
@@ -70,6 +70,7 @@ from functools import cache, cached_property
 from .errors import (
     DimensionMismatch,
     GeneratorsDoNotSpan,
+    NoConnection,
     NonIntegralLocalizationSum,
     NotInSubalgebra,
     Record,
@@ -189,14 +190,13 @@ class FixedPointClass:
 
 def is_gkm_class(c: FixedPointClass) -> bool:
     """Chang-Skjelbred membership: across every edge the difference of the
-    endpoint polynomials is exactly divisible by the edge weight."""
-    g = c.graph
-    for e in g.edges:
-        diff = c.component(e.u) - c.component(e.v)
-        if diff.is_zero():
-            continue
-        ell = IntPolynomial.linear_form(e.weight_at_u)
-        if divide_by_linear(diff, ell) is None:
+    endpoint polynomials is divisible by the edge weight g * alpha' (alpha'
+    primitive), that is (Gauss's lemma) g divides each coefficient and the
+    difference restricts to 0 in Z[y]/(alpha'), by the ring's `_edge_tests`."""
+    comps = c.components
+    for u, v, g, restrict in ring_of(c.graph)._edge_tests:
+        diff = comps[u] - comps[v]
+        if diff and (any(x % g for x in diff.terms.values()) or diff.substitute(restrict)):
             return False
     return True
 
@@ -224,12 +224,13 @@ def _dot(x, y):
 
 
 def _xi(g):
-    """The first xi on a fixed list that pairs to nonzero with every weight,
-    or None: the prefix of _XI of torus-rank length, then the powers of
-    1009, nonzero on every weight with entries below 504 in absolute value."""
-    k = g.torus_rank
-    directions = ([_XI[:k]] if k <= len(_XI) else []) + [tuple(1009**i for i in range(k))]
-    return next((xi for xi in directions if all(_dot(e.weight_at_u, xi) for e in g.edges)), None)
+    """The first xi on a fixed list that pairs to nonzero with every weight:
+    the prefix of _XI of torus-rank length, the powers of 1009, then the
+    powers of 2m + 1, m the largest |entry| of a weight, which pair a
+    nonzero weight to its nonzero balanced base-(2m + 1) value."""
+    k, m = g.torus_rank, max((abs(x) for e in g.edges for x in e.weight_at_u), default=0)
+    directions = ([_XI[:k]] if k <= len(_XI) else []) + [tuple(b**i for i in range(k)) for b in (1009, 2 * m + 1)]
+    return next(xi for xi in directions if all(_dot(e.weight_at_u, xi) for e in g.edges))
 
 
 class _FlowUp(Record):
@@ -267,7 +268,7 @@ def _flow_up(g):
     for e in g.edges:
         u, v = vidx[e.u], vidx[e.v]
         # a valid signed graph has weight_at_v = -weight_at_u; an unsigned one orients no edge
-        s = _dot(e.weight_at_u, xi) if xi and g.signed else 0
+        s = _dot(e.weight_at_u, xi) if g.signed else 0
         for a, b, w, lower in ((u, v, e.weight_at_u, s > 0), (v, u, e.weight_at_v, s < 0)):
             edges[a].append((b, w))
             if not lower:
@@ -332,17 +333,36 @@ def _flow_up(g):
     return _FlowUp(order, down, tau)
 
 
-def _has_connection(g):
-    """Whether g has a connection (Guillemin-Zara 1999): at each edge u-v of
-    weight alpha, a pairing of the other weights at u with those at v whose
-    pairs differ by integer multiples of alpha. All (n-1)! pairings are tried."""
+def _is_multiple(d, w):
+    """Whether d is an integer multiple of the nonzero vector w."""
+    i = next(i for i, x in enumerate(w) if x)
+    return d[i] % w[i] == 0 and all(a * w[i] == d[i] * b for a, b in zip(d, w))
+
+
+def _unpaired_edge(g):
+    """The first edge of g with no pairing, or None when g has a connection
+    (Guillemin-Zara 1999): at each edge u-v of weight alpha, a pairing of
+    the other weights at u with those at v whose pairs differ by integer
+    multiples of alpha. A pairing is a perfect matching of the bipartite
+    graph of such pairs, grown by augmenting paths."""
     for e in g.edges:
-        alpha = IntPolynomial.linear_form(e.weight_at_u)
-        at_u, at_v = ([IntPolynomial.linear_form(f.weight_at(x)) for f in g.incident(x) if f is not e] for x in (e.u, e.v))
-        if not any(all(divide_by_linear(a - b, alpha) is not None for a, b in zip(at_u, pairing))
-                   for pairing in itertools.permutations(at_v)):
+        at_u, at_v = ([f.weight_at(x) for f in g.incident(x) if f is not e] for x in (e.u, e.v))
+        fits = [[j for j, b in enumerate(at_v) if _is_multiple(tuple(map(operator.sub, a, b)), e.weight_at_u)]
+                for a in at_u]
+        match = {}  # index at v -> the index at u paired with it
+
+        def augment(i, seen):
+            for j in fits[i]:
+                if j not in seen:
+                    seen.add(j)
+                    if j not in match or augment(match[j], seen):
+                        match[j] = i
+                        return True
             return False
-    return True
+
+        if not all(augment(i, set()) for i in range(len(at_u))):
+            return e
+    return None
 
 
 class _PointEvaluation(Record):
@@ -390,16 +410,28 @@ class CohomologyRing:
 
     @cached_property
     def _point(self):
-        """Point evaluation of the integral on A, certified by a connection
-        (see the module docstring), at `_xi`. None for an unsigned graph,
-        when no xi qualifies or with no connection; callers then localize
-        symbolically. It reads the graph alone and builds no record."""
+        """Point evaluation of the integral on A of a signed graph at `_xi`,
+        certified by a connection (see the module docstring); NoConnection
+        names the first edge with no pairing. It builds no record."""
         g, xi = self.graph, _xi(self.graph)
-        if not g.signed or xi is None or not _has_connection(g):
-            return None
+        e = _unpaired_edge(g)
+        if e is not None:
+            raise NoConnection("no connection: at edge %s-%s of weight %r the other weights have no pairing "
+                               "whose pairs differ by multiples of it" % (e.u, e.v, e.weight_at_u))
         euler = [math.prod(_dot(w, xi) for w in g.weights_at(v)) for v in g.vertices]
         lcm = math.lcm(*euler)
         return _PointEvaluation(xi, tuple(lcm // e for e in euler), lcm)
+
+    @cached_property
+    def _edge_tests(self):
+        """Per edge u-v of weight g * alpha' (alpha' primitive): the indices
+        of u and v, g, and the restriction images of `_completion(alpha')`."""
+        vidx = {v: i for i, v in enumerate(self.graph.vertices)}
+        completion, out = cache(_completion), []
+        for e in self.graph.edges:
+            g = math.gcd(*e.weight_at_u)
+            out.append((vidx[e.u], vidx[e.v], g, completion(tuple(x // g for x in e.weight_at_u))[0]))
+        return out
 
     @property
     def path(self):

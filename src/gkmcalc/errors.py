@@ -86,6 +86,11 @@ class NonIntegralLocalizationSum(GkmError, ArithmeticError):
     pass
 
 
+class NoConnection(GkmError, ValueError):
+    """A valid signed graph with no connection, so no point evaluates the
+    integral on A."""
+
+
 class TorsionInQuotient(GkmError, ArithmeticError):
     """The quotient by the augmentation ideal has torsion, violating the
     freeness hypothesis (vanishing odd cohomology) the computation rests on."""

@@ -14,7 +14,7 @@ import itertools
 import operator
 from math import gcd
 
-from .charclasses import localize_integral, stiefel_whitney_coords
+from .charclasses import stiefel_whitney_coords
 from .cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, RingElement, _dot, ring_of
 from .errors import MAX_BOUND, LocalizationRequiresSignedGraph, Not6Dimensional, Record, SchemaError
 from .gkm import GKMGraph, find_isomorphisms
@@ -72,17 +72,15 @@ class NotFoundWithinBound(Record):
 def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: CohomologyRing = None) -> InvariantSystem:
     """Extract (H^2, mu, w2, p1) from a valid signed valence-3 graph.
 
-    mu and p are integrals of cup products. When the graph has a
-    connection (`CohomologyRing._point`, tested once per ring from the
-    weights alone), every class integrated here lies in A and its integral
-    is exact at one integer point xi, so each entry of mu and p is a sum of
-    values at xi over the fixed points. Without one, each entry is
-    localized symbolically, once per unordered triple, with the same values
-    and errors. No total class is built: w2 is the mod-2 descent of
-    c1 = sum_j a_j over the weights at each vertex, and p1 = sum_j a_j^2 is
-    one integer per vertex at xi (a class only on the symbolic path). With
-    user generators the tensors are stated in that basis, otherwise in the
-    deterministic internal one.
+    mu and p are integrals of cup products of classes of A, exact at the
+    ring's integer point xi (`CohomologyRing._point`, certified once per
+    ring by a connection, tested from the weights alone; NoConnection
+    without one): each entry is a sum of values at xi over the fixed
+    points, and each entry of mu is computed once per unordered triple. No
+    total class is built: w2 is the mod-2 descent of c1 = sum_j a_j over
+    the weights at each vertex, and p1 = sum_j a_j^2 is one integer per
+    vertex at xi. With user generators the tensors are stated in that
+    basis, otherwise in the deterministic internal one.
     """
     if graph.valence != 3:
         raise Not6Dimensional("valence %d graph; the classification applies to valence 3" % graph.valence)
@@ -106,15 +104,11 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
         basis_classes = ring.ordinary(2).quotient_reps
         label = "internal"
     point = ring._point
-    if point is not None:  # the basis classes lie in A: GeneratorBasis checks its generators
-        at_xi = [point.at(cls) for cls in basis_classes]
+    at_xi = [point.at(cls) for cls in basis_classes]  # they lie in A: GeneratorBasis checks its generators
     # mu is symmetric: compute each unordered triple once
     mu = [[[0] * r for _ in range(r)] for _ in range(r)]
     for a, b, c in itertools.combinations_with_replacement(range(r), 3):
-        if point is None:
-            value = localize_integral(graph, basis_classes[a] * basis_classes[b] * basis_classes[c])
-        else:
-            value = point.integral(x * y * z for x, y, z in zip(at_xi[a], at_xi[b], at_xi[c]))
+        value = point.integral(x * y * z for x, y, z in zip(at_xi[a], at_xi[b], at_xi[c]))
         for i, j, l in itertools.permutations((a, b, c)):
             mu[i][j][l] = value
     mu = tuple(tuple(tuple(row) for row in plane) for plane in mu)
@@ -125,13 +119,9 @@ def invariant_system(graph: GKMGraph, gens: GeneratorBasis = None, ring: Cohomol
         w = tuple(wpoly.coefficient(m) for m in units)
     else:
         w = tuple(w_coords)
-    if point is None:
-        forms = [map(IntPolynomial.linear_form, graph.weights_at(v)) for v in graph.vertices]
-        pont = FixedPointClass(graph, [a * a + b * b + c * c for a, b, c in forms])
-        p = tuple(localize_integral(graph, pont * basis_classes[a]) for a in range(r))
-    else:  # the connection puts p1 in A
-        pont_at_xi = [sum(_dot(w, point.xi) ** 2 for w in graph.weights_at(v)) for v in graph.vertices]
-        p = tuple(point.integral(map(operator.mul, pont_at_xi, at_xi[a])) for a in range(r))
+    # the connection puts p1 in A
+    pont_at_xi = [sum(_dot(w, point.xi) ** 2 for w in graph.weights_at(v)) for v in graph.vertices]
+    p = tuple(point.integral(map(operator.mul, pont_at_xi, at_xi[a])) for a in range(r))
     return InvariantSystem(r, mu, w, p, label, tuple(warnings))
 
 

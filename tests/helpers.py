@@ -207,8 +207,10 @@ def linear_substitute(p, B):
 
 def product_denominator_integral(graph, c):
     """The localization sum sum_p c_p / e_p as one running fraction over
-    the product of every e_p, with the errors and messages of
-    `localize_integral`: the reference the lcm sum is checked against."""
+    the product of every e_p, with the unsigned, mixed-degree and
+    above-top-degree errors of `localize_integral`: the reference its
+    values on classes of A are checked against. A class outside A may sum
+    to a nonconstant or fractional value, each with its own error here."""
     if not graph.signed:
         raise LocalizationRequiresSignedGraph("localization needs the orientation carried by signed labels")
     d = c.degree()
@@ -238,6 +240,45 @@ def product_denominator_integral(graph, c):
     if r.denominator != 1:
         raise NonIntegralLocalizationSum("localization sum %s is not an integer" % r)
     return int(r)
+
+
+def is_gkm_class_by_division(c):
+    """Chang-Skjelbred membership by exact division: across every edge the
+    difference of the endpoint polynomials divided by the edge weight. The
+    reference `cohomology.is_gkm_class` is checked against."""
+    for e in c.graph.edges:
+        diff = c.component(e.u) - c.component(e.v)
+        if diff and divide_by_linear(diff, IntPolynomial.linear_form(e.weight_at_u)) is None:
+            return False
+    return True
+
+
+def unpaired_edge_by_permutations(g):
+    """The first edge of g at which none of the (n-1)! pairings of the other
+    weights at its ends has pairs that differ by integer multiples of its
+    weight, or None: the reference the matching of
+    `cohomology._unpaired_edge` is checked against."""
+    for e in g.edges:
+        alpha = IntPolynomial.linear_form(e.weight_at_u)
+        at_u, at_v = ([IntPolynomial.linear_form(f.weight_at(x)) for f in g.incident(x) if f is not e]
+                      for x in (e.u, e.v))
+        if not any(all(divide_by_linear(a - b, alpha) is not None for a, b in zip(at_u, pairing))
+                   for pairing in itertools.permutations(at_v)):
+            return e
+    return None
+
+
+def one_label_mutation(g, rng):
+    """g with the label of one edge, chosen by rng, moved by twice a signed
+    unit vector: the first such copy that satisfies the GKM conditions."""
+    while True:
+        i, j, s = rng.randrange(len(g.edges)), rng.randrange(g.torus_rank), rng.choice((-2, 2))
+        edges = [(e.u, e.v, tuple(x + s * (t == j) for t, x in enumerate(e.weight_at_u)) if n == i else e.weight_at_u)
+                 for n, e in enumerate(g.edges)]
+        if any(edges[i][2]):
+            copy = GKMGraph(g.torus_rank, g.vertices, edges, signed=True, name="mutated-" + (g.name or ""))
+            if copy.validate().valid:
+                return copy
 
 
 def total_class_by_products(graph, kind):

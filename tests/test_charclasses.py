@@ -18,7 +18,9 @@ from gkmcalc.cohomology import CohomologyRing, FixedPointClass, GeneratorBasis, 
 from gkmcalc.errors import (
     ChernRequiresSignedGraph,
     LocalizationRequiresSignedGraph,
+    NoConnection,
     NonIntegralLocalizationSum,
+    NotInSubalgebra,
 )
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, graph_from_json
 from gkmcalc.intlinalg import canonical_sign, primitive_part
@@ -28,6 +30,7 @@ from helpers import (
     UNCERTIFIED_K4,
     _load,
     _load_families,
+    is_gkm_class_by_division,
     mutated_eschenburg,
     product_denominator_integral,
     product_of_spheres,
@@ -256,22 +259,28 @@ def test_localize_rejects_a_mixed_degree_class():
 
 
 def test_localize_flags_inconsistent_class():
+    # outside A, its sum does not cancel; the value at xi would mean nothing
     g = builtin("eschenburg")
     c = FixedPointClass.from_strings(
         g, {"p1": "Y1", "p2": "0", "p3": "0", "p4": "0", "p5": "0", "p6": "0"}
     )
-    with pytest.raises(NonIntegralLocalizationSum):
+    with pytest.raises(NonIntegralLocalizationSum, match="does not cancel"):
+        product_denominator_integral(g, c)
+    with pytest.raises(NotInSubalgebra, match="^class of degree 2 violates the edge congruences; it is not in A$"):
         localize_integral(g, c)
 
 
 def test_localize_flags_nonconstant_top_degree_sum():
+    # outside A, its top-degree sum is not constant
     g = builtin("eschenburg")
     c = FixedPointClass.from_strings(g, {v: "Y1^3" if v == "p1" else "0" for v in g.vertices})
     with pytest.raises(NonIntegralLocalizationSum, match="not constant"):
+        product_denominator_integral(g, c)
+    with pytest.raises(NotInSubalgebra, match="^class of degree 6 violates"):
         localize_integral(g, c)
 
 
-# -- the lcm sum against the product-denominator sum ---------------------------
+# -- the sum at xi against the product-denominator sum ---------------------------
 
 
 def _oracle_graphs():
@@ -323,31 +332,48 @@ def _integral_or_error(integrate, g, c):
 
 
 ORACLE_GRAPHS = _oracle_graphs()
+NO_CONNECTION = ("uncertified-k4", "mutated-eschenburg")
 
 
 @pytest.mark.parametrize("name,g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
 def test_lcm_sum_matches_the_product_denominator_sum(name, g):
+    """The sum at xi, over the lcm of the e_p(xi), against the running
+    fraction: the same value on every class of A (the division reference
+    decides membership), NotInSubalgebra on every other homogeneous class
+    up to the top degree, the same errors on the rest, and NoConnection on
+    every nonzero one of those on a graph with no connection."""
     outcomes = set()
     for c in _oracle_classes(g, random.Random("oracle-" + name)):
-        got = _integral_or_error(localize_integral, g, c)
-        assert got == _integral_or_error(product_denominator_integral, g, c), (name, c)
-        outcomes.add(got[1].split(";")[0] if isinstance(got, tuple) else "value")
-    assert {"value", "localization input must be homogeneous", "localization sum is not constant"} <= outcomes
-    assert any(o.endswith("does not cancel") for o in outcomes)
-    assert "degree %d exceeds the manifold dimension %d" % (2 * g.valence + 2, 2 * g.valence) in outcomes
+        got, want = (_integral_or_error(integrate, g, c) for integrate in (localize_integral, product_denominator_integral))
+        if isinstance(want, tuple) and want[0] is ValueError or c.is_zero():
+            assert got == want, (name, c)
+        elif name in NO_CONNECTION:
+            assert got[0] is NoConnection, (name, c)
+        elif is_gkm_class_by_division(c):
+            assert got == want and not isinstance(got, tuple), (name, c)
+        else:
+            assert got == (NotInSubalgebra, "class of degree %d violates the edge congruences; it is not in A"
+                           % c.degree()), (name, c)
+        if not c.is_zero():
+            outcomes.add(got[0].__name__ if isinstance(got, tuple) else "value")
+    assert outcomes == ({"ValueError", "NoConnection"} if name in NO_CONNECTION
+                        else {"ValueError", "NotInSubalgebra", "value"})
 
 
 def test_lcm_sum_of_a_non_integral_class_matches():
     """The product of the primitive lines at one vertex is half its Euler
-    class there, so the sum is -1/2 on both paths."""
+    class there, so the running fraction sums to -1/2; it is not in A
+    (2*Y1 does not divide it), so localize_integral refuses it."""
     g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
     lines = IntPolynomial.constant(2, 1)
     for w in g.weights_at("ppp"):
         lines = lines * IntPolynomial.linear_form(canonical_sign(primitive_part(w)))
     c = FixedPointClass(g, [lines if v == "ppp" else IntPolynomial.zero(2) for v in g.vertices])
-    want = (NonIntegralLocalizationSum, "localization sum -1/2 is not an integer")
-    assert _integral_or_error(localize_integral, g, c) == want
-    assert _integral_or_error(product_denominator_integral, g, c) == want
+    assert not is_gkm_class(c) and not is_gkm_class_by_division(c)
+    assert _integral_or_error(product_denominator_integral, g, c) == (
+        NonIntegralLocalizationSum, "localization sum -1/2 is not an integer")
+    assert _integral_or_error(localize_integral, g, c) == (
+        NotInSubalgebra, "class of degree 6 violates the edge congruences; it is not in A")
 
 
 # The product of all 7 Euler classes of CP^6 has degree 42; this took about

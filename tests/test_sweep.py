@@ -154,3 +154,42 @@ def test_sweep_compare_rejects_a_file_that_is_not_a_sweep(sweep, tmp_path, capsy
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and str(bad) in err
+
+
+def test_compare_passes_exactly_the_declared_changes(sweep, tmp_path, capsys):
+    a, b, expect = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "expect.json"
+    doc = {"format": "gkmcalc-sweep/1", "records": {"g": {
+        "independent": {"betti": [1, 1], "integrals": {"c1": 2}}, "dependent": {}}}}
+    a.write_text(json.dumps(doc))
+    doc["records"]["g"]["independent"]["integrals"] = {"error": "NoConnection: no connection"}
+    b.write_text(json.dumps(doc))
+    declared = {"independent": {"g/integrals": {"old": {"c1": 2}, "new": {"error": "NoConnection: no connection"}}}}
+    expect.write_text(json.dumps(declared))
+    assert sweep.main(["--compare", str(a), str(b), "--expect", str(expect)]) == 0
+    assert "basis-independent record g/integrals differs as declared" in capsys.readouterr().out
+    assert sweep.main(["--compare", str(a), str(b)]) == 1
+    capsys.readouterr()
+
+    # a declared record with another new value, or one that does not change, fails
+    declared["independent"]["g/integrals"]["new"] = {"c1": 3}
+    expect.write_text(json.dumps(declared))
+    assert sweep.main(["--compare", str(a), str(b), "--expect", str(expect)]) == 1
+    assert "basis-independent record g/integrals differs:" in capsys.readouterr().out
+    assert sweep.main(["--compare", str(a), str(a), "--expect", str(expect)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "basis-independent record g/integrals does not differ as declared"
+
+    # an undeclared difference still fails
+    doc["records"]["g"]["independent"]["betti"] = [1, 2]
+    b.write_text(json.dumps(doc))
+    declared["independent"]["g/integrals"]["new"] = {"error": "NoConnection: no connection"}
+    expect.write_text(json.dumps(declared))
+    assert sweep.main(["--compare", str(a), str(b), "--expect", str(expect)]) == 1
+    assert "basis-independent record g/betti differs:" in capsys.readouterr().out
+
+    for bad in ('{"independent": {"g/betti": {"old": 1}}}', '{"other": {}}', "[1]"):
+        expect.write_text(bad)
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--compare", str(a), str(b), "--expect", str(expect)])
+        assert exc.value.code == 2 and "does not map kinds" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        sweep.main(["--out", str(a), "--expect", str(expect)])

@@ -12,14 +12,23 @@ from gkmcalc.cohomology import (
     FixedPointClass,
     GeneratorBasis,
     RingElement,
-    _has_connection,
     _PointEvaluation,
+    _unpaired_edge,
+    _xi,
     ring_of,
 )
 from gkmcalc.charclasses import equivariant_char_class, localize_integral, stiefel_whitney_coords
-from gkmcalc.errors import GeneratorsDoNotSpan, NonIntegralLocalizationSum, Not6Dimensional, NotInSubalgebra, SchemaError
+from gkmcalc.errors import (
+    GeneratorsDoNotSpan,
+    NoConnection,
+    NonIntegralLocalizationSum,
+    Not6Dimensional,
+    NotInSubalgebra,
+    SchemaError,
+)
 from gkmcalc.gkm import ESCHENBURG_GENERATORS, GKMGraph, builtin, find_isomorphisms, graph_from_json
 from gkmcalc.intlinalg import IntMatrix, primitive_part
+from gkmcalc.polyring import IntPolynomial
 from gkmcalc.wjz import (
     MAX_BOUND,
     Equivalence,
@@ -45,12 +54,15 @@ from helpers import (
     index_betti,
     linear_substitute,
     mutated_eschenburg,
+    one_label_mutation,
+    product_denominator_integral,
     product_of_spheres,
     pulled_back,
     random_system,
     random_unimodular,
     relabelled,
     scanned_verify,
+    unpaired_edge_by_permutations,
 )
 
 XX = ["X1", "X2"]
@@ -269,19 +281,22 @@ def test_imprimitive_mod2_descent_is_ambiguous():
 
 
 def test_localize_flags_fractional_top_degree_sum():
-    # half the Euler class at one vertex integrates to 1/2
+    # half the Euler class at one vertex sums to 1/2, but it is not in A
     g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
     c = FixedPointClass.from_strings(g, {v: "-Y1^2*Y2 - Y1*Y2^2" if v == "ppp" else "0" for v in g.vertices})
-    with pytest.raises(NonIntegralLocalizationSum, match="localization sum 1/2 is not an integer"):
+    with pytest.raises(NonIntegralLocalizationSum, match="^localization sum 1/2 is not an integer$"):
+        product_denominator_integral(g, c)
+    with pytest.raises(NotInSubalgebra, match="^class of degree 6 violates the edge congruences"):
         localize_integral(g, c)
 
 
 def counted_localizations(monkeypatch):
-    """Record every symbolic localization: charclasses defines it, and
-    invariant_system calls it through wjz."""
+    """Record every call of localize_integral, which charclasses defines;
+    invariant_system does not call it."""
     import gkmcalc.charclasses as charclasses
     import gkmcalc.wjz as wjz
 
+    assert not hasattr(wjz, "localize_integral")
     calls = []
 
     def counting(graph, c):
@@ -289,23 +304,15 @@ def counted_localizations(monkeypatch):
         return localize_integral(graph, c)
 
     monkeypatch.setattr(charclasses, "localize_integral", counting)
-    monkeypatch.setattr(wjz, "localize_integral", counting)
     return calls
 
 
-def symbolic_ring(g):
-    """A ring whose point evaluation is forced off."""
-    ring = CohomologyRing(g)
-    ring.__dict__["_point"] = None
-    return ring
+def without_connection(monkeypatch):
+    """Fail every later connection test at the graph's first edge, so a
+    ring built after this has no point."""
+    import gkmcalc.cohomology as cohomology
 
-
-def test_invariant_system_localizes_each_unordered_triple_once(monkeypatch):
-    calls = counted_localizations(monkeypatch)
-    g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
-    s = invariant_system(g, ring=symbolic_ring(g))
-    assert s.rank == 3
-    assert len(calls) == 10 + 3  # C(5, 3) entries of mu, then p
+    monkeypatch.setattr(cohomology, "_unpaired_edge", lambda g: g.edges[0])
 
 
 @pytest.mark.parametrize(
@@ -336,22 +343,63 @@ def test_ring_and_betti_numbers_localize_nothing(monkeypatch):
     assert calls == []
 
 
+def no_connection_message(e):
+    return "no connection: at edge %s-%s of weight %r the other weights have no pairing " \
+        "whose pairs differ by multiples of it" % (e.u, e.v, e.weight_at_u)
+
+
 def test_connection_check():
     families = _load_families()
     for family, params in [("cp", (3, 4, 5)), ("cp1^", (3, 4, 5)), ("surface", (4, 5, 6, 7, 8))]:
         for param in params:
             g = families.build(family, param)
             copy = graph_from_json(families.disguise(g, random.Random("connection-%s%s" % (family, param))))
-            assert _has_connection(g) and _has_connection(copy), (family, param)
-    # valid graphs with no connection: invariant_system localizes symbolically
-    for g in (GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), mutated_eschenburg()):
+            assert _unpaired_edge(g) is None and _unpaired_edge(copy) is None, (family, param)
+    # valid graphs with no connection have no point
+    for g, ends in ((GKMGraph(2, list("abcd"), UNCERTIFIED_K4, signed=True), ("a", "b")),
+                    (mutated_eschenburg(), ("p1", "p4"))):
         assert g.validate().valid
-        assert not _has_connection(g)
-        assert CohomologyRing(g)._point is None
+        e = _unpaired_edge(g)
+        assert (e.u, e.v) == ends and e is unpaired_edge_by_permutations(g)
+        with pytest.raises(NoConnection) as err:
+            CohomologyRing(g)._point
+        assert str(err.value) == no_connection_message(e)
+
+
+def test_matching_agrees_with_the_permutation_search():
+    graphs = [g for _, g, *_ in _load("tools/sweep.py").cases()]
+    families, rng = _load_families(), random.Random("matching")
+    graphs += [one_label_mutation(families.build("cp", n), rng) for n in (3, 4, 5) for _ in range(3)]
+    found = [_unpaired_edge(g) for g in graphs]
+    assert found == [unpaired_edge_by_permutations(g) for g in graphs]
+    assert sum(e is None for e in found) > len(graphs) // 2 and sum(e is not None for e in found) >= 10
+
+
+# The permutation search tries 11! pairings at the changed edge of CP^12;
+# at about 9x per valence step from 0.55 s on CP^9, that is over 6 minutes.
+MUTATED_CP12 = """
+import random
+from helpers import _load_families, one_label_mutation
+from gkmcalc.charclasses import localize_integral
+from gkmcalc.cohomology import FixedPointClass
+from gkmcalc.errors import NoConnection
+from gkmcalc.polyring import IntPolynomial
+
+g = one_label_mutation(_load_families().build("cp", 12), random.Random("cp12"))
+c1 = FixedPointClass(g, [IntPolynomial.linear_form(map(sum, zip(*g.weights_at(v)))) for v in g.vertices])
+try:
+    localize_integral(g, c1)
+except NoConnection:
+    print("ok")
+"""
+
+
+def test_a_mutated_cp12_has_no_connection_quickly():
+    run_script(MUTATED_CP12, 10)
 
 
 def test_point_integral_that_is_not_an_integer():
-    # half the Euler class at one vertex, as in the symbolic test above
+    # half the Euler class at one vertex, as in the running-fraction test above
     g = product_of_spheres([(2, 0), (0, 1), (1, 1)])
     point = CohomologyRing(g)._point
     c = FixedPointClass.from_strings(g, {v: "-Y1^2*Y2 - Y1*Y2^2" if v == "ppp" else "0" for v in g.vertices})
@@ -363,6 +411,23 @@ def test_point_integral_that_is_not_an_integer():
     with pytest.raises(NonIntegralLocalizationSum, match="^localization sum -1/2 is not an integer$"):
         _PointEvaluation((1, 0), (4, -2), -8).integral([1, 0])
     assert _PointEvaluation((1, 0), (4, -2), -8).integral([2, 0]) == -1
+
+
+def test_a_graph_off_the_fixed_points_gets_a_point():
+    """Neither (1, 7) nor the powers of 1009 pair to nonzero with every
+    weight here; the powers of 2*1009 + 1 do."""
+    g = product_of_spheres([(7, -1), (1009, -1), (1, 0)])
+    assert g.validate().valid and _unpaired_edge(g) is None
+    ring = CohomologyRing(g)
+    assert _xi(g) == ring._point.xi == (1, 2019)
+    s = _system_or_error(g, ring, None)
+    assert s == _system_or_error(g, CohomologyRing(g), None, total_class_reference)
+    assert s[0]["rank"] == 3
+    chern, pont = (equivariant_char_class(g, kind) for kind in ("chern", "pontrjagin"))
+    c1, c2, c3, p1 = (total.homogeneous_component(d) for total, d in ((chern, 2), (chern, 4), (chern, 6), (pont, 4)))
+    for c in (c1 * c1 * c1, c1 * c2, c3, p1 * c1):
+        assert localize_integral(g, c) == product_denominator_integral(g, c)
+    assert localize_integral(g, c3) == 8
 
 
 def _point_versus_symbolic_inputs():
@@ -395,18 +460,28 @@ POINT_INPUTS = _point_versus_symbolic_inputs()
 
 
 @pytest.mark.parametrize("name,g,names", POINT_INPUTS, ids=[name for name, _, _ in POINT_INPUTS])
-def test_point_evaluation_agrees_with_symbolic_localization(name, g, names):
+def test_point_evaluation_agrees_with_symbolic_localization(monkeypatch, name, g, names):
+    """Each entry of mu and p is the running-fraction localization of its
+    cup product, with p1 the class sum_j a_j^2; a ring with no point
+    raises NoConnection."""
     ring = CohomologyRing(g)
     point = _system_or_error(g, ring, names)
-    assert point == _system_or_error(g, symbolic_ring(g), names)
     # and again from the cached certificate
     assert _system_or_error(g, ring, names) == point
     if name == "uncertified-k4":
         assert ring.path == "kernel" and [ring.betti(d) for d in range(0, 7, 2)] == [1, 1, 1, 1]
-        assert ring._point is None
-        assert point == (NonIntegralLocalizationSum, "localization sum is not constant; the labels are inconsistent")
+        assert point == (NoConnection, no_connection_message(g.edges[0]))
     else:
-        assert ring._point is not None
+        s = point[0]
+        basis = GeneratorBasis(ring, names, [FixedPointClass.from_strings(g, ESCHENBURG_GENERATORS[n])
+                                             for n in names]).classes if names else ring.ordinary(2).quotient_reps
+        for a, b, c in itertools.product(range(s["rank"]), repeat=3):
+            assert s["mu"][a][b][c] == product_denominator_integral(g, basis[a] * basis[b] * basis[c])
+        forms = [map(IntPolynomial.linear_form, g.weights_at(v)) for v in g.vertices]
+        pont = FixedPointClass(g, [a * a + b * b + c * c for a, b, c in forms])
+        assert s["p"] == [product_denominator_integral(g, pont * x) for x in basis]
+    without_connection(monkeypatch)
+    assert _system_or_error(g, CohomologyRing(g), names) == (NoConnection, no_connection_message(g.edges[0]))
 
 
 # -- the system reads no total class ---------------------------------------------
@@ -433,17 +508,21 @@ def counted_total_classes(monkeypatch):
 @pytest.mark.parametrize("name,g,names", POINT_INPUTS, ids=[name for name, _, _ in POINT_INPUTS])
 def test_invariant_system_builds_no_total_class(monkeypatch, name, g, names):
     calls = counted_total_classes(monkeypatch)
-    for ring in (CohomologyRing(g), symbolic_ring(g)):
-        _system_or_error(g, ring, names)
-        # only the imprimitive graph takes the Chern fallback of the mod-2 descent
-        assert calls == (["chern"] if name == "s2cubed2" else [])
-        calls.clear()
+    _system_or_error(g, CohomologyRing(g), names)
+    # only the imprimitive graph takes the Chern fallback of the mod-2 descent
+    assert calls == (["chern"] if name == "s2cubed2" else [])
+    calls.clear()
+    without_connection(monkeypatch)
+    assert _system_or_error(g, CohomologyRing(g), names)[0] is NoConnection
+    assert calls == []
 
 
 def total_class_reference(graph, gens=None, ring=None):
     """invariant_system on a valid signed valence-3 graph, written with the
-    total classes: w2 from the total Stiefel-Whitney class, p1 from the
-    degree-4 part of the total Pontrjagin class."""
+    total classes and the running-fraction localization: w2 from the total
+    Stiefel-Whitney class, p1 from the degree-4 part of the total
+    Pontrjagin class, and NoConnection where the permutation search finds
+    an edge with no pairing."""
     ring = ring or ring_of(graph)
     warnings = tuple(
         "weight %r on edge %s-%s is not primitive; connected isotropy is doubtful" % (e.weight_at_u, e.u, e.v)
@@ -453,12 +532,12 @@ def total_class_reference(graph, gens=None, ring=None):
         basis, label = gens.classes, ",".join(gens.names)
     else:
         basis, label = ring.ordinary(2).quotient_reps, "internal"
-    point = ring._point
+    unpaired = unpaired_edge_by_permutations(graph)
+    if unpaired is not None:
+        raise NoConnection(no_connection_message(unpaired))
 
     def integral(c):
-        if point is None:
-            return localize_integral(graph, c)
-        return point.integral(point.at(c))
+        return product_denominator_integral(graph, c)
 
     mu = [[[None] * r for _ in range(r)] for _ in range(r)]
     for a, b, c in itertools.product(range(r), repeat=3):
@@ -493,12 +572,16 @@ REFERENCE_INPUTS = POINT_INPUTS + [("mutated-eschenburg", mutated_eschenburg(), 
 
 
 @pytest.mark.parametrize("name,g,names", REFERENCE_INPUTS, ids=[name for name, _, _ in REFERENCE_INPUTS])
-def test_invariant_system_matches_the_total_class_reference(name, g, names):
-    for ring in (CohomologyRing(g), symbolic_ring(g)):
-        expected = _system_or_error(g, ring, names, total_class_reference)
-        assert _system_or_error(g, ring, names) == expected
-    if name == "mutated-eschenburg":  # primitive weights: the mod-2 failure of w2 is reported, with no Chern fallback
-        assert expected == (NotInSubalgebra, "mod-2 class outside the mod-2 subalgebra in degree 2")
+def test_invariant_system_matches_the_total_class_reference(monkeypatch, name, g, names):
+    expected = _system_or_error(g, CohomologyRing(g), names, total_class_reference)
+    assert _system_or_error(g, CohomologyRing(g), names) == expected
+    if name == "mutated-eschenburg":  # NoConnection comes before the mod-2 failure of w2
+        with pytest.raises(NotInSubalgebra, match="^mod-2 class outside the mod-2 subalgebra in degree 2$"):
+            stiefel_whitney_coords(CohomologyRing(g), equivariant_char_class(g, "stiefel_whitney"), 2)
+    assert (expected[0] is NoConnection) == (name in ("mutated-eschenburg", "uncertified-k4"))
+    # a ring with no point raises NoConnection
+    without_connection(monkeypatch)
+    assert _system_or_error(g, CohomologyRing(g), names) == (NoConnection, no_connection_message(g.edges[0]))
 
 
 def test_phi_matches_the_substitution_reference():

@@ -2,7 +2,7 @@
 as canonical JSON, and a comparison of two such files.
 
     python3 tools/sweep.py --out sweep.json [--cases eschenburg,cp2,cli]
-    python3 tools/sweep.py --compare parent.json change.json
+    python3 tools/sweep.py --compare parent.json change.json [--expect FILE]
 
 Run from the root of a checkout; the library is imported from its `src/`,
 the graph families from `perfbench/families.py` and the sphere products,
@@ -22,12 +22,11 @@ case set is fixed:
   path: its quotient reps through the inverse of U, and its mod-2 solves
   for Stiefel-Whitney coordinates, which are ambiguous there;
 - the one-vertex graph and the empty graph;
-- two valid signed graphs with no connection, so `invariant_system`
-  localizes symbolically and raises: `mutated-eschenburg` (eschenburg with
-  one edge label changed; NotInSubalgebra in degree 2) and
-  `uncertified-k4` (a signed K4; its localization sum is not constant),
-  each compared by `diffeo` with the other, which pins the order of the
-  errors too;
+- two valid signed graphs with no connection, so their integrals and
+  systems raise NoConnection, naming the first edge with no pairing:
+  `mutated-eschenburg` (eschenburg with one edge label changed) and
+  `uncertified-k4` (a signed K4), each compared by `diffeo` with the
+  other, which pins the order of the errors too;
 - eschenburg with the built-in generators X1, X2 (`eschenburg+gens`);
 - `cli`: the gkm verbs on the built-ins, run in-process.
 
@@ -53,7 +52,11 @@ Internal coordinates must transform by T_d (mod 2 for Stiefel-Whitney),
 and the internal systems (mu, p, w) by T_2; each Phi must be an
 equivalence of its own file's systems. It prints every record that fails,
 in both kinds, and exits 1 if one does; otherwise it prints every T_d other
-than the identity.
+than the identity. `--expect FILE` declares changed records: FILE holds
+{kind: {"case/record": {"old": value in A, "new": value in B}}}, and the
+records that fail must be exactly those keys, each with its old and new
+value; any other failure, or a declared record that does not change so,
+still fails.
 """
 
 from __future__ import annotations
@@ -496,11 +499,13 @@ class Relation:
         return all(self.phi_holds(i, v.get("phi"), graphs, v.get("systems")) for i, v in enumerate((va, vb)))
 
 
-def compare(a, b):
+def compare(a, b, expected=None):
     """Require equal basis-independent records and related basis-dependent
-    ones; print every failure, or else every T other than the identity.
-    Return 1 if there is a failure."""
+    ones, apart from the records `expected` declares (see the module
+    docstring); print every failure, or else every T other than the
+    identity. Return 1 if there is a failure."""
     fa, fb = flatten(a), flatten(b)
+    undeclared = {kind: dict((expected or {}).get(kind, {})) for kind in KINDS}
     missing = object()
     show = lambda v: "(missing)" if v is missing else json.dumps(v, sort_keys=True)[:2000]
     relation = Relation(a, b)
@@ -512,10 +517,17 @@ def compare(a, b):
             if va == vb and kind == "independent":
                 continue
             if kind == "independent" or missing in (va, vb) or not relation.related(key, va, vb):
+                if undeclared[kind].pop(key, None) == {"old": va, "new": vb}:
+                    print("basis-%s record %s differs as declared" % (kind, key))
+                    continue
                 print("basis-%s record %s differs:\n  A: %s\n  B: %s" % (kind, key, show(va), show(vb)))
                 failed += 1
             else:
                 moved += va != vb
+    for kind in KINDS:
+        for key in undeclared[kind]:
+            print("basis-%s record %s does not differ as declared" % (kind, key))
+            failed += 1
     if failed:
         print("%d records differ" % failed)
         return 1
@@ -538,19 +550,27 @@ def main(argv=None):
     action.add_argument("--out", metavar="F.json", help="write the sweep to this file")
     action.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two sweep files")
     parser.add_argument("--cases", metavar="LABELS", help="comma-separated case labels (default: all)")
+    parser.add_argument("--expect", metavar="FILE", help="with --compare: the records declared to change")
     args = parser.parse_args(argv)
+    if args.expect and not args.compare:
+        parser.error("--expect needs --compare")
     if args.compare:
-        loaded = []
-        for path in args.compare:
+        docs = []
+        for i, path in enumerate(args.compare + ([args.expect] if args.expect else [])):
             try:
                 with open(path) as fh:
-                    doc = json.load(fh)
+                    docs.append(json.load(fh))
             except (OSError, ValueError) as exc:
-                parser.error("cannot read sweep file %s: %s" % (path, exc))
+                parser.error("cannot read %s %s: %s" % ("sweep file" if i < 2 else "expect file", path, exc))
+        for path, doc in zip(args.compare, docs):
             if not (isinstance(doc, dict) and isinstance(doc.get("records"), dict)):
                 parser.error("%s is not a sweep file: it has no \"records\" object" % path)
-            loaded.append(doc["records"])
-        return compare(*loaded)
+        expected = docs[2] if args.expect else {}
+        if not (isinstance(expected, dict) and set(expected) <= set(KINDS) and all(
+                isinstance(v, dict) and all(isinstance(d, dict) and set(d) == {"old", "new"} for d in v.values())
+                for v in expected.values())):
+            parser.error("%s does not map kinds to {record: {\"old\": ..., \"new\": ...}}" % args.expect)
+        return compare(docs[0]["records"], docs[1]["records"], expected)
     selected = set(args.cases.split(",")) if args.cases else None
     unknown = (selected or set()) - {label for label, *_ in cases()} - {"cli"}
     if unknown:
